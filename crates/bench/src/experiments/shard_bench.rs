@@ -25,7 +25,9 @@ use cc_dataset::Dataset;
 use cc_deploy::{identity_groups, DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
 use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked};
-use cc_systolic::{ArrayGeometry, PreparedPacked, RunScratch, SimStats, TiledScheduler};
+use cc_systolic::{
+    ArrayGeometry, BandLane, PreparedPacked, RunScratch, SimStats, TiledScheduler,
+};
 use cc_tensor::init::sparse_matrix;
 use cc_tensor::quant::{AccumWidth, QuantMatrix, QuantParams};
 use cc_tensor::Tensor;
@@ -107,11 +109,10 @@ fn fleet_makespan(
     let plan = prepared.partition_row_bands_for(fleet, d.cols());
     let mut primary = RunScratch::new();
     let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
-    let mut stats = vec![SimStats::default(); plan.len()];
-    let mut busy = vec![0u64; plan.len()];
-    sched.run_bands_geom(prepared, &plan, fleet, d, &mut primary, &mut aux, &mut stats, &mut busy);
+    let mut lanes: Vec<BandLane> = fleet.iter().copied().map(BandLane::new).collect();
+    sched.run_bands(prepared, &plan, d, &mut primary, &mut aux, &mut lanes);
     assert_eq!(primary.outputs(), reference.outputs(), "fleet gather diverged");
-    (plan.len(), stats.iter().map(|s| s.cycles).max().unwrap_or(0))
+    (plan.len(), lanes[..plan.len()].iter().map(|lane| lane.stats.cycles).max().unwrap_or(0))
 }
 
 /// Fleet configurations the heterogeneous sweep compares: the base 32×32

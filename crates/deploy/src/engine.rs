@@ -113,14 +113,16 @@ pub fn run_layer_batch_scratch(
     run_layer_batch_banded(layer, inputs, sched, scratch, None)
 }
 
-/// [`run_layer_batch_scratch`] with an optional row-band shard set: when
-/// `bands` carries more than one shard, every `PackedConv` scatters its
-/// prepared tiles across the set's simulated arrays (one thread and one
-/// kernel scratch each) and gathers the band outputs by row concatenation —
-/// bit-identical to the unsharded path by construction, since quantization
-/// stats are precomputed per output channel. With `None` (or a one-shard
-/// set) this *is* the serial path. Batch containers and activations come
-/// from (and are recycled into) `scratch`'s pools either way.
+/// [`run_layer_batch_scratch`] with an optional row-band shard set: with
+/// `bands`, every `PackedConv` runs through [`BandSet`]'s conv path, which
+/// scatters its prepared tiles across the set's active arrays (one thread
+/// and one kernel scratch each) and gathers the band outputs by row
+/// concatenation — bit-identical to the unsharded path by construction,
+/// since quantization stats are precomputed per output channel. A
+/// one-shard set is the same path with one band on the calling thread;
+/// `None` is the bare kernel without stats accounting. Batch containers
+/// and activations come from (and are recycled into) `scratch`'s pools
+/// either way.
 ///
 /// # Panics
 ///
@@ -313,17 +315,12 @@ fn run_packed_conv_batch(
     }
     let data =
         QuantMatrix::from_raw(c, bl, data, QuantParams::from_max_abs(first.scale() * 127.0));
-    // Scatter/gather across the shard set when one is supplied; the
-    // gathered plane in `scratch.run` is bit-identical either way. A
-    // one-shard *fleet* still takes the banded path so its stats are
-    // priced under the fleet's geometry, not the base array's, and a set
-    // with a fault injector always scatters so faults can be detected
-    // and retried even at one shard.
+    // A shard set runs the conv through its one scatter/gather path —
+    // whatever its width, fleet or fault plane, with the stats accounting
+    // the caller reads back — and without one the bare kernel runs; the
+    // gathered plane in `scratch.run` is bit-identical either way.
     match bands {
-        Some(set) if set.shards() > 1 || set.fleet().is_some() || set.has_faults() => {
-            set.run_conv(sched, tiles, &data, &mut scratch.run)
-        }
-        Some(set) => set.run_conv_serial(sched, tiles, &data, &mut scratch.run),
+        Some(set) => set.run_conv(sched, tiles, &data, &mut scratch.run),
         None => {
             sched.run_prepared_with(tiles, &data, &mut scratch.run);
         }

@@ -25,6 +25,12 @@
 //! sequential-equivalent cycle count) — and the concurrent *makespan*,
 //! which is what shrinks as shards are added.
 //!
+//! A [`BandSet`] runs every packed conv through one method whatever the
+//! configuration: one shard is a one-band plan, no fleet is every lane at
+//! the network's own array geometry, and no fault injector is every band
+//! action `Run` (the health scoring then sees only clean outcomes and the
+//! retry loop exits on its first pass).
+//!
 //! Row-band fleets need not be homogeneous:
 //! [`ShardedNetwork::with_fleet`] / [`BandSet::with_fleet`] give each
 //! shard its own [`ArrayGeometry`]. Banding is then weighted by each
@@ -37,7 +43,7 @@ use crate::builder::DeployedNetwork;
 use crate::engine::BatchOutput;
 use crate::scratch::ActivationScratch;
 use cc_systolic::partition::partition_min_max;
-use cc_systolic::tiled::{BandAction, BandOutcome, PreparedPacked, TiledScheduler};
+use cc_systolic::tiled::{BandAction, BandLane, BandOutcome, PreparedPacked, TiledScheduler};
 use cc_systolic::{ArrayGeometry, RowBand, RunScratch, SimStats};
 use cc_tensor::quant::QuantMatrix;
 use cc_tensor::Tensor;
@@ -181,7 +187,8 @@ struct PlanKey {
     array_cols: usize,
     /// Bitmask of the active (non-quarantined) lanes the plan was banded
     /// over — quarantine re-plans are distinct cache entries, so flapping
-    /// between fleet states never recomputes the partitioning DP.
+    /// between fleet states never recomputes the partitioning DP. All
+    /// ones when every lane is active (see [`BandSet::active_mask`]).
     active_mask: u64,
 }
 
@@ -225,7 +232,6 @@ pub struct BandSet {
     /// that geometry.
     fleet: Option<Vec<ArrayGeometry>>,
     aux: Vec<RunScratch>,
-    call_stats: Vec<SimStats>,
     shard_totals: Vec<SimStats>,
     merged: SimStats,
     busy_nanos: Vec<u64>,
@@ -238,8 +244,8 @@ pub struct BandSet {
     /// the untraced path pays one branch per conv.
     tracing: bool,
     conv_log: Vec<ConvTrace>,
-    /// The fault-injection plane; `None` (the default) keeps the
-    /// zero-overhead healthy path.
+    /// The fault-injection plane; `None` (the default) means every band
+    /// action is [`BandAction::Run`].
     injector: Option<Arc<dyn FaultInjector>>,
     health_cfg: ShardHealthConfig,
     /// Active (non-quarantined) lane ids, ascending; band `i` of a plan
@@ -258,16 +264,15 @@ pub struct BandSet {
     /// Batch deadline the retry loop respects (set per batch by the
     /// serving worker; `None` = retry on budget alone).
     retry_deadline: Option<Instant>,
-    /// Reused per-conv scratch for the faulted path.
-    actions: Vec<BandAction>,
-    outcomes: Vec<BandOutcome>,
-    band_busy: Vec<u64>,
-    active_fleet: Vec<ArrayGeometry>,
+    /// Reused per-conv lane records handed to the scatter: `lanes[i]` is
+    /// band `i` of the current attempt, running on lane `active[i]`.
+    lanes: Vec<BandLane>,
 }
 
 impl BandSet {
-    /// A shard set of `shards` simulated arrays (1 = the serial path with
-    /// stats accounting).
+    /// A shard set of `shards` simulated arrays. One array is not a
+    /// separate path: every conv then runs as a single full band on the
+    /// calling thread, with the same stats accounting.
     ///
     /// # Panics
     ///
@@ -278,7 +283,6 @@ impl BandSet {
             shards,
             fleet: None,
             aux: (1..shards).map(|_| RunScratch::new()).collect(),
-            call_stats: Vec::new(),
             shard_totals: vec![SimStats::default(); shards],
             merged: SimStats::default(),
             busy_nanos: vec![0; shards],
@@ -296,10 +300,7 @@ impl BandSet {
             probe_at: vec![0; shards],
             events: Vec::new(),
             retry_deadline: None,
-            actions: Vec::new(),
-            outcomes: Vec::new(),
-            band_busy: Vec::new(),
-            active_fleet: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -323,45 +324,6 @@ impl BandSet {
     /// fleet.
     pub fn fleet(&self) -> Option<&[ArrayGeometry]> {
         self.fleet.as_deref()
-    }
-
-    /// Re-plans the set in place to a new lane count, carrying over the
-    /// installed fault injector, health thresholds, and tracing flag
-    /// while discarding per-lane health state, cached band plans, and
-    /// accumulated stats — a reshaped set starts from a clean bill of
-    /// health, exactly like a freshly constructed one. The serving
-    /// control plane uses this to retune shard width on a live worker
-    /// between batches; outputs stay bit-identical across the reshape
-    /// because lane count only repartitions each conv's rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero, or exceeds 64 lanes while a fault
-    /// injector is installed.
-    pub fn reshape(&mut self, shards: usize) {
-        self.reshape_with(BandSet::new(shards));
-    }
-
-    /// [`BandSet::reshape`] onto a heterogeneous fleet; the fleet's
-    /// length becomes the lane count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fleet` is empty, or longer than 64 lanes while a fault
-    /// injector is installed.
-    pub fn reshape_fleet(&mut self, fleet: Vec<ArrayGeometry>) {
-        self.reshape_with(BandSet::with_fleet(fleet));
-    }
-
-    fn reshape_with(&mut self, mut next: BandSet) {
-        next.injector = self.injector.take();
-        if next.injector.is_some() {
-            assert!(next.shards <= 64, "fault injection supports at most 64 shard lanes");
-        }
-        next.health_cfg = self.health_cfg;
-        next.tracing = self.tracing;
-        next.retry_deadline = self.retry_deadline;
-        *self = next;
     }
 
     /// Turns per-conv trace logging on or off. Turning it off discards
@@ -440,11 +402,13 @@ impl BandSet {
     }
 
     /// Installs (or clears) the fault-injection plane. With an injector,
-    /// every conv scatter consults it per (lane, run), scores lane health
-    /// from the outcomes, quarantines lanes that trip the breaker
-    /// (re-planning bands over the survivors — outputs stay bit-identical
-    /// by construction, only the partition changes), and re-runs faulted
-    /// convs under [`ShardHealthConfig`]'s retry budget.
+    /// every conv scatter consults it per (lane, run); [`BandSet`] scores
+    /// lane health from the outcomes, quarantines lanes that trip the
+    /// breaker (re-planning bands over the survivors — outputs stay
+    /// bit-identical by construction, only the partition changes), and
+    /// re-runs faulted convs under [`ShardHealthConfig`]'s retry budget.
+    /// Without one every action is [`BandAction::Run`], so the same loop
+    /// sees only clean outcomes and exits on its first pass.
     ///
     /// # Panics
     ///
@@ -469,12 +433,6 @@ impl BandSet {
         self.retry_deadline = deadline;
     }
 
-    /// True when a fault injector is installed (the serving engine routes
-    /// such sets through the scatter path even at one shard).
-    pub fn has_faults(&self) -> bool {
-        self.injector.is_some()
-    }
-
     /// Drains the recovery incidents accumulated since the last call.
     pub fn take_health_events(&mut self) -> Vec<HealthEvent> {
         std::mem::take(&mut self.events)
@@ -497,20 +455,29 @@ impl BandSet {
         }
     }
 
+    /// Plan-cache key for the active set. With every lane active — always
+    /// the case without an injector, at any width — the key is all ones
+    /// and no lane bit is shifted; a partial set only arises from
+    /// quarantine, which needs an injector and therefore ≤ 64 lanes, and
+    /// its mask can never be all ones.
     fn active_mask(&self) -> u64 {
+        if self.active.len() == self.shards {
+            return u64::MAX;
+        }
         self.active.iter().fold(0u64, |mask, &lane| mask | (1u64 << lane))
     }
 
-    /// Removes `lane` from the active set (never the last lane) and
-    /// schedules its half-open probe.
+    /// Marks `lane` quarantined (never the last healthy lane) and
+    /// schedules its half-open probe. [`BandSet::run_conv`] drops marked
+    /// lanes from the active set once the attempt's bookkeeping is done.
     fn quarantine(&mut self, lane: usize) {
-        if self.active.len() <= 1 || self.quarantined[lane] {
+        let healthy = self.active.iter().filter(|&&l| !self.quarantined[l]).count();
+        if healthy <= 1 || self.quarantined[lane] {
             return;
         }
         self.quarantined[lane] = true;
         self.lane_stalls[lane] = 0;
         self.probe_at[lane] = self.convs + self.health_cfg.probe_after;
-        self.active.retain(|&l| l != lane);
         self.push_event(HealthEvent::Quarantine { lane });
     }
 
@@ -529,67 +496,20 @@ impl BandSet {
         }
     }
 
-    /// Scatters one prepared conv across the set's arrays and gathers the
-    /// band outputs into `primary`'s plane (row concatenation — the plane
-    /// ends bit-identical to `run_prepared_with`).
-    pub(crate) fn run_conv(
-        &mut self,
-        sched: &TiledScheduler,
-        tiles: &PreparedPacked,
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-    ) {
-        if self.injector.is_some() {
-            self.run_conv_faulted(sched, tiles, d, primary);
-            return;
-        }
-        let idx = self.plan_index(tiles, d.cols());
-        let plan = &self.plans[idx].1;
-        // Per-lane busy deltas for this conv alone: snapshot the running
-        // clocks, scatter, subtract.
-        let busy_before = self.tracing.then(|| self.busy_nanos.clone());
-        let mut call_stats = std::mem::take(&mut self.call_stats);
-        call_stats.clear();
-        call_stats.resize(plan.len(), SimStats::default());
-        sched.run_bands_geom(
-            tiles,
-            plan,
-            self.fleet.as_deref().unwrap_or(&[]),
-            d,
-            primary,
-            &mut self.aux,
-            &mut call_stats,
-            &mut self.busy_nanos,
-        );
-        if let Some(before) = busy_before {
-            let lane_busy: Vec<u64> = self
-                .busy_nanos
-                .iter()
-                .zip(before)
-                .map(|(&now, then)| now.saturating_sub(then))
-                .collect();
-            self.log_conv(lane_busy);
-        }
-        // The merged view records the sequential-equivalent stats of the
-        // *base* array, never the per-geometry band stats (whose cycles
-        // and load cycles depend on the fleet), so merged stats stay plan-
-        // and fleet-invariant. A homogeneous one-band plan's stats already
-        // are the sequential stats — skip the recompute.
-        let seq = if self.fleet.is_none() && call_stats.len() == 1 {
-            call_stats[0]
-        } else {
-            tiles.sequential_stats(d.cols())
-        };
-        self.record(&call_stats, &seq);
-        self.call_stats = call_stats;
-    }
-
-    /// [`BandSet::run_conv`] under the fault-injection plane: consult the
-    /// injector per (lane, run), detect poisoned/dead bands from the
-    /// outcomes, quarantine lanes that trip the breaker, re-plan over the
-    /// survivors, and re-run until the conv completes cleanly (the result
-    /// is then bit-identical to the unsharded run — every row was written
-    /// by a successful band) or the retry budget/deadline is exhausted.
+    /// Runs one prepared conv on the set: scatters it across the active
+    /// arrays and gathers the band outputs into `primary`'s plane (row
+    /// concatenation — the plane ends bit-identical to
+    /// `run_prepared_with`). The one path for every configuration: band
+    /// `i` runs on lane `active[i]` under that lane's geometry (the base
+    /// array's without a fleet) and the action the injector orders for it
+    /// (`Run` without an injector); a single active lane runs the whole
+    /// matrix as one band on the calling thread.
+    ///
+    /// Outcomes feed the lane health scores: poisoned/dead bands count
+    /// toward the breaker, tripped lanes are quarantined, the bands are
+    /// re-planned over the survivors, and the conv is re-run until it
+    /// completes cleanly (every row was then written by a successful
+    /// band) or the retry budget/deadline is exhausted.
     ///
     /// # Panics
     ///
@@ -597,70 +517,54 @@ impl BandSet {
     /// attempt faulted; callers that must not die run the batch under
     /// [`std::panic::catch_unwind`]. Internal bookkeeping is updated
     /// *before* the throw, so the set stays consistent and reusable.
-    fn run_conv_faulted(
+    pub(crate) fn run_conv(
         &mut self,
         sched: &TiledScheduler,
         tiles: &PreparedPacked,
         d: &QuantMatrix,
         primary: &mut RunScratch,
     ) {
-        let injector = self.injector.clone().expect("faulted path needs an injector");
+        let injector = self.injector.clone();
         self.convs += 1;
         let mut attempt = 0u32;
         loop {
             self.maybe_probe();
-            let idx = self.plan_index(tiles, d.cols());
-            let plan_len = self.plans[idx].1.len();
-            debug_assert!(plan_len <= self.active.len(), "plan wider than the active set");
+            // One active lane runs the full band whatever its geometry;
+            // only a real fan-out needs the partitioning DP and its cache.
+            let full;
+            let plan: &[RowBand] = if self.active.len() == 1 {
+                full = [tiles.full_band()];
+                &full
+            } else {
+                let idx = self.plan_index(tiles, d.cols());
+                &self.plans[idx].1
+            };
 
-            let mut actions = std::mem::take(&mut self.actions);
-            actions.clear();
-            for band in 0..plan_len {
-                let lane = self.active[band];
-                actions.push(injector.band_action(lane, self.run_counts[lane]));
-                self.run_counts[lane] += 1;
+            // Band `i` is priced under lane `active[i]`'s geometry, so a
+            // re-plan keeps per-geometry attribution.
+            let mut lanes = std::mem::take(&mut self.lanes);
+            lanes.clear();
+            for &lane in &self.active[..plan.len()] {
+                let geom = match &self.fleet {
+                    Some(fleet) => fleet[lane],
+                    None => sched.config().geometry(),
+                };
+                let mut band = BandLane::new(geom);
+                if let Some(injector) = &injector {
+                    band.action = injector.band_action(lane, self.run_counts[lane]);
+                    self.run_counts[lane] += 1;
+                }
+                lanes.push(band);
             }
-            let mut outcomes = std::mem::take(&mut self.outcomes);
-            outcomes.clear();
-            outcomes.resize(plan_len, BandOutcome::Ran);
-            let mut call_stats = std::mem::take(&mut self.call_stats);
-            call_stats.clear();
-            call_stats.resize(plan_len, SimStats::default());
-            let mut band_busy = std::mem::take(&mut self.band_busy);
-            band_busy.clear();
-            band_busy.resize(plan_len, 0);
-            // The scatter prices band `i` under lane `active[i]`'s
-            // geometry, so a re-plan keeps per-geometry attribution.
-            let mut active_fleet = std::mem::take(&mut self.active_fleet);
-            active_fleet.clear();
-            if let Some(fleet) = &self.fleet {
-                active_fleet.extend(self.active.iter().map(|&lane| fleet[lane]));
-            }
+            sched.run_bands(tiles, plan, d, primary, &mut self.aux, &mut lanes);
 
-            let plan = &self.plans[idx].1;
-            sched.run_bands_faulted(
-                tiles,
-                plan,
-                &active_fleet,
-                d,
-                primary,
-                &mut self.aux,
-                &mut call_stats,
-                &mut band_busy,
-                &actions,
-                &mut outcomes,
-            );
-
-            // Host time is real on every attempt, successful or not.
-            for band in 0..plan_len {
-                self.busy_nanos[self.active[band]] += band_busy[band];
-            }
-
-            // Score lane health from the outcomes.
+            // Host time is real on every attempt, successful or not; lane
+            // health is scored from what each band reported.
             let mut any_error = false;
-            for band in 0..plan_len {
-                let lane = self.active[band];
-                match outcomes[band] {
+            for (i, band) in lanes.iter().enumerate() {
+                let lane = self.active[i];
+                self.busy_nanos[lane] += band.busy_ns;
+                match band.outcome {
                     BandOutcome::Ran => {
                         self.lane_errors[lane] = 0;
                         self.lane_stalls[lane] = 0;
@@ -682,36 +586,43 @@ impl BandSet {
                 }
             }
 
-            self.actions = actions;
-            self.outcomes = outcomes;
-            self.band_busy = band_busy;
-            self.active_fleet = active_fleet;
-
             if !any_error {
                 if self.tracing {
                     let mut lane_busy = vec![0u64; self.shards];
-                    for band in 0..plan_len {
-                        lane_busy[self.active[band]] = self.band_busy[band];
+                    for (i, band) in lanes.iter().enumerate() {
+                        lane_busy[self.active[i]] = band.busy_ns;
                     }
                     self.log_conv(lane_busy);
                 }
-                let seq = if self.fleet.is_none() && call_stats.len() == 1 {
-                    call_stats[0]
+                // Band i's counters fold into lane active[i]'s totals
+                // (cycles add — an array runs its bands of successive
+                // layers back to back, each already priced under its own
+                // geometry); only the clean attempt is recorded, so the
+                // totals match the fault-free run's.
+                for (i, band) in lanes.iter().enumerate() {
+                    self.shard_totals[self.active[i]].merge(&band.stats);
+                }
+                // The merged view records the sequential-equivalent stats
+                // of the *base* array, never the per-geometry band stats
+                // (whose cycles and load cycles depend on the fleet), so
+                // merged stats stay plan- and fleet-invariant. A
+                // homogeneous one-band run's stats already are the
+                // sequential stats — skip the recompute.
+                let seq = if self.fleet.is_none() && lanes.len() == 1 {
+                    lanes[0].stats
                 } else {
                     tiles.sequential_stats(d.cols())
                 };
-                // Band i's counters fold into lane active[i]'s totals;
-                // only the clean run is recorded, so merged stats stay
-                // bit-identical to the fault-free run.
-                for (band, s) in call_stats.iter().enumerate().take(plan_len) {
-                    self.shard_totals[self.active[band]].merge(s);
-                }
                 self.merged.merge(&seq);
-                self.call_stats = call_stats;
+            }
+            // Lanes quarantined above leave the active set only here, so
+            // "band i ran on lane active[i]" held for all the bookkeeping.
+            let quarantined = &self.quarantined;
+            self.active.retain(|&lane| !quarantined[lane]);
+            self.lanes = lanes;
+            if !any_error {
                 return;
             }
-            self.call_stats = call_stats;
-
             attempt += 1;
             self.push_event(HealthEvent::Retry { attempt });
             let deadline_blown =
@@ -721,27 +632,6 @@ impl BandSet {
             }
             std::thread::sleep(self.health_cfg.backoff * attempt);
         }
-    }
-
-    /// The one-array path with the same stats accounting (shard 0 runs the
-    /// whole matrix).
-    pub(crate) fn run_conv_serial(
-        &mut self,
-        sched: &TiledScheduler,
-        tiles: &PreparedPacked,
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-    ) {
-        let t0 = Instant::now();
-        let stats = sched.run_prepared_with(tiles, d, primary);
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.busy_nanos[0] += elapsed;
-        if self.tracing {
-            self.log_conv(vec![elapsed]);
-        }
-        // run_prepared_with's stats *are* the sequential stats.
-        let seq = stats;
-        self.record(std::slice::from_ref(&stats), &seq);
     }
 
     /// Index of `tiles`' cached shard plan, computing and inserting it on
@@ -771,18 +661,6 @@ impl BandSet {
             self.plans.push((key, plan));
         }
         self.plans.len() - 1
-    }
-
-    /// Folds one conv's per-band stats into the running totals: each band
-    /// into its shard (cycles add — an array runs its bands of successive
-    /// layers back to back; under a fleet each band's stats already carry
-    /// its own geometry's cycle model) and the merged view gets `seq`, the
-    /// base array's sequential-equivalent stats.
-    fn record(&mut self, per_band: &[SimStats], seq: &SimStats) {
-        for (i, s) in per_band.iter().enumerate() {
-            self.shard_totals[i].merge(s);
-        }
-        self.merged.merge(seq);
     }
 }
 
@@ -1129,6 +1007,74 @@ mod tests {
     #[should_panic(expected = "need at least one shard")]
     fn zero_shards_rejected() {
         BandSet::new(0);
+    }
+
+    /// Regression: a set wider than 64 lanes used to die in debug builds
+    /// ("attempt to shift left with overflow") computing the plan-cache
+    /// lane mask, even with no injector installed — the ≤ 64 limit is
+    /// only meant to hold under fault injection. Without an injector
+    /// every lane is active, so the wide set must just work and stay
+    /// bit-identical to the unsharded run.
+    #[test]
+    fn wide_injector_free_set_matches_unsharded() {
+        let (deployed, images) = lenet_fixture();
+        let sched = deployed.scheduler();
+        let mut reference = BandSet::new(1);
+        let serial = deployed.run_batch_banded(
+            &sched,
+            &images,
+            &mut ActivationScratch::new(),
+            &mut reference,
+        );
+        let mut wide = BandSet::new(65);
+        let logits =
+            deployed.run_batch_banded(&sched, &images, &mut ActivationScratch::new(), &mut wide);
+        assert_eq!(logits, serial, "65-lane set diverged from the unsharded run");
+        assert_eq!(wide.merged_stats(), reference.merged_stats());
+        assert_eq!(wide.active_lanes().len(), 65);
+    }
+
+    /// An injector that always answers `Run` is the degenerate fault
+    /// plane: it must be indistinguishable from no injector at all — same
+    /// logits, same merged and per-shard stats, same conv-log shape — at
+    /// every width, because both go through the one `run_conv`.
+    #[test]
+    fn always_run_injector_is_indistinguishable_from_none() {
+        #[derive(Debug)]
+        struct AlwaysRun;
+        impl FaultInjector for AlwaysRun {
+            fn band_action(&self, _lane: usize, _run_index: u64) -> BandAction {
+                BandAction::Run
+            }
+        }
+
+        let (deployed, images) = lenet_fixture();
+        let sched = deployed.scheduler();
+        let serial = deployed.run_batch(&images);
+        for shards in 1..=3 {
+            let run = |injector: Option<Arc<dyn FaultInjector>>| {
+                let mut set = BandSet::new(shards);
+                set.set_fault_injector(injector);
+                set.set_tracing(true);
+                let logits = deployed.run_batch_banded(
+                    &sched,
+                    &images,
+                    &mut ActivationScratch::new(),
+                    &mut set,
+                );
+                let log_shape: Vec<usize> =
+                    set.take_conv_log().iter().map(|conv| conv.lane_busy.len()).collect();
+                assert!(set.take_health_events().is_empty(), "clean runs raise no incidents");
+                (logits, set.merged_stats(), set.shard_stats().to_vec(), log_shape)
+            };
+            let plain = run(None);
+            let injected = run(Some(Arc::new(AlwaysRun)));
+            assert_eq!(plain.0, serial, "{shards} shards diverged from the unsharded run");
+            assert_eq!(injected, plain, "an all-Run injector changed a {shards}-shard run");
+            // One log entry per conv, each `shards` lanes wide.
+            assert!(!plain.3.is_empty());
+            assert!(plain.3.iter().all(|&lanes| lanes == shards));
+        }
     }
 
     /// Heterogeneous fleets must stay bit-identical to the unsharded run

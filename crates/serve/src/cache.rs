@@ -178,14 +178,16 @@ pub struct CacheStats {
 /// result when it resolves. `W` is whatever the caller needs to deliver a
 /// result to a follower (the server stores reply handles).
 ///
-/// The protocol is deliberately conservative about registration order: a
-/// leader registers its flight only *after* it is durably admitted
-/// (queued), so a leader that sheds at admission can never strand
-/// followers behind a flight that will never resolve. The cost is a tiny
-/// window — between a leader's cache miss and its admission — where a
-/// concurrent duplicate runs redundantly, which is exactly the pre-table
-/// behavior: coalescing is strictly a reduction, never a correctness
-/// dependency.
+/// Registration order is what keeps the table free of orphans: a leader
+/// registers its flight *before* its request becomes visible to the
+/// batcher, so the batch's completion — which `resolve`s the flight — can
+/// never run ahead of the registration and leave a leaderless entry that
+/// later misses would follow forever. A leader that admission control
+/// then sheds `resolve`s its own flight on the spot, failing any follower
+/// that attached in between. The one remaining window — two concurrent
+/// first misses of one digest — just lets the twin that lost `lead` run
+/// redundantly, which is exactly the pre-table behavior: coalescing is
+/// strictly a reduction, never a correctness dependency.
 #[derive(Debug)]
 pub struct FlightTable<W> {
     flights: Mutex<HashMap<(usize, u64), Vec<W>>>,
@@ -234,8 +236,8 @@ impl<W> FlightTable<W> {
 
     /// Removes the flight for `(identity, digest)` and returns its
     /// followers for fan-out (empty if no flight or no followers). Called
-    /// on every terminal outcome of the leader — completion, failure, or
-    /// deadline shed — so followers always resolve.
+    /// on every terminal outcome of the leader — completion, failure,
+    /// deadline shed, or admission shed — so followers always resolve.
     pub fn resolve(&self, identity: usize, digest: u64) -> Vec<W> {
         let mut flights = self.flights.lock().expect("flight table poisoned");
         flights.remove(&(identity, digest)).unwrap_or_default()

@@ -27,7 +27,10 @@
 //!   bit-identical to serial execution (the array is exact integer
 //!   arithmetic per output column).
 //! - **Worker pool**: each worker owns its tiled-scheduler instance and
-//!   pulls batches over a rendezvous channel.
+//!   pulls batches over a rendezvous channel. Serial workers and
+//!   pipeline stage threads run batches through the same stage step
+//!   ([`stage`]) — a serial worker is the one-stage pipeline without the
+//!   channel hop.
 //! - **Stage pipelining** ([`PipelineExecutor`],
 //!   [`ServeConfig::pipeline_stages`]): at K ≥ 2 each worker splits the
 //!   deployed layers into K cost-balanced contiguous stages on their own
@@ -78,8 +81,8 @@
 //!   (idle / interactive / steady / saturated) from telemetry deltas and
 //!   retunes the running knobs — worker-pool size, batch cap and
 //!   deadline (live through [`batcher::BatchKnobs`]), pipeline depth and
-//!   shard width ([`Server::retune_executors`], band sets re-plan in
-//!   place) — guided by a [`ProfileStore`] seeded from bench JSONs and
+//!   shard width ([`Server::retune_executors`], executors rebuild their
+//!   band sets at the next batch boundary) — guided by a [`ProfileStore`] seeded from bench JSONs and
 //!   refined online by EMA. Hysteresis plus cooldown guarantee it never
 //!   flaps; every decision lands as a control-track
 //!   [`EventKind::Retune`] instant and a `retunes` counter. Model
@@ -136,6 +139,7 @@ pub mod pipeline;
 pub mod qos;
 pub mod registry;
 pub mod server;
+pub mod stage;
 pub mod telemetry;
 pub mod trace;
 
@@ -152,6 +156,7 @@ pub use server::{
     DrainReport, Response, ServeConfig, Server, SubmitError, SwapError, SwapReport, Ticket,
     WaitError,
 };
+pub use stage::StageEnv;
 pub use telemetry::{LatencyHistogram, Occupancy, Telemetry, TelemetrySnapshot};
 pub use trace::{
     EventKind, Outcome, RequestTrace, TraceConfig, TraceEvent, TraceRecorder, TraceStats, Track,

@@ -17,23 +17,21 @@
 //! Stage boundaries hand over the same [`BatchOutput`] activations the
 //! serial path threads through [`DeployedNetwork::run_stage`], so the
 //! pipelined result is bit-identical to serial
-//! [`DeployedNetwork::run_batch`] by construction. The channels are
+//! [`DeployedNetwork::run_batch`] by construction. Each stage thread is
+//! a receive loop around the one stage step a serial worker also runs
+//! ([`crate::stage`]): panic isolation, occupancy, shard health, trace
+//! spans and fault triage live there, once. The channels are
 //! bounded (the in-flight cap), so a stalled stage backpressures
 //! [`PipelineExecutor::submit`] rather than buffering without bound, and
 //! dropping the executor closes the input and drains every in-flight
 //! batch through the sink before the stage threads exit.
 
-use crate::fault::FaultPlan;
-use crate::telemetry::Telemetry;
-use crate::trace::{self, EventKind, TraceRecorder, Track};
-use cc_deploy::{
-    ActivationScratch, BandFaultError, BandSet, BatchOutput, DeployedNetwork, FaultInjector,
-    HealthEvent,
-};
-use cc_systolic::{partition_bottleneck, partition_min_max, ArrayGeometry};
+use crate::stage::{StageEnv, StageRunner};
+use crate::trace::Track;
+use cc_deploy::{BandFaultError, BatchOutput, DeployedNetwork};
+use cc_systolic::{partition_bottleneck, partition_min_max};
 use cc_tensor::Tensor;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,6 +94,9 @@ struct Job<T> {
     /// Trace batch id (0 = untraced), carried so every stage's span
     /// events correlate back to the batch.
     bid: u64,
+    /// The batch's earliest member deadline, carried so every stage's
+    /// fault-retry loop stops once it has passed.
+    deadline: Option<Instant>,
 }
 
 /// One stage's plumbing: its inbox plus its forward edge (`None` for the
@@ -116,9 +117,10 @@ pub struct PipelineExecutor<T: Send + 'static> {
 
 impl<T: Send + 'static> PipelineExecutor<T> {
     /// Spawns `stages` stage threads (clamped to the network's layer
-    /// count) over cost-balanced layer ranges. Each inter-stage channel
-    /// buffers at most `queue_depth` batches beyond the one executing, so
-    /// total in-flight work is capped at roughly
+    /// count) over cost-balanced layer ranges, each on one simulated
+    /// array with nothing reported ([`StageEnv::default`]). Each
+    /// inter-stage channel buffers at most `queue_depth` batches beyond
+    /// the one executing, so total in-flight work is capped at roughly
     /// `stages × (queue_depth + 1)` batches.
     ///
     /// # Panics
@@ -128,95 +130,43 @@ impl<T: Send + 'static> PipelineExecutor<T> {
     where
         F: FnMut(BatchOutput, T) + Send + 'static,
     {
-        Self::new_sharded(net, stages, queue_depth, 1, None, None, sink)
+        Self::with_env(net, stages, queue_depth, StageEnv::default(), None, sink)
     }
 
-    /// Installs the stage-lifetime band set for one stage, wiring in the
-    /// fault injector when the plan can fault band executions (healthy
-    /// configs skip the injector entirely, keeping the fast path).
-    fn stage_bands(
-        fleet: Option<&Vec<ArrayGeometry>>,
-        shards: usize,
-        faults: Option<&Arc<FaultPlan>>,
-    ) -> BandSet {
-        let mut bands = match fleet {
-            Some(f) => BandSet::with_fleet(f.clone()),
-            None => BandSet::new(shards),
-        };
-        if let Some(plan) = faults {
-            if plan.faults_bands() {
-                bands.set_fault_injector(Some(Arc::clone(plan) as Arc<dyn FaultInjector>));
-            }
-        }
-        bands
-    }
-
-    /// [`PipelineExecutor::new`] with a row-band shard width, optional
-    /// occupancy telemetry, and an optional trace recorder: each stage
-    /// thread owns a [`cc_deploy::BandSet`] of `shards` simulated arrays
-    /// and scatters every packed conv in its layer range across them (the
-    /// stages × shards grid). When `telemetry` is set, each stage reports
-    /// its busy time and its shards' kernel time after every batch; when
-    /// `recorder` is set (and enabled), each stage also records a
-    /// [`EventKind::Stage`] span per batch on its own track plus
-    /// [`EventKind::ShardRun`] spans for its conv scatters.
+    /// [`PipelineExecutor::new`] in full: every stage thread runs its
+    /// layer range through the same stage step a serial worker uses,
+    /// built from `env` — a [`cc_deploy::BandSet`] of `env.shards`
+    /// simulated arrays (the stages × shards grid; with a fleet, band
+    /// planning weights each shard by its array's cycle model — outputs
+    /// stay bit-identical, geometry shapes only the cost model), busy
+    /// time and shard health into `env.telemetry`, and for traced batches
+    /// a [`crate::EventKind::Stage`] span per stage on its own track plus
+    /// [`crate::EventKind::ShardRun`] spans for its conv scatters into
+    /// `env.recorder`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `stages` or `shards` is zero.
-    pub fn new_sharded<F>(
-        net: DeployedNetwork,
-        stages: usize,
-        queue_depth: usize,
-        shards: usize,
-        telemetry: Option<Arc<Telemetry>>,
-        recorder: Option<Arc<TraceRecorder>>,
-        sink: F,
-    ) -> Self
-    where
-        F: FnMut(BatchOutput, T) + Send + 'static,
-    {
-        Self::new_fleet(net, stages, queue_depth, shards, None, None, None, telemetry, recorder, sink)
-    }
-
-    /// [`PipelineExecutor::new_sharded`] over a heterogeneous fleet: when
-    /// `fleet` is set, each stage's [`cc_deploy::BandSet`] carries the
-    /// per-shard [`ArrayGeometry`]s so band planning weights each shard
-    /// by its array's cycle model (outputs stay bit-identical — geometry
-    /// shapes only the cost model). `None` is exactly
-    /// [`PipelineExecutor::new_sharded`].
-    ///
-    /// When `faults` is set, stage band sets carry its injector and stage
-    /// 0 advances its global batch clock; a batch whose bands exhaust
+    /// With `env.faults`, stage band sets carry its injector and stage 0
+    /// advances its global batch clock; a batch whose bands exhaust
     /// their retry budget — or whose stage panics outright — is routed to
     /// `on_fault` (with its tag, so the owner can resolve tickets) while
-    /// the stage thread itself survives and keeps executing later
-    /// batches.
+    /// the stage thread itself survives, rebuilds its scratch and band
+    /// set after a genuine panic, and keeps executing later batches, so
+    /// [`PipelineExecutor::drain`] cannot deadlock.
     ///
     /// # Panics
     ///
-    /// Panics if `stages` or `shards` is zero, or if `fleet` is set with
-    /// a length different from `shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_fleet<F>(
+    /// Panics if `stages` or `env.shards` is zero.
+    pub fn with_env<F>(
         net: DeployedNetwork,
         stages: usize,
         queue_depth: usize,
-        shards: usize,
-        fleet: Option<Vec<ArrayGeometry>>,
-        faults: Option<Arc<FaultPlan>>,
+        env: StageEnv,
         on_fault: Option<FaultSink<T>>,
-        telemetry: Option<Arc<Telemetry>>,
-        recorder: Option<Arc<TraceRecorder>>,
         sink: F,
     ) -> Self
     where
         F: FnMut(BatchOutput, T) + Send + 'static,
     {
-        assert!(shards > 0, "need at least one shard");
-        if let Some(f) = &fleet {
-            assert_eq!(f.len(), shards, "fleet length must equal the shard count");
-        }
+        assert!(env.shards > 0, "need at least one shard");
         let ranges = partition_stages(&net.layer_costs(), stages);
         let k = ranges.len();
 
@@ -238,123 +188,33 @@ impl<T: Send + 'static> PipelineExecutor<T> {
             .enumerate()
             .map(|(s, (range, (rx, tx)))| {
                 let stage_net = net.clone();
-                let stage_telemetry = telemetry.clone();
-                let stage_recorder = recorder.clone();
-                let stage_fleet = fleet.clone();
-                let stage_faults = faults.clone();
+                let stage_env = env.clone();
                 let stage_on_fault = on_fault.clone();
                 let mut stage_sink = if s == k - 1 { sink.take() } else { None };
                 std::thread::Builder::new()
                     .name(format!("cc-serve-stage-{s}"))
                     .spawn(move || {
-                        let sched = stage_net.scheduler();
-                        // Stage-lifetime scratch. Unlike a serial worker's
-                        // (fully closed-loop, zero steady-state allocs),
-                        // a stage's output buffers migrate downstream and
-                        // only upstream-sized ones come back, so stages
-                        // still allocate when their outputs outsize their
-                        // inputs — the pool's size-aware eviction keeps
-                        // the useful sizes resident.
-                        let mut scratch = ActivationScratch::new();
-                        // Stage-lifetime shard set: the long-lived kernel
-                        // scratches the stage's convs scatter across. A
-                        // fleet hands it per-shard geometries for
-                        // cost-weighted planning.
-                        let mut bands =
-                            Self::stage_bands(stage_fleet.as_ref(), shards, stage_faults.as_ref());
-                        while let Ok(job) = rx.recv() {
-                            // The toggle is sampled per batch: one atomic
-                            // load, and the BandSet conv log stays off
-                            // (one branch per conv) while tracing is.
-                            let tracing = stage_recorder
-                                .as_ref()
-                                .is_some_and(|r| r.enabled() && job.bid != 0);
-                            bands.set_tracing(tracing);
-                            let Job { data, tag, bid } = job;
-                            let started = Instant::now();
-                            // The unwind boundary keeps the stage thread
-                            // alive through a panicking batch: the batch's
-                            // tickets resolve via `on_fault` and the pipe
-                            // keeps flowing — a dead stage would deadlock
-                            // every later submit.
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if s == 0 {
-                                    if let Some(plan) = &stage_faults {
-                                        if plan.batch_tick() {
-                                            panic!("injected worker panic (fault plan)");
+                        let mut runner = StageRunner::new(stage_env, s, Track::Stage(s as u16));
+                        while let Ok(Job { data, tag, bid, deadline }) = rx.recv() {
+                            match runner.step(&stage_net, range.clone(), data, bid, deadline) {
+                                Ok(data) => {
+                                    if let Some(tx) = &tx {
+                                        // The next stage hung up only on teardown.
+                                        if tx.send(Job { data, tag, bid, deadline }).is_err() {
+                                            break;
                                         }
+                                    } else if let Some(sink) = &mut stage_sink {
+                                        sink(data, tag);
                                     }
                                 }
-                                stage_net.run_stage_banded(
-                                    range.clone(),
-                                    data,
-                                    &sched,
-                                    &mut scratch,
-                                    &mut bands,
-                                )
-                            }));
-                            if let Some(t) = &stage_telemetry {
-                                t.on_stage_busy(s, started.elapsed());
-                                if bands.has_faults() {
-                                    for event in bands.take_health_events() {
-                                        match event {
-                                            HealthEvent::Fault { .. } => t.on_band_fault(),
-                                            HealthEvent::Quarantine { .. } => t.on_quarantine(1),
-                                            HealthEvent::Readmit { .. } => t.on_quarantine(-1),
-                                            HealthEvent::Retry { .. } => t.on_retry(),
-                                        }
-                                    }
-                                }
-                            }
-                            let data = match run {
-                                Ok(data) => data,
-                                Err(payload) => {
-                                    let fault =
-                                        payload.downcast_ref::<BandFaultError>().copied();
+                                Err(fault) => {
                                     if let Some(handler) = &stage_on_fault {
                                         handler(tag, fault);
                                     }
                                     if fault.is_none() {
-                                        // A genuine panic may have left
-                                        // scratch or band state mid-write:
-                                        // count it and rebuild both before
-                                        // the next batch.
-                                        if let Some(t) = &stage_telemetry {
-                                            t.on_worker_panic();
-                                        }
-                                        scratch = ActivationScratch::new();
-                                        bands = Self::stage_bands(
-                                            stage_fleet.as_ref(),
-                                            shards,
-                                            stage_faults.as_ref(),
-                                        );
+                                        runner.rebuild();
                                     }
-                                    continue;
                                 }
-                            };
-                            if tracing {
-                                let r = stage_recorder.as_ref().expect("tracing implies recorder");
-                                r.span(
-                                    EventKind::Stage,
-                                    Track::Stage(s as u16),
-                                    0,
-                                    bid,
-                                    started,
-                                    Instant::now(),
-                                    s as u32,
-                                );
-                                trace::record_conv_log(r, bid, &bands.take_conv_log());
-                            }
-                            if let Some(t) = &stage_telemetry {
-                                t.drain_shard_busy(&mut bands);
-                            }
-                            if let Some(tx) = &tx {
-                                // The next stage hung up only on teardown.
-                                if tx.send(Job { data, tag, bid }).is_err() {
-                                    break;
-                                }
-                            } else if let Some(sink) = &mut stage_sink {
-                                sink(data, tag);
                             }
                         }
                     })
@@ -390,19 +250,21 @@ impl<T: Send + 'static> PipelineExecutor<T> {
     ///
     /// Panics if a stage thread died (it panicked on malformed input).
     pub fn submit(&self, images: &[Tensor], tag: T) {
-        self.submit_traced(images, tag, 0);
+        self.submit_traced(images, tag, 0, None);
     }
 
     /// [`PipelineExecutor::submit`] carrying a trace batch id so every
-    /// stage's span events correlate to the batch (`bid = 0` = untraced).
+    /// stage's span events correlate to the batch (`bid = 0` = untraced)
+    /// and the batch's earliest member deadline, past which a faulted
+    /// stage stops retrying (`None` = retry on budget alone).
     ///
     /// # Panics
     ///
     /// Panics if a stage thread died (it panicked on malformed input).
-    pub fn submit_traced(&self, images: &[Tensor], tag: T, bid: u64) {
+    pub fn submit_traced(&self, images: &[Tensor], tag: T, bid: u64, deadline: Option<Instant>) {
         let data = BatchOutput::Maps(self.net.quantize_batch(images));
         let input = self.input.as_ref().expect("pipeline already drained");
-        input.send(Job { data, tag, bid }).expect("pipeline stage died");
+        input.send(Job { data, tag, bid, deadline }).expect("pipeline stage died");
     }
 
     /// [`PipelineExecutor::submit`] for callers that already hold
@@ -413,7 +275,7 @@ impl<T: Send + 'static> PipelineExecutor<T> {
     /// Panics if a stage thread died.
     pub fn submit_activations(&self, data: BatchOutput, tag: T) {
         let input = self.input.as_ref().expect("pipeline already drained");
-        input.send(Job { data, tag, bid: 0 }).expect("pipeline stage died");
+        input.send(Job { data, tag, bid: 0, deadline: None }).expect("pipeline stage died");
     }
 
     /// Closes the input and blocks until every in-flight batch has flowed
@@ -506,13 +368,17 @@ mod tests {
         let sink_results = Arc::clone(&results);
         let telemetry = Arc::new(crate::telemetry::Telemetry::new());
         let recorder = Arc::new(crate::trace::TraceRecorder::new(crate::trace::TraceConfig::on()));
-        let pipe = PipelineExecutor::new_sharded(
+        let pipe = PipelineExecutor::with_env(
             deployed.clone(),
             2,
             1,
-            3,
-            Some(Arc::clone(&telemetry)),
-            Some(Arc::clone(&recorder)),
+            StageEnv {
+                shards: 3,
+                telemetry: Some(Arc::clone(&telemetry)),
+                recorder: Some(Arc::clone(&recorder)),
+                ..StageEnv::default()
+            },
+            None,
             move |out, _tag: usize| {
                 let logits = match out {
                     BatchOutput::Logits(l) => l,
@@ -523,7 +389,7 @@ mod tests {
         );
         let num_stages = pipe.num_stages();
         for b in 0..3u64 {
-            pipe.submit_traced(&images, 0, b + 1);
+            pipe.submit_traced(&images, 0, b + 1, None);
         }
         pipe.drain();
         for run in results.lock().unwrap().iter() {
@@ -535,6 +401,7 @@ mod tests {
 
         // Traced batches leave stage spans on per-stage tracks plus shard
         // spans for the conv scatters, all correlated by batch id.
+        use crate::trace::EventKind;
         let events = recorder.events();
         for bid in 1..=3u64 {
             for s in 0..num_stages as u16 {
@@ -552,13 +419,12 @@ mod tests {
         }
         // Untraced submits (bid 0) record nothing even with tracing on.
         let before = recorder.events().len();
-        let quiet = PipelineExecutor::new_sharded(
+        let quiet = PipelineExecutor::with_env(
             deployed.clone(),
             2,
             1,
-            1,
+            StageEnv { recorder: Some(Arc::clone(&recorder)), ..StageEnv::default() },
             None,
-            Some(Arc::clone(&recorder)),
             move |_out, _tag: usize| {},
         );
         quiet.submit(&images, 0);

@@ -47,19 +47,16 @@ use crate::fault::FaultPlan;
 use crate::pipeline::{auto_stage_cap, auto_stages, PipelineExecutor};
 use crate::qos::{QosClass, SubmitOptions, TenantLedger};
 use crate::registry::ModelRegistry;
+use crate::stage::{StageEnv, StageRunner};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::{
     self, EventKind, Outcome, TraceConfig, TraceEvent, TraceRecorder, TraceStats, Track,
 };
-use cc_deploy::{
-    ActivationScratch, BandFaultError, BandSet, BatchOutput, DeployedNetwork, FaultInjector,
-    HealthEvent,
-};
+use cc_deploy::{BandFaultError, BatchOutput, DeployedNetwork};
 use cc_systolic::ArrayGeometry;
 use cc_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -292,6 +289,10 @@ pub enum WaitError {
     /// The request's batch kept hitting faulted shard executions past the
     /// retry budget (or its deadline); the result could not be produced.
     Faulted,
+    /// The request had coalesced onto an identical in-flight miss whose
+    /// leader admission control then shed ([`SubmitError::QueueFull`]);
+    /// followers share their leader's fate.
+    Shed,
 }
 
 impl fmt::Display for WaitError {
@@ -301,6 +302,7 @@ impl fmt::Display for WaitError {
             WaitError::Disconnected => write!(f, "server shut down before completion"),
             WaitError::WorkerPanicked => write!(f, "worker panicked while executing the batch"),
             WaitError::Faulted => write!(f, "batch kept faulting past its retry budget"),
+            WaitError::Shed => write!(f, "coalesced onto a request that was shed at admission"),
         }
     }
 }
@@ -783,8 +785,13 @@ impl Server {
             trace: trace_rec.clone(),
         };
         let env = WorkerEnv {
-            fleet: cfg.fleet.clone(),
-            faults: cfg.faults.clone(),
+            stage: StageEnv {
+                shards: cfg.shards,
+                fleet: cfg.fleet.clone(),
+                faults: cfg.faults.clone(),
+                telemetry: Some(Arc::clone(&telemetry)),
+                recorder: trace_rec.clone(),
+            },
             plan: Arc::clone(&plan),
             pool: Arc::clone(&pool_target),
         };
@@ -1074,33 +1081,46 @@ impl Server {
         // every later hot-swap drain would then wait out its full
         // timeout against a phantom request.
         self.inflight.inc(identity);
-        match ingress.try_send(request) {
+        // Lead the flight before `try_send` for the same reason: a `lead`
+        // landing after the batch's completion already `resolve`d the
+        // digest would leave a leaderless entry, and once the cache
+        // evicted that digest every later same-digest miss would follow
+        // it forever. `false` means a racing twin leads this digest —
+        // both run (exactly the pre-table behavior), and a twin that lost
+        // registration never tears the winner's entry down on a shed.
+        let leads = match (&self.flights, flight_digest) {
+            (Some(flights), Some(digest)) => flights.lead(identity, digest),
+            _ => false,
+        };
+        let (request, submit_err, follower_err) = match ingress.try_send(request) {
             Ok(()) => {
                 self.telemetry.on_admit();
-                // Register the flight only *after* admission: a leader
-                // exists for every table entry, so a shed request can
-                // never strand followers. The tiny window between the
-                // probe miss and this point just lets a concurrent twin
-                // run redundantly — exactly the pre-table behavior, a
-                // reduction in work, never a correctness dependency.
-                if let (Some(flights), Some(digest)) = (&self.flights, flight_digest) {
-                    flights.lead(identity, digest);
-                }
-                Ok(Ticket { rx })
+                return Ok(Ticket { rx });
             }
-            Err(TrySendError::Full(_)) => {
-                self.inflight.dec(identity);
-                release(&tenant);
+            Err(TrySendError::Full(request)) => {
                 self.telemetry.on_shed(options.class);
                 trace_shed(rid);
-                Err(SubmitError::QueueFull)
+                (request, SubmitError::QueueFull, WaitError::Shed)
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.inflight.dec(identity);
-                release(&tenant);
-                Err(SubmitError::ShuttingDown)
+            Err(TrySendError::Disconnected(request)) => {
+                (request, SubmitError::ShuttingDown, WaitError::Disconnected)
             }
+        };
+        self.inflight.dec(identity);
+        release(&tenant);
+        if leads {
+            // Followers that attached since `lead` share the shed
+            // leader's fate — they resolve now, never hang.
+            resolve_waiters_err(
+                &self.flights,
+                &self.trace,
+                identity,
+                request.cache_key.as_ref(),
+                follower_err,
+                Outcome::Shed,
+            );
         }
+        Err(submit_err)
     }
 
     /// The registry snapshot currently being served. Hot-swaps replace
@@ -1443,12 +1463,12 @@ type BatchMeta = (u64, Vec<ReplyCtx>);
 type WorkItem = (u64, Vec<Request>);
 
 /// The per-worker slice of the config, cloned into each (re)spawn. The
-/// full fleet rides along even when the live plan runs a prefix of it —
-/// a later retune can widen back out.
+/// stage environment carries the start-time shard width and the full
+/// fleet — the live plan's width overrides the former and selects a
+/// prefix of the latter, so a later retune can widen back out.
 #[derive(Clone)]
 struct WorkerEnv {
-    fleet: Option<Vec<ArrayGeometry>>,
-    faults: Option<Arc<FaultPlan>>,
+    stage: StageEnv,
     plan: Arc<ExecPlan>,
     pool: Arc<AtomicUsize>,
 }
@@ -1468,11 +1488,19 @@ fn worker_loop(
     env: &WorkerEnv,
     worker: u16,
 ) -> WorkerExit {
-    let WorkerEnv { fleet, faults, plan, pool } = env;
+    let WorkerEnv { stage, plan, pool } = env;
     let mut seen_epoch = plan.epoch.load(Ordering::Acquire);
     let mut stages = plan.stages.load(Ordering::Relaxed);
-    let mut shards = plan.shards.load(Ordering::Relaxed);
-    let telemetry = &shared.telemetry;
+    // The worker's long-lived stage runner for serial execution: one
+    // activation scratch (after the first batch of a given shape, serial
+    // inference allocates nothing) and one shard set for the worker's
+    // lifetime. Pipelined execution gives each stage thread its own
+    // inside the executor, built from this runner's environment.
+    let mut runner = StageRunner::new(
+        StageEnv { shards: plan.shards.load(Ordering::Relaxed), ..stage.clone() },
+        0,
+        Track::Worker(worker),
+    );
     // Pipelines are per network identity, built lazily on the first batch
     // for that pipeline (registries hold few models, so a linear scan
     // beats a map). Dropping this at loop exit drains every in-flight
@@ -1481,21 +1509,6 @@ fn worker_loop(
     // Stage counts resolved per network when the config says auto
     // (stages == 0) — tiny cache beside the pipeline cache.
     let mut resolved: Vec<(usize, usize)> = Vec::new();
-    // One activation scratch for the worker's lifetime: after the first
-    // batch of a given shape, serial inference allocates nothing.
-    let mut scratch = ActivationScratch::new();
-    // The worker's long-lived shard set for serial execution (pipelined
-    // execution gives each stage its own inside the executor). A fleet
-    // hands the set its per-shard geometries for cost-weighted planning.
-    let mut bands = match &fleet {
-        Some(f) => BandSet::with_fleet(f[..shards.min(f.len())].to_vec()),
-        None => BandSet::new(shards),
-    };
-    if let Some(fault_plan) = faults {
-        if fault_plan.faults_bands() {
-            bands.set_fault_injector(Some(Arc::clone(fault_plan) as Arc<dyn FaultInjector>));
-        }
-    }
     loop {
         let batch = {
             // A worker that panicked while holding the lock poisons it;
@@ -1510,20 +1523,15 @@ fn worker_loop(
         let Ok((bid, batch)) = batch else { break };
 
         // Adopt a retuned executor plan at the batch boundary: reshape
-        // the band set (injector and health thresholds carry over, see
-        // [`BandSet::reshape`]) and drop the stage pipelines — they were
-        // built for the old depth, and dropping drains their in-flight
-        // batches first. One relaxed-load-plus-compare per batch on the
-        // unchanged path.
+        // the runner's band set (see [`StageRunner::reshape`]) and drop
+        // the stage pipelines — they were built for the old depth, and
+        // dropping drains their in-flight batches first. One
+        // relaxed-load-plus-compare per batch on the unchanged path.
         let epoch = plan.epoch.load(Ordering::Acquire);
         if epoch != seen_epoch {
             seen_epoch = epoch;
             stages = plan.stages.load(Ordering::Relaxed);
-            shards = plan.shards.load(Ordering::Relaxed);
-            match &fleet {
-                Some(f) => bands.reshape_fleet(f[..shards.min(f.len())].to_vec()),
-                None => bands.reshape(shards),
-            }
+            runner.reshape(plan.shards.load(Ordering::Relaxed));
             for (_, pipe) in pipelines.drain(..) {
                 pipe.drain();
             }
@@ -1580,64 +1588,27 @@ fn worker_loop(
         };
 
         if net_stages <= 1 {
-            // Serial path: the scheduler is a stateless copy of the
-            // network's array config; the expensive per-call setup it used
-            // to imply (weight-tile slicing) is prepacked in the layers,
-            // and the worker-lifetime scratch supplies every activation
-            // buffer, systolic output plane, and shard-lane kernel
-            // scratch.
-            let sched = net.scheduler();
-            // Tracing is sampled once per batch, here on the worker
-            // thread, so kernel time sees no per-event checks; the band
-            // set only logs conv timings while the flag is up.
-            let tracing = shared.trace.as_ref().is_some_and(|r| r.enabled() && bid != 0);
-            bands.set_tracing(tracing);
-            if bands.has_faults() {
-                // Retries stop burning time once every member's deadline
-                // has already passed.
-                bands.set_retry_deadline(batch_deadline);
-            }
-            let started = Instant::now();
-            // The unwind boundary is the worker's blast radius: a panic —
-            // injected or real — burns only this batch, whose tickets
-            // fail_batch resolves, never the siblings queued behind it.
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(fault_plan) = faults {
-                    if fault_plan.batch_tick() {
-                        panic!("injected worker panic (fault plan)");
-                    }
-                }
-                net.run_batch_banded(&sched, &images, &mut scratch, &mut bands)
-            }));
-            telemetry.on_stage_busy(0, started.elapsed());
-            telemetry.drain_shard_busy(&mut bands);
-            drain_health_events(&mut bands, shared, worker, bid);
-            match run {
-                Ok(logits_batch) => {
-                    if tracing {
-                        if let Some(rec) = &shared.trace {
-                            rec.span(
-                                EventKind::Stage,
-                                Track::Worker(worker),
-                                0,
-                                bid,
-                                started,
-                                Instant::now(),
-                                0,
-                            );
-                            trace::record_conv_log(rec, bid, &bands.take_conv_log());
-                        }
-                    }
-                    complete_batch(shared, identity, meta, logits_batch);
-                }
-                Err(payload) => {
-                    let fault = payload.downcast_ref::<BandFaultError>().copied();
+            // Serial path: the whole network is one stage, stepped here on
+            // the worker thread — no channel hop — with the
+            // worker-lifetime runner supplying every activation buffer,
+            // systolic output plane, and shard-lane kernel scratch.
+            let data = runner.quantize(&net, &images);
+            let logits = runner
+                .step(&net, 0..net.num_layers(), data, bid, batch_deadline)
+                .and_then(|out| match out {
+                    BatchOutput::Logits(logits_batch) => Ok(logits_batch),
+                    // A network without a classifier head has nothing to
+                    // reply with: its batches fail like a panicked one.
+                    BatchOutput::Maps(_) => Err(None),
+                });
+            match logits {
+                Ok(logits_batch) => complete_batch(shared, identity, meta, logits_batch),
+                Err(fault) => {
                     fail_batch(shared, identity, meta, fault);
                     if fault.is_none() {
                         // A genuine panic may have left scratch or band
                         // state mid-write; abort so the supervisor
                         // respawns this slot with everything rebuilt.
-                        telemetry.on_worker_panic();
                         return WorkerExit::Panicked;
                     }
                 }
@@ -1648,16 +1619,8 @@ fn worker_loop(
             // batch, so stage 0 of batch n overlaps the later stages of
             // batch n−1. `submit` blocks only at the in-flight cap, which
             // keeps backpressure flowing to admission control.
-            let pipe = pipeline_for(
-                &mut pipelines,
-                &net,
-                net_stages,
-                shards,
-                fleet.as_deref().map(|f| &f[..shards.min(f.len())]),
-                faults.clone(),
-                shared,
-            );
-            pipe.submit_traced(&images, meta, bid);
+            let pipe = pipeline_for(&mut pipelines, &net, net_stages, runner.env(), shared);
+            pipe.submit_traced(&images, meta, bid, batch_deadline);
         }
 
         // Cooperative pool shrink: a worker whose slot fell past the
@@ -1720,8 +1683,9 @@ fn fail_batch(shared: &Shared, identity: usize, meta: BatchMeta, fault: Option<B
 }
 
 /// Resolves the coalesced followers parked on a flight whose leader
-/// terminated without logits (fault, panic, or deadline shed): they get
-/// the same error, so no follower ever outlives its leader unresolved.
+/// terminated without logits (fault, panic, deadline shed, or admission
+/// shed): they get the same error, so no follower ever outlives its
+/// leader unresolved.
 fn resolve_waiters_err(
     flights: &Option<Arc<FlightTable<Waiter>>>,
     trace: &Option<Arc<TraceRecorder>>,
@@ -1750,42 +1714,6 @@ fn resolve_waiters_err(
     }
 }
 
-/// Ships the band set's recovery bookkeeping (faults, quarantines,
-/// readmissions, retries) into telemetry counters and the trace ring.
-fn drain_health_events(bands: &mut BandSet, shared: &Shared, worker: u16, bid: u64) {
-    if !bands.has_faults() {
-        return;
-    }
-    for event in bands.take_health_events() {
-        let now = Instant::now();
-        let (kind, track, arg) = match event {
-            HealthEvent::Fault { lane } => {
-                shared.telemetry.on_band_fault();
-                (EventKind::Fault, Track::Shard(lane as u16), lane as u64)
-            }
-            HealthEvent::Quarantine { lane } => {
-                shared.telemetry.on_quarantine(1);
-                (EventKind::Quarantine, Track::Shard(lane as u16), lane as u64)
-            }
-            HealthEvent::Readmit { lane } => {
-                shared.telemetry.on_quarantine(-1);
-                // The readmit bit distinguishes leaving quarantine from
-                // entering it while sharing one event kind.
-                (EventKind::Quarantine, Track::Shard(lane as u16), lane as u64 | (1 << 16))
-            }
-            HealthEvent::Retry { attempt } => {
-                shared.telemetry.on_retry();
-                (EventKind::Retry, Track::Worker(worker), u64::from(attempt))
-            }
-        };
-        if let Some(rec) = &shared.trace {
-            if rec.enabled() {
-                rec.instant(kind, track, 0, bid, now, arg as u32);
-            }
-        }
-    }
-}
-
 /// Pipelines a single worker keeps warm at once. Each cached pipeline
 /// pins its stage threads and a network reference, so the cache is
 /// LRU-bounded: when a registry entry is replaced (hot-swap) or a worker
@@ -1799,9 +1727,7 @@ fn pipeline_for<'a>(
     pipelines: &'a mut Vec<(usize, PipelineExecutor<BatchMeta>)>,
     net: &DeployedNetwork,
     stages: usize,
-    shards: usize,
-    fleet: Option<&[ArrayGeometry]>,
-    faults: Option<Arc<FaultPlan>>,
+    env: &StageEnv,
     shared: &Shared,
 ) -> &'a PipelineExecutor<BatchMeta> {
     let id = net.identity();
@@ -1818,18 +1744,14 @@ fn pipeline_for<'a>(
         }
         let sink_shared = shared.clone();
         let fault_shared = shared.clone();
-        let pipe = PipelineExecutor::new_fleet(
+        let pipe = PipelineExecutor::with_env(
             net.clone(),
             stages,
             1,
-            shards,
-            fleet.map(<[ArrayGeometry]>::to_vec),
-            faults,
+            env.clone(),
             Some(Arc::new(move |meta: BatchMeta, fault| {
                 fail_batch(&fault_shared, id, meta, fault);
             })),
-            Some(Arc::clone(&shared.telemetry)),
-            shared.trace.clone(),
             move |out, meta: BatchMeta| {
                 let logits_batch = match out {
                     BatchOutput::Logits(l) => l,
@@ -1968,5 +1890,41 @@ mod tests {
         // All-NaN: any valid index, and above all no panic.
         let idx = argmax(&[f32::NAN, f32::NAN, f32::NAN]);
         assert!(idx < 3);
+    }
+
+    /// Regression for the stale-flight race: `submit_with` used to `lead`
+    /// its flight *after* `try_send`, so a fast worker could complete the
+    /// batch — resolving the digest — first; the late `lead` then left a
+    /// leaderless entry, and once the cache evicted that digest the next
+    /// same-digest miss followed it and hung forever. Two alternating
+    /// inputs through a one-entry cache make every request a miss right
+    /// after its digest was evicted; every ticket must resolve and no
+    /// flight may outlive the traffic.
+    #[test]
+    fn flights_never_outlive_their_batch() {
+        use cc_dataset::SyntheticSpec;
+        use cc_deploy::identity_groups;
+        use cc_nn::models::{lenet5_shift, ModelConfig};
+
+        let (train, test) =
+            SyntheticSpec::mnist_like().with_size(8, 8).with_samples(48, 2).generate(29);
+        let net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+        let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &train);
+        let server = Server::start(
+            ModelRegistry::new().with_model("m", deployed),
+            ServeConfig::default()
+                .with_workers(2)
+                .with_max_batch(1)
+                .with_cache(CacheConfig::bounded(1, 1 << 20)),
+        );
+        for i in 0..4000 {
+            let ticket = server.submit("m", test.image(i % 2).clone()).expect("admitted");
+            let resolution = ticket.wait_timeout(Duration::from_secs(10));
+            assert!(matches!(resolution, Some(Ok(_))), "request {i} hung or failed: {resolution:?}");
+        }
+        let flights = server.flights.as_ref().expect("the cache allocates a flight table");
+        assert_eq!(flights.in_flight(), 0, "a flight outlived every request");
+        let stats = server.shutdown();
+        assert!(stats.cache.evictions > 0, "the working set must overflow the cache");
     }
 }

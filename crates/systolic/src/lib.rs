@@ -49,5 +49,6 @@ pub use cell::CellKind;
 pub use partition::{partition_bottleneck, partition_min_max, partition_min_max_by};
 pub use pipeline::{pipeline_latency, LayerShape, PipelineReport};
 pub use tiled::{
-    BandAction, BandOutcome, PreparedPacked, RowBand, RunScratch, TiledRun, TiledScheduler,
+    BandAction, BandLane, BandOutcome, PreparedPacked, RowBand, RunScratch, TiledRun,
+    TiledScheduler,
 };

@@ -39,32 +39,35 @@
 //! against. All kernels and the stats model share one tile/row/op walk
 //! (`walk_band` + `BandVisitor`), so loop-structure changes land once.
 //!
-//! ## Row-band sharding
+//! ## One scatter: row bands, fleets, faults
 //!
 //! One prepared matrix can also be carved across several simulated arrays:
 //! a [`RowBand`] is a borrowing view of a contiguous run of a
 //! [`PreparedPacked`]'s tile row-groups, so N shards share a single
 //! prepared op list instead of re-preparing per shard.
 //! [`PreparedPacked::partition_row_bands`] balances the bands by op count
-//! (the min-max DP from [`crate::partition`]);
-//! [`TiledScheduler::run_band_with`] executes one band into its row slice
-//! of the output plane, and [`TiledScheduler::run_bands_with`] scatters a
-//! plan across scoped threads (one simulated array each) and gathers by
-//! construction — bands own disjoint output rows, so the gather is pure
-//! row concatenation and the assembled plane is bit-identical to the
-//! unsharded [`TiledScheduler::run_prepared_with`] (which is itself now
-//! the one-band special case).
-//!
-//! ## Heterogeneous fleets
+//! (the min-max DP from [`crate::partition`]), and
+//! [`TiledScheduler::run_bands`] is the single production entry that
+//! executes a plan: band `i` runs under its [`BandLane`] — the lane's
+//! array geometry, the [`BandAction`] a fault plan ordered, and the slots
+//! its [`SimStats`], host time and [`BandOutcome`] come back in — on its
+//! own scoped thread (one simulated array each), band 0 on the caller's.
+//! Bands own disjoint output rows, so the gather is pure row
+//! concatenation and the assembled plane is bit-identical to the
+//! unsharded run. Every other configuration is a degenerate call of that
+//! scatter rather than separate code: one full band is the unsharded
+//! [`TiledScheduler::run_prepared_with`], every lane at the preparing
+//! config's geometry is the homogeneous
+//! [`TiledScheduler::run_bands_with`], and [`BandAction::Run`] on every
+//! lane is the fault-free run.
 //!
 //! The arrays of a scatter need not be identical:
 //! [`PreparedPacked::partition_row_bands_for`] weights the banding DP by
-//! each target [`ArrayGeometry`]'s cycle model, and
-//! [`TiledScheduler::run_bands_geom`] runs band `i` under `fleet[i]`'s
-//! model. Execution always sweeps the *shared* base op list — outputs stay
-//! bit-identical to the unsharded run no matter the fleet — while each
-//! band's [`SimStats`] re-tile its prepared tiles into geometry-sized
-//! physical tiles (a smaller array pays more loads and more skew).
+//! each target [`ArrayGeometry`]'s cycle model. Execution always sweeps
+//! the *shared* base op list — outputs stay bit-identical to the
+//! unsharded run no matter the fleet — while each band's [`SimStats`]
+//! re-tile its prepared tiles into geometry-sized physical tiles (a
+//! smaller array pays more loads and more skew).
 
 use crate::array::{ArrayConfig, ArrayGeometry, QuantPacked, SimStats, SystolicArray};
 use crate::cell::CellKind;
@@ -259,6 +262,11 @@ impl TiledScheduler {
     /// allocations. Bit-identical to [`TiledScheduler::run_packed`] /
     /// [`TiledScheduler::run_packed_reference`], including stats.
     ///
+    /// This is [`TiledScheduler::run_bands`] over the one-band plan
+    /// [`PreparedPacked::full_band`] with a single fault-free lane at the
+    /// preparing config's geometry (band and lane live on the stack, so
+    /// the degenerate call allocates nothing).
+    ///
     /// # Panics
     ///
     /// Panics if the tiles were prepared for a different array
@@ -269,66 +277,30 @@ impl TiledScheduler {
         d: &QuantMatrix,
         scratch: &mut RunScratch,
     ) -> SimStats {
-        let band = p.full_band();
-        let l = d.cols();
-        // The output plane moves out of the scratch for the duration of
-        // the run so the band kernel can borrow the lane planes mutably
-        // alongside it; capacity is preserved, so this stays
-        // allocation-free once warm. Stale contents are fine — both band
-        // kernels fully overwrite (or re-zero) their slice — so at a
-        // steady-state size the resize is a no-op, not a memset.
-        let mut out = std::mem::take(&mut scratch.out);
-        out.resize(p.rows * l, 0);
-        let stats = self.run_band_with(p, &band, d, &mut out, scratch);
-        scratch.out = out;
-        stats
+        let mut lane = BandLane::new(self.cfg.geometry());
+        self.run_bands(
+            p,
+            std::slice::from_ref(&p.full_band()),
+            d,
+            scratch,
+            &mut [],
+            std::slice::from_mut(&mut lane),
+        );
+        lane.stats
     }
 
     /// Runs only `band`'s tiles against `d`, widening the band's output
     /// rows into `out` — the `band.rows()` row slice of the full output
     /// plane (`band` rows × `d.cols()` accumulator words). `scratch`
     /// supplies the native accumulator lanes only; reusing one per shard
-    /// keeps repeated band runs allocation-free. The returned [`SimStats`]
-    /// model *this band's array alone*: the overlap cycle model over the
-    /// band's tile subsequence plus the band's share of the op counters
-    /// (op counters and `load_cycles` of a full partition sum exactly to
-    /// the unsharded run's).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tiles were prepared for a different array
-    /// configuration, `d` lacks channels the packing references, or `out`
-    /// is not sized `band` rows × `d.cols()`.
-    pub fn run_band_with(
-        &self,
-        p: &PreparedPacked,
-        band: &RowBand,
-        d: &QuantMatrix,
-        out: &mut [i64],
-        scratch: &mut RunScratch,
-    ) -> SimStats {
-        self.run_band_geom(p, band, self.cfg.geometry(), d, out, scratch)
-    }
-
-    /// [`TiledScheduler::run_band_with`] with the band's array replaced by
-    /// an arbitrary [`ArrayGeometry`]: the *outputs* are bit-identical
-    /// regardless of `geom` (the shared base op list is what executes),
-    /// while the returned [`SimStats`] model the band's prepared tiles
-    /// re-tiled into `geom`-sized physical tiles — a geometry equal to the
-    /// preparing config's reproduces [`TiledScheduler::run_band_with`]'s
-    /// stats exactly.
-    pub fn run_band_geom(
-        &self,
-        p: &PreparedPacked,
-        band: &RowBand,
-        geom: ArrayGeometry,
-        d: &QuantMatrix,
-        out: &mut [i64],
-        scratch: &mut RunScratch,
-    ) -> SimStats {
-        self.run_band_kernel(p, band, geom, d, out, scratch, false)
-    }
-
+    /// keeps repeated band runs allocation-free. The *outputs* are
+    /// bit-identical regardless of `geom` (the shared base op list is what
+    /// executes); the returned [`SimStats`] model *this band's array
+    /// alone*, its prepared tiles re-tiled into `geom`-sized physical
+    /// tiles: the overlap cycle model over the band's tile subsequence
+    /// plus the band's share of the op counters (at the preparing config's
+    /// geometry, op counters and `load_cycles` of a full partition sum
+    /// exactly to the unsharded run's).
     fn run_band_kernel(
         &self,
         p: &PreparedPacked,
@@ -391,22 +363,15 @@ impl TiledScheduler {
         stats
     }
 
-    /// Scatter/gather execution of a row-band shard `plan`: each band runs
-    /// on its own thread (its own simulated array) with its own lane
-    /// scratch, all writing disjoint row slices of `primary`'s output
-    /// plane, so after the call [`RunScratch::outputs`] on `primary` holds
-    /// exactly what [`TiledScheduler::run_prepared_with`] would have
-    /// produced — the gather is row concatenation by construction. Band 0
-    /// executes on the calling thread with `primary`'s lanes; bands `i ≥ 1`
-    /// execute on scoped threads with `aux[i-1]`. Per-band [`SimStats`]
+    /// [`TiledScheduler::run_bands`] over a homogeneous, fault-free fleet
+    /// (every lane the preparing config's array): per-band [`SimStats`]
     /// land in `stats` and per-band host-time nanoseconds are *added* to
     /// `busy` (shard occupancy accounting).
     ///
     /// # Panics
     ///
-    /// Panics if `plan` is empty or does not cover the matrix's rows
-    /// contiguously from 0, or if `aux`, `stats`, or `busy` are shorter
-    /// than the plan requires.
+    /// As [`TiledScheduler::run_bands`], plus if `stats` or `busy` are
+    /// shorter than `plan`.
     pub fn run_bands_with(
         &self,
         p: &PreparedPacked,
@@ -417,226 +382,165 @@ impl TiledScheduler {
         stats: &mut [SimStats],
         busy: &mut [u64],
     ) {
-        self.run_bands_geom(p, plan, &[], d, primary, aux, stats, busy);
-    }
-
-    /// [`TiledScheduler::run_bands_with`] over a heterogeneous fleet: band
-    /// `i` runs under `fleet[i]`'s cycle model (its own simulated array
-    /// geometry), so the per-band [`SimStats`] attribute cycles per
-    /// geometry. An empty `fleet` means every band uses the preparing
-    /// config's geometry — exactly [`TiledScheduler::run_bands_with`]. The
-    /// gathered output plane is bit-identical to the unsharded run either
-    /// way; only the stats model varies.
-    ///
-    /// # Panics
-    ///
-    /// As [`TiledScheduler::run_bands_with`], plus if a non-empty `fleet`
-    /// is shorter than `plan`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bands_geom(
-        &self,
-        p: &PreparedPacked,
-        plan: &[RowBand],
-        fleet: &[ArrayGeometry],
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-        aux: &mut [RunScratch],
-        stats: &mut [SimStats],
-        busy: &mut [u64],
-    ) {
-        assert!(!plan.is_empty(), "empty shard plan");
-        assert!(
-            fleet.is_empty() || fleet.len() >= plan.len(),
-            "need one geometry per band"
-        );
-        let geom_of =
-            |i: usize| fleet.get(i).copied().unwrap_or_else(|| self.cfg.geometry());
-        assert_eq!(plan[0].rows.start, 0, "plan must start at row 0");
-        assert_eq!(plan.last().unwrap().rows.end, p.rows, "plan must cover every row");
-        for pair in plan.windows(2) {
-            assert_eq!(pair[0].rows.end, pair[1].rows.start, "plan bands must be contiguous");
-        }
-        assert!(aux.len() + 1 >= plan.len(), "need one aux scratch per extra band");
         assert!(stats.len() >= plan.len(), "need one stats slot per band");
         assert!(busy.len() >= plan.len(), "need one busy slot per band");
-
-        let l = d.cols();
-        // As in run_prepared_with: every band fully overwrites its row
-        // slice, so no zero-fill is needed at a steady-state size.
-        let mut out = std::mem::take(&mut primary.out);
-        out.resize(p.rows * l, 0);
-
-        if plan.len() == 1 {
-            let t0 = Instant::now();
-            stats[0] = self.run_band_geom(p, &plan[0], geom_of(0), d, &mut out, primary);
-            busy[0] += t0.elapsed().as_nanos() as u64;
-            primary.out = out;
-            return;
-        }
-
-        let (band0, rest_bands) = plan.split_first().expect("non-empty plan");
-        let (out0, mut out_tail) = out.split_at_mut(band0.rows.len() * l);
-        let (stat0, stats_rest) = stats.split_first_mut().expect("stats sized");
-        let (busy0, busy_rest) = busy.split_first_mut().expect("busy sized");
-        std::thread::scope(|scope| {
-            for (i, (((band, scratch), stat), busy_slot)) in rest_bands
-                .iter()
-                .zip(aux.iter_mut())
-                .zip(stats_rest.iter_mut())
-                .zip(busy_rest.iter_mut())
-                .enumerate()
-            {
-                let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
-                out_tail = tail;
-                let sched = *self;
-                let geom = geom_of(i + 1);
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    *stat = sched.run_band_geom(p, band, geom, d, slice, scratch);
-                    *busy_slot += t0.elapsed().as_nanos() as u64;
-                });
-            }
-            let t0 = Instant::now();
-            *stat0 = self.run_band_geom(p, band0, geom_of(0), d, out0, primary);
-            *busy0 += t0.elapsed().as_nanos() as u64;
-        });
-        primary.out = out;
-    }
-
-    /// Runs one band under a fault-injection [`BandAction`], reporting
-    /// what happened as a [`BandOutcome`]. `Run` and `Stall` produce the
-    /// band's correct output rows (a stall merely sleeps first, modeling
-    /// a slow array); `Poison` computes the correct rows and then
-    /// corrupts them in place (a sick array returning garbage); `Dead`
-    /// touches nothing — the band's slice of `out` keeps whatever stale
-    /// contents it had, and the returned stats are zero.
-    fn run_band_act(
-        &self,
-        p: &PreparedPacked,
-        band: &RowBand,
-        geom: ArrayGeometry,
-        d: &QuantMatrix,
-        out: &mut [i64],
-        scratch: &mut RunScratch,
-        action: BandAction,
-    ) -> (SimStats, BandOutcome) {
-        match action {
-            BandAction::Run => (self.run_band_geom(p, band, geom, d, out, scratch), BandOutcome::Ran),
-            BandAction::Stall(micros) => {
-                std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
-                (self.run_band_geom(p, band, geom, d, out, scratch), BandOutcome::Stalled)
-            }
-            BandAction::Poison => {
-                let stats = self.run_band_geom(p, band, geom, d, out, scratch);
-                for word in out.iter_mut() {
-                    *word = !*word;
-                }
-                (stats, BandOutcome::Poisoned)
-            }
-            BandAction::Dead => (SimStats::default(), BandOutcome::Dead),
+        let mut lanes = vec![BandLane::new(self.cfg.geometry()); plan.len()];
+        self.run_bands(p, plan, d, primary, aux, &mut lanes);
+        for ((lane, stat), busy_slot) in lanes.iter().zip(stats).zip(busy) {
+            *stat = lane.stats;
+            *busy_slot += lane.busy_ns;
         }
     }
 
-    /// [`TiledScheduler::run_bands_geom`] with a fault-injection plane:
-    /// band `i` executes under `actions[i]` and reports what happened in
-    /// `outcomes[i]`. When every outcome is [`BandOutcome::Ran`] or
-    /// [`BandOutcome::Stalled`] the gathered output plane is bit-identical
-    /// to the unsharded run (stalls only add host latency). A `Poisoned`
+    /// The one scatter/gather: executes the row-band shard `plan`, band
+    /// `i` under `lanes[i]` — that lane's array geometry prices the band's
+    /// [`SimStats`], its [`BandAction`] is what a fault plan ordered, and
+    /// the band's stats, host nanoseconds (*added* to `busy_ns`) and
+    /// [`BandOutcome`] come back in the same record. Each band runs on its
+    /// own thread (its own simulated array) with its own lane scratch, all
+    /// writing disjoint row slices of `primary`'s output plane: band 0
+    /// executes on the calling thread with `primary`'s lanes, bands
+    /// `i ≥ 1` on scoped threads with `aux[i-1]`; a one-band plan spawns
+    /// nothing and allocates nothing.
+    ///
+    /// When every outcome is [`BandOutcome::Ran`] or
+    /// [`BandOutcome::Stalled`], [`RunScratch::outputs`] on `primary`
+    /// holds exactly what the unsharded run would have produced — the
+    /// gather is row concatenation by construction, and geometry touches
+    /// only the stats model (stalls only add host latency). A `Poisoned`
     /// band's output rows are corrupted and a `Dead` band's rows are
-    /// stale — the caller owns detection (via `outcomes`) and recovery
+    /// stale — the caller owns detection (via the outcomes) and recovery
     /// (re-planning over surviving arrays and re-running).
     ///
     /// # Panics
     ///
-    /// As [`TiledScheduler::run_bands_geom`], plus if `actions` or
-    /// `outcomes` are shorter than `plan`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bands_faulted(
+    /// Panics if `plan` is empty or does not cover the matrix's rows
+    /// contiguously from 0, if `aux` or `lanes` are shorter than the plan
+    /// requires, if the tiles were prepared for a different array
+    /// configuration, or if `d` lacks channels the packing references.
+    pub fn run_bands(
         &self,
         p: &PreparedPacked,
         plan: &[RowBand],
-        fleet: &[ArrayGeometry],
         d: &QuantMatrix,
         primary: &mut RunScratch,
         aux: &mut [RunScratch],
-        stats: &mut [SimStats],
-        busy: &mut [u64],
-        actions: &[BandAction],
-        outcomes: &mut [BandOutcome],
+        lanes: &mut [BandLane],
     ) {
-        assert!(!plan.is_empty(), "empty shard plan");
-        assert!(
-            fleet.is_empty() || fleet.len() >= plan.len(),
-            "need one geometry per band"
-        );
-        let geom_of =
-            |i: usize| fleet.get(i).copied().unwrap_or_else(|| self.cfg.geometry());
-        assert_eq!(plan[0].rows.start, 0, "plan must start at row 0");
+        let (band0, rest_bands) = plan.split_first().expect("empty shard plan");
+        assert_eq!(band0.rows.start, 0, "plan must start at row 0");
         assert_eq!(plan.last().unwrap().rows.end, p.rows, "plan must cover every row");
         for pair in plan.windows(2) {
             assert_eq!(pair[0].rows.end, pair[1].rows.start, "plan bands must be contiguous");
         }
-        assert!(aux.len() + 1 >= plan.len(), "need one aux scratch per extra band");
-        assert!(stats.len() >= plan.len(), "need one stats slot per band");
-        assert!(busy.len() >= plan.len(), "need one busy slot per band");
-        assert!(actions.len() >= plan.len(), "need one action per band");
-        assert!(outcomes.len() >= plan.len(), "need one outcome slot per band");
+        assert!(aux.len() >= rest_bands.len(), "need one aux scratch per extra band");
+        assert!(lanes.len() >= plan.len(), "need one lane per band");
 
         let l = d.cols();
+        // The output plane moves out of the scratch for the duration of
+        // the run so the band kernels can borrow the lane planes mutably
+        // alongside it; capacity is preserved, so this stays
+        // allocation-free once warm. Stale contents are fine — every band
+        // kernel fully overwrites (or re-zeroes) its row slice — so at a
+        // steady-state size the resize is a no-op, not a memset.
         let mut out = std::mem::take(&mut primary.out);
         out.resize(p.rows * l, 0);
-
-        if plan.len() == 1 {
-            let t0 = Instant::now();
-            let (stat, outcome) =
-                self.run_band_act(p, &plan[0], geom_of(0), d, &mut out, primary, actions[0]);
-            stats[0] = stat;
-            outcomes[0] = outcome;
-            busy[0] += t0.elapsed().as_nanos() as u64;
-            primary.out = out;
-            return;
-        }
-
-        let (band0, rest_bands) = plan.split_first().expect("non-empty plan");
         let (out0, mut out_tail) = out.split_at_mut(band0.rows.len() * l);
-        let (stat0, stats_rest) = stats.split_first_mut().expect("stats sized");
-        let (busy0, busy_rest) = busy.split_first_mut().expect("busy sized");
-        let (outcome0, outcomes_rest) = outcomes.split_first_mut().expect("outcomes sized");
-        std::thread::scope(|scope| {
-            for (i, ((((band, scratch), stat), busy_slot), outcome_slot)) in rest_bands
-                .iter()
-                .zip(aux.iter_mut())
-                .zip(stats_rest.iter_mut())
-                .zip(busy_rest.iter_mut())
-                .zip(outcomes_rest.iter_mut())
-                .enumerate()
-            {
-                let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
-                out_tail = tail;
-                let sched = *self;
-                let geom = geom_of(i + 1);
-                let action = actions[i + 1];
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let (s, o) = sched.run_band_act(p, band, geom, d, slice, scratch, action);
-                    *stat = s;
-                    *outcome_slot = o;
-                    *busy_slot += t0.elapsed().as_nanos() as u64;
-                });
-            }
-            let t0 = Instant::now();
-            let (s, o) = self.run_band_act(p, band0, geom_of(0), d, out0, primary, actions[0]);
-            *stat0 = s;
-            *outcome0 = o;
-            *busy0 += t0.elapsed().as_nanos() as u64;
-        });
+        let (lane0, rest_lanes) = lanes.split_first_mut().expect("lanes sized");
+
+        if rest_bands.is_empty() {
+            // A thread scope allocates its bookkeeping even when nothing
+            // is spawned; the unsharded call must not.
+            self.run_lane(p, band0, d, out0, primary, lane0);
+        } else {
+            std::thread::scope(|scope| {
+                for ((band, scratch), lane) in
+                    rest_bands.iter().zip(aux.iter_mut()).zip(rest_lanes.iter_mut())
+                {
+                    let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
+                    out_tail = tail;
+                    let sched = *self;
+                    scope.spawn(move || sched.run_lane(p, band, d, slice, scratch, lane));
+                }
+                self.run_lane(p, band0, d, out0, primary, lane0);
+            });
+        }
         primary.out = out;
+    }
+
+    /// One band on one lane, timed. `Run` and `Stall` produce the band's
+    /// correct output rows (a stall merely sleeps first, modeling a slow
+    /// array); `Poison` computes the correct rows and then corrupts them
+    /// in place (a sick array returning garbage); `Dead` touches nothing —
+    /// the band's slice of `out` keeps whatever stale contents it had, and
+    /// the lane's stats are zero.
+    fn run_lane(
+        &self,
+        p: &PreparedPacked,
+        band: &RowBand,
+        d: &QuantMatrix,
+        out: &mut [i64],
+        scratch: &mut RunScratch,
+        lane: &mut BandLane,
+    ) {
+        let t0 = Instant::now();
+        if let BandAction::Stall(micros) = lane.action {
+            std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
+        }
+        lane.stats = match lane.action {
+            BandAction::Dead => SimStats::default(),
+            _ => self.run_band_kernel(p, band, lane.geom, d, out, scratch, false),
+        };
+        lane.outcome = match lane.action {
+            BandAction::Run => BandOutcome::Ran,
+            BandAction::Stall(_) => BandOutcome::Stalled,
+            BandAction::Poison => {
+                for word in out.iter_mut() {
+                    *word = !*word;
+                }
+                BandOutcome::Poisoned
+            }
+            BandAction::Dead => BandOutcome::Dead,
+        };
+        lane.busy_ns += t0.elapsed().as_nanos() as u64;
+    }
+}
+
+/// One band's slot in [`TiledScheduler::run_bands`]: what the band runs
+/// as going in (array geometry, fault action), what happened coming out
+/// (stats, host time, outcome).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BandLane {
+    /// The simulated array this band runs on; prices `stats` only.
+    pub geom: ArrayGeometry,
+    /// What the fault plan ordered for this execution
+    /// ([`BandAction::Run`] = healthy).
+    pub action: BandAction,
+    /// Out: the band's counters under `geom`'s cycle model (zero for a
+    /// `Dead` band).
+    pub stats: SimStats,
+    /// Out: host nanoseconds the band took, *added* to the running value.
+    pub busy_ns: u64,
+    /// Out: what actually happened to the band.
+    pub outcome: BandOutcome,
+}
+
+impl BandLane {
+    /// A healthy lane of the given geometry with zeroed outputs.
+    pub fn new(geom: ArrayGeometry) -> Self {
+        BandLane {
+            geom,
+            action: BandAction::Run,
+            stats: SimStats::default(),
+            busy_ns: 0,
+            outcome: BandOutcome::Ran,
+        }
     }
 }
 
 /// What a fault-injection hook instructs one band execution (one shard
 /// lane, one conv) to do. Produced by a deterministic fault plan and
-/// consumed by [`TiledScheduler::run_bands_faulted`].
+/// consumed by [`TiledScheduler::run_bands`] through [`BandLane::action`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BandAction {
     /// Execute normally.
@@ -798,7 +702,7 @@ impl PreparedPacked {
 
     /// The whole matrix as a single band —
     /// [`TiledScheduler::run_prepared_with`] is
-    /// [`TiledScheduler::run_band_with`] over this view.
+    /// [`TiledScheduler::run_bands`] over this one-band plan.
     pub fn full_band(&self) -> RowBand {
         RowBand { rows: 0..self.rows, tiles: 0..self.tiles.len() }
     }
@@ -1596,25 +1500,25 @@ mod tests {
         let sched = TiledScheduler::new(cfg);
         let prepared = sched.prepare_packed(&qp);
         let d = QuantMatrix::quantize(&sparse_matrix(48, 9, 1.0, 44));
-        let band = prepared.full_band();
+        let plan = [prepared.full_band()];
 
         let mut base_scratch = RunScratch::new();
-        let mut out_base = vec![0i64; prepared.rows() * d.cols()];
-        let base =
-            sched.run_band_with(&prepared, &band, &d, &mut out_base, &mut base_scratch);
+        let base = sched.run_prepared_with(&prepared, &d, &mut base_scratch);
+        let out_base = base_scratch.outputs().to_vec();
 
+        // One band under an explicit lane geometry.
         let mut geom_scratch = RunScratch::new();
-        let mut out_same = vec![0i64; out_base.len()];
-        let same = sched.run_band_geom(
-            &prepared, &band, cfg.geometry(), &d, &mut out_same, &mut geom_scratch,
-        );
+        let mut run_under = |geom: ArrayGeometry| {
+            let mut lanes = [BandLane::new(geom)];
+            sched.run_bands(&prepared, &plan, &d, &mut geom_scratch, &mut [], &mut lanes);
+            assert_eq!(lanes[0].outcome, BandOutcome::Ran);
+            (lanes[0].stats, geom_scratch.outputs().to_vec())
+        };
+        let (same, out_same) = run_under(cfg.geometry());
         assert_eq!(same, base, "matching geometry must reproduce base stats");
         assert_eq!(out_same, out_base);
 
-        let mut out_small = vec![0i64; out_base.len()];
-        let small = sched.run_band_geom(
-            &prepared, &band, ArrayGeometry::new(4, 8), &d, &mut out_small, &mut geom_scratch,
-        );
+        let (small, out_small) = run_under(ArrayGeometry::new(4, 8));
         assert_eq!(out_small, out_base, "geometry must never change outputs");
         assert!(small.cycles > base.cycles, "a smaller array must be slower");
         assert!(small.load_cycles > base.load_cycles, "re-tiling loads more");
@@ -1650,20 +1554,55 @@ mod tests {
 
         let mut primary = RunScratch::new();
         let mut aux = vec![RunScratch::new(); 1];
-        let mut stats = vec![SimStats::default(); 2];
-        let mut busy = vec![0u64; 2];
-        sched.run_bands_geom(
-            &prepared, &plan, &fleet, &d, &mut primary, &mut aux, &mut stats, &mut busy,
-        );
+        let mut lanes = fleet.map(BandLane::new);
+        sched.run_bands(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes);
         assert_eq!(primary.outputs(), reference.outputs(), "hetero gather diverged");
 
         // Makespan beats the worst single array running everything.
         let worst_single = band_stats_geom(&prepared.tiles, weak, cfg.acc, d.cols()).cycles;
-        let makespan = stats.iter().map(|s| s.cycles).max().unwrap();
+        let makespan = lanes.iter().map(|lane| lane.stats.cycles).max().unwrap();
         assert!(
             makespan < worst_single,
             "fleet makespan {makespan} must beat the weak array alone {worst_single}"
         );
+    }
+
+    /// The fault plane rides the same scatter: a stalled band still
+    /// gathers correct rows, a poisoned band's rows come back inverted, a
+    /// dead band leaves its rows untouched with zero stats — and each
+    /// lane reports which of those happened.
+    #[test]
+    fn band_actions_report_outcomes_through_the_scatter() {
+        let qp = packed_fixture(96, 40, 0.3, 47);
+        let sched = TiledScheduler::new(ArrayConfig::new(8, 16, AccumWidth::Bits32));
+        let prepared = sched.prepare_packed(&qp);
+        let d = QuantMatrix::quantize(&sparse_matrix(40, 6, 1.0, 48));
+        let mut reference = RunScratch::new();
+        sched.run_prepared_with(&prepared, &d, &mut reference);
+
+        let plan = prepared.partition_row_bands(4);
+        assert_eq!(plan.len(), 4);
+        let actions =
+            [BandAction::Run, BandAction::Stall(50), BandAction::Poison, BandAction::Dead];
+        let mut lanes =
+            actions.map(|action| BandLane { action, ..BandLane::new(sched.cfg.geometry()) });
+        let mut primary = RunScratch::new();
+        let mut aux = vec![RunScratch::new(); 3];
+        sched.run_bands(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes);
+
+        let l = d.cols();
+        let rows = |band: &RowBand| band.rows.start * l..band.rows.end * l;
+        let (out, want) = (primary.outputs(), reference.outputs());
+        assert_eq!(lanes[0].outcome, BandOutcome::Ran);
+        assert_eq!(out[rows(&plan[0])], want[rows(&plan[0])]);
+        assert_eq!(lanes[1].outcome, BandOutcome::Stalled);
+        assert_eq!(out[rows(&plan[1])], want[rows(&plan[1])]);
+        assert!(lanes[1].busy_ns >= 50_000, "a stall is host time");
+        assert_eq!(lanes[2].outcome, BandOutcome::Poisoned);
+        assert!(out[rows(&plan[2])].iter().zip(&want[rows(&plan[2])]).all(|(o, w)| *o == !*w));
+        assert_eq!(lanes[3].outcome, BandOutcome::Dead);
+        assert!(out[rows(&plan[3])].iter().all(|&o| o == 0), "a dead band writes nothing");
+        assert_eq!(lanes[3].stats, SimStats::default());
     }
 
     #[test]

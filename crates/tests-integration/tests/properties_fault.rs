@@ -12,12 +12,18 @@ use cc_dataset::{Dataset, SyntheticSpec};
 use cc_deploy::{identity_groups, BatchOutput, DeployedNetwork};
 use cc_nn::layer::LayerKind;
 use cc_nn::layers::{Linear, PointwiseConv, Relu, Shift};
+use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_nn::Network;
-use cc_serve::{FaultPlan, ModelRegistry, PipelineExecutor, ServeConfig, Server, WaitError};
+use cc_serve::{
+    EventKind, FaultPlan, ModelRegistry, PipelineExecutor, ServeConfig, Server, StageEnv,
+    Telemetry, TraceConfig, TraceRecorder, Track, WaitError,
+};
+use cc_systolic::array::ArrayConfig;
+use cc_tensor::quant::AccumWidth;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A deployed network over a random shape: 1-channel `size`×`size` input,
 /// shift → pointwise(hidden) → relu → linear head.
@@ -217,19 +223,19 @@ fn pipeline_drains_every_batch_through_sink_or_fault_handler() {
     let sunk = Arc::new(AtomicUsize::new(0));
     let faulted = Arc::new(AtomicUsize::new(0));
     let (sunk_in, faulted_in) = (Arc::clone(&sunk), Arc::clone(&faulted));
-    let pipe: PipelineExecutor<usize> = PipelineExecutor::new_fleet(
+    let pipe: PipelineExecutor<usize> = PipelineExecutor::with_env(
         net,
         2,
         1,
-        2,
-        None,
-        Some(Arc::new(FaultPlan::seeded(13).panic_on_batch(2))),
+        StageEnv {
+            shards: 2,
+            faults: Some(Arc::new(FaultPlan::seeded(13).panic_on_batch(2))),
+            ..StageEnv::default()
+        },
         Some(Arc::new(move |_tag, fault| {
             assert!(fault.is_none(), "a plain panic carries no fault payload");
             faulted_in.fetch_add(1, Ordering::Relaxed);
         })),
-        None,
-        None,
         move |out, _tag| {
             assert!(matches!(out, BatchOutput::Logits(_)));
             sunk_in.fetch_add(1, Ordering::Relaxed);
@@ -261,20 +267,20 @@ fn unrecoverable_poison_fails_batches_with_fault_payload() {
     let sunk = Arc::new(AtomicUsize::new(0));
     let faulted = Arc::new(AtomicUsize::new(0));
     let (sunk_in, faulted_in) = (Arc::clone(&sunk), Arc::clone(&faulted));
-    let pipe: PipelineExecutor<usize> = PipelineExecutor::new_fleet(
+    let pipe: PipelineExecutor<usize> = PipelineExecutor::with_env(
         net,
         2,
         1,
-        2,
-        None,
-        Some(Arc::new(FaultPlan::seeded(17).poison_every(1))),
+        StageEnv {
+            shards: 2,
+            faults: Some(Arc::new(FaultPlan::seeded(17).poison_every(1))),
+            ..StageEnv::default()
+        },
         Some(Arc::new(move |_tag, fault| {
             let fault = fault.expect("retry exhaustion must carry its BandFaultError");
             assert!(fault.attempts > 0);
             faulted_in.fetch_add(1, Ordering::Relaxed);
         })),
-        None,
-        None,
         move |_out, _tag| {
             sunk_in.fetch_add(1, Ordering::Relaxed);
         },
@@ -286,4 +292,138 @@ fn unrecoverable_poison_fails_batches_with_fault_payload() {
 
     assert_eq!(sunk.load(Ordering::Relaxed), 0, "all-poisoned bands can never succeed");
     assert_eq!(faulted.load(Ordering::Relaxed), batches);
+}
+
+/// Pipelined-path parity: a stage runs the very step a serial worker
+/// runs, so a traced two-stage pipeline under a seeded fault plan must
+/// leave `Fault`/`Retry`/`Quarantine` instants in the trace (stages used
+/// to bump the counters only), agreeing with the telemetry counters, all
+/// under real batch ids — and every `ShardRun` span must sit inside a
+/// `Stage` span of its own batch: a failed batch's undrained conv log
+/// used to be exported under the next traced batch's id.
+#[test]
+fn pipelined_chaos_traces_health_instants_under_the_right_batch() {
+    let (train, test) =
+        SyntheticSpec::mnist_like().with_size(8, 8).with_samples(48, 6).generate(23);
+    let net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+    // A deliberately small array so every conv spans several tile
+    // row-groups and both lanes of each stage really execute bands.
+    let deployed = DeployedNetwork::build_with_array(
+        &net,
+        &identity_groups(&net),
+        &train,
+        ArrayConfig::new(4, 8, AccumWidth::Bits32),
+    );
+    let images: Vec<cc_tensor::Tensor> = (0..test.len()).map(|i| test.image(i).clone()).collect();
+    let reference = deployed.run_batch(&images);
+    let batches = 24u64;
+
+    let recorder = Arc::new(TraceRecorder::new(TraceConfig::on()));
+    let telemetry = Arc::new(Telemetry::new());
+    // Lane 0 dies early (deterministic Fault → Retry → Quarantine) and
+    // every other band execution is poisoned, so some batches exhaust
+    // their retries mid-stage while later ones still succeed.
+    let plan = FaultPlan::seeded(23).kill_lane_after(0, 2).poison_every(3);
+    let sunk = Arc::new(AtomicUsize::new(0));
+    let faulted = Arc::new(AtomicUsize::new(0));
+    let (sunk_in, faulted_in) = (Arc::clone(&sunk), Arc::clone(&faulted));
+    let pipe: PipelineExecutor<u64> = PipelineExecutor::with_env(
+        deployed,
+        2,
+        1,
+        StageEnv {
+            shards: 2,
+            fleet: None,
+            faults: Some(Arc::new(plan)),
+            telemetry: Some(Arc::clone(&telemetry)),
+            recorder: Some(Arc::clone(&recorder)),
+        },
+        Some(Arc::new(move |_bid, fault| {
+            assert!(fault.is_some(), "no panic clause: failures carry a fault payload");
+            faulted_in.fetch_add(1, Ordering::Relaxed);
+        })),
+        move |out, bid| {
+            match out {
+                BatchOutput::Logits(logits) => {
+                    assert_eq!(logits, reference, "batch {bid} diverged under chaos")
+                }
+                BatchOutput::Maps(_) => panic!("pipeline must end at the classifier head"),
+            }
+            sunk_in.fetch_add(1, Ordering::Relaxed);
+        },
+    );
+    let num_stages = pipe.num_stages();
+    assert_eq!(num_stages, 2);
+    for bid in 1..=batches {
+        pipe.submit_traced(&images, bid, bid, None);
+    }
+    pipe.drain();
+    let (sunk, faulted) = (sunk.load(Ordering::Relaxed), faulted.load(Ordering::Relaxed));
+    assert_eq!(sunk + faulted, batches as usize, "every batch leaves through one exit");
+    assert!(sunk > 0 && faulted > 0, "the plan must both fail and pass batches: {sunk}/{faulted}");
+
+    let events = recorder.events();
+    let stats = telemetry.snapshot();
+    let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert!(count(EventKind::Fault) > 0, "stage faults must reach the trace");
+    assert!(count(EventKind::Retry) > 0, "stage retries must reach the trace");
+    assert!(count(EventKind::Quarantine) > 0, "stage quarantines must reach the trace");
+    assert_eq!(count(EventKind::Fault), stats.band_faults, "instants and counters disagree");
+    assert_eq!(count(EventKind::Retry), stats.band_retries, "instants and counters disagree");
+    for e in events.iter().filter(|e| {
+        matches!(e.kind, EventKind::Fault | EventKind::Retry | EventKind::Quarantine)
+    }) {
+        assert!((1..=batches).contains(&e.bid), "health instant under no batch: {e:?}");
+        if e.kind == EventKind::Retry {
+            assert!(matches!(e.track, Track::Stage(s) if usize::from(s) < num_stages));
+        }
+    }
+
+    let stage_spans: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Stage).collect();
+    let shard_runs: Vec<_> = events.iter().filter(|e| e.kind == EventKind::ShardRun).collect();
+    assert!(!shard_runs.is_empty(), "traced convs must export shard spans");
+    for run in shard_runs {
+        assert!(
+            stage_spans.iter().any(|stage| stage.bid == run.bid
+                && stage.start_ns <= run.start_ns
+                && run.end_ns() <= stage.end_ns()),
+            "ShardRun span outside every stage span of its batch (foreign bid?): {run:?}"
+        );
+    }
+}
+
+/// Pipelined-path parity: the batch's deadline rides the job through
+/// every stage, so a stage whose bands keep faulting stops retrying the
+/// moment the deadline has passed instead of burning the whole budget
+/// (stages used to retry on budget alone).
+#[test]
+fn blown_deadline_stops_pipelined_retries() {
+    let (net, test) = deployed(3, 4, 19);
+    let images: Vec<cc_tensor::Tensor> = (0..2).map(|i| test.image(i).clone()).collect();
+    let faults = Arc::new(Mutex::new(Vec::new()));
+    let faults_in = Arc::clone(&faults);
+    let pipe: PipelineExecutor<usize> = PipelineExecutor::with_env(
+        net,
+        2,
+        1,
+        StageEnv {
+            faults: Some(Arc::new(FaultPlan::seeded(19).poison_every(1))),
+            ..StageEnv::default()
+        },
+        Some(Arc::new(move |tag, fault| faults_in.lock().unwrap().push((tag, fault)))),
+        move |_out, _tag| panic!("all-poisoned bands can never succeed"),
+    );
+    pipe.submit_traced(&images, 0, 0, Some(Instant::now()));
+    pipe.submit_traced(&images, 1, 0, None);
+    pipe.drain();
+
+    let faults = faults.lock().unwrap();
+    let (tag, late) = (faults[0].0, faults[0].1.expect("fault payload"));
+    assert_eq!(tag, 0);
+    assert!(late.deadline_blown, "a passed deadline must end the retry loop");
+    assert_eq!(late.attempts, 1, "no retry may run after the deadline");
+    let (tag, patient) = (faults[1].0, faults[1].1.expect("fault payload"));
+    assert_eq!(tag, 1);
+    assert!(!patient.deadline_blown);
+    assert!(patient.attempts > 1, "without a deadline the budget is spent");
 }

@@ -3,15 +3,18 @@
 //! unsharded `run_batch` bit-exactly on whole deployed networks, with
 //! merged [`SimStats`] that are shard-plan invariant, and the kernel-level
 //! band scatter/gather must match the unsharded prepared run on random
-//! packings.
+//! packings — every special case (one band, no fleet, no faults) being a
+//! degenerate configuration of the one scatter, `run_bands`.
 
 use cc_deploy::{identity_groups, DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
 use cc_nn::models::{lenet5_shift, resnet20_shift, ModelConfig};
 use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked, SimStats};
-use cc_systolic::{ArrayGeometry, CellKind, RunScratch, TiledScheduler};
+use cc_systolic::{
+    ArrayGeometry, BandLane, BandOutcome, CellKind, RunScratch, TiledScheduler,
+};
 use cc_tensor::init::sparse_matrix;
-use cc_tensor::quant::{AccumWidth, QuantMatrix, QuantParams};
+use cc_tensor::quant::{quant_matmul, AccumWidth, QuantMatrix, QuantParams};
 use cc_tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -258,19 +261,87 @@ proptest! {
         prop_assert!(!plan.is_empty() && plan.len() <= fleet.len());
         let mut primary = RunScratch::new();
         let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
-        let mut stats = vec![SimStats::default(); plan.len()];
-        let mut busy = vec![0u64; plan.len()];
-        sched.run_bands_geom(
-            &prepared, &plan, &fleet, &d, &mut primary, &mut aux, &mut stats, &mut busy,
-        );
+        let mut lanes: Vec<BandLane> = fleet.iter().copied().map(BandLane::new).collect();
+        sched.run_bands(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes);
 
         prop_assert_eq!(primary.outputs(), reference.outputs(), "fleet gather diverged");
         let mut summed = SimStats::default();
-        for s in &stats {
-            summed.merge(s);
+        for lane in &lanes[..plan.len()] {
+            summed.merge(&lane.stats);
         }
         prop_assert_eq!(summed.mac_ops, ref_stats.mac_ops);
         prop_assert_eq!(summed.cell_word_slots, ref_stats.cell_word_slots);
         prop_assert_eq!(summed.output_words, ref_stats.output_words);
+    }
+
+    /// "Special cases are degenerate configurations": for 1–4 bands ×
+    /// {homogeneous, mixed fleet} × {16-, 32-bit} × exact bit-serial
+    /// on/off, the one scatter with all-`Run` lanes, the unsharded
+    /// `run_prepared_with`, the seed indexed `run_packed_reference` and
+    /// the naive i64 GEMM all produce the same plane, and the per-band
+    /// counters add back up to the unsharded run's.
+    #[test]
+    fn degenerate_scatter_configurations_agree(
+        rows in 8usize..64,
+        cols in 4usize..40,
+        density in 0.05f64..0.8,
+        l in 1usize..10,
+        array_rows in 2usize..12,
+        bands in 1usize..5,
+        mixed_fleet in any::<bool>(),
+        sixteen_bit in any::<bool>(),
+        exact_bitserial in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let f = sparse_matrix(rows, cols, density, seed);
+        let params = QuantParams::calibrate(f.as_slice());
+        let packed = pack_columns(&f, &group_columns(&f, &GroupingConfig::paper_default()));
+        let qp = QuantPacked::quantize_with(&packed, params);
+        let d = QuantMatrix::quantize(&sparse_matrix(cols, l, 1.0, seed ^ 0xD06E));
+        let acc = if sixteen_bit { AccumWidth::Bits16 } else { AccumWidth::Bits32 };
+        let cfg = ArrayConfig { exact_bitserial, ..ArrayConfig::new(array_rows, 8, acc) };
+        let sched = TiledScheduler::new(cfg);
+        let prepared = sched.prepare_packed(&qp);
+
+        let gemm = quant_matmul(&QuantMatrix::quantize_with(&packed.unpack(), params), &d, acc);
+        let indexed = sched.run_packed_reference(&qp, &d);
+        prop_assert_eq!(&indexed.outputs, &gemm, "indexed path diverged from the i64 GEMM");
+        let mut unsharded = RunScratch::new();
+        let ref_stats = sched.run_prepared_with(&prepared, &d, &mut unsharded);
+        prop_assert_eq!(unsharded.outputs(), &gemm[..], "unsharded kernel diverged");
+        prop_assert_eq!(ref_stats, indexed.stats, "unsharded stats diverged");
+
+        let (fleet, plan) = if mixed_fleet {
+            let fleet = random_fleet(bands, seed ^ 0xFEED);
+            let plan = prepared.partition_row_bands_for(&fleet, l);
+            (fleet, plan)
+        } else {
+            (vec![cfg.geometry(); bands], prepared.partition_row_bands(bands))
+        };
+        let mut primary = RunScratch::new();
+        let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
+        let mut lanes: Vec<BandLane> = fleet.iter().copied().map(BandLane::new).collect();
+        sched.run_bands(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes);
+        prop_assert_eq!(primary.outputs(), &gemm[..], "scatter diverged from the i64 GEMM");
+
+        let ran = &lanes[..plan.len()];
+        prop_assert!(ran.iter().all(|lane| lane.outcome == BandOutcome::Ran));
+        prop_assert!(ran.iter().all(|lane| lane.busy_ns > 0), "every band records host time");
+        let mut summed = SimStats::default();
+        for lane in ran {
+            summed.merge(&lane.stats);
+        }
+        // Work is geometry-invariant; re-streamed inputs and weight loads
+        // are only conserved when every lane is the preparing array.
+        prop_assert_eq!(summed.mac_ops, ref_stats.mac_ops);
+        prop_assert_eq!(summed.cell_word_slots, ref_stats.cell_word_slots);
+        prop_assert_eq!(summed.output_words, ref_stats.output_words);
+        if !mixed_fleet {
+            prop_assert_eq!(summed.input_words, ref_stats.input_words);
+            prop_assert_eq!(summed.load_cycles, ref_stats.load_cycles);
+            if plan.len() == 1 {
+                prop_assert_eq!(ran[0].stats, ref_stats, "one band is the unsharded run");
+            }
+        }
     }
 }
