@@ -100,7 +100,8 @@ fn measure_case(case: &KernelCase, iters: u32, rounds: u32) -> KernelMeasurement
     // Pin down bit-identity on the exact fixture being timed.
     let reference = sched.run_packed_reference(&qp, &d);
     let stats = sched.run_prepared_with(&prepared, &d, &mut scratch);
-    assert_eq!(scratch.outputs(), &reference.outputs[..], "kernel paths diverged");
+    let outputs: Vec<i64> = scratch.outputs().iter().map(|&o| i64::from(o)).collect();
+    assert_eq!(outputs, reference.outputs, "kernel paths diverged");
     assert_eq!(stats, reference.stats, "kernel stats diverged");
 
     KernelMeasurement {

@@ -7,12 +7,34 @@
 //! of `B` maps shares each layer's weight loads — and because the array is
 //! exact integer arithmetic per output column, batched results are
 //! bit-identical to running the images one at a time.
+//!
+//! ## Peripheral blocks are row loops
+//!
+//! The blocks behind the array — shift, the residual add, the pools, the
+//! classifier head — are periphery in the paper and must be here: each
+//! walks whole rows as slices (`zip`ped iterators, `copy_from_slice` of a
+//! shifted row's in-range span) so the compiler drops the bounds checks and
+//! vectorises them on baseline x86-64. The ReLU + quantizer epilogue is the
+//! one still walked a word at a time (`epilogue_word` in an indexed
+//! loop): see ROADMAP's "Profile-first kernel work" for why its row form
+//! waits on a benchmark change.
+//!
+//! Their float arithmetic is pinned, because the last bit of an activation
+//! moves with it: the epilogue is `o as f32 * acc_scale`, then
+//! `channel_scale[n] * acc + channel_bias[n]`, ReLU, then a **division** by
+//! `out_scale`; the residual add is `b as f32 * sb + s as f32 * ss`, then
+//! the division. No reciprocal multiply, no pre-multiplied scales, no
+//! fused multiply-add — each rounds differently from the division it would
+//! replace — and the one rounding step is
+//! [`cc_tensor::quant::requantize`]. `golden_engine` in the integration
+//! suite holds every activation of two pinned deployments to constants.
 
 use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
 use crate::shard::BandSet;
 use cc_systolic::tiled::{PreparedPacked, TiledScheduler};
-use cc_tensor::quant::{AccumWidth, QuantMatrix, QuantParams};
+use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
+use std::ops::Range;
 
 /// One stage of the deployed pipeline.
 #[derive(Clone, Debug)]
@@ -251,25 +273,32 @@ pub enum BatchOutput {
     Logits(Vec<Vec<f32>>),
 }
 
+/// Destination positions `p` of an `n`-long axis whose source `p - d` is
+/// in range — empty once `|d| ≥ n`.
+fn shifted_span(d: i8, n: usize) -> Range<usize> {
+    let (d, n) = (i64::from(d), n as i64);
+    let lo = d.clamp(0, n);
+    let hi = (n + d).clamp(lo, n);
+    lo as usize..hi as usize
+}
+
 fn run_shift(shifts: &[(i8, i8)], input: &QMap, pool: &mut BufPool) -> QMap {
     assert_eq!(shifts.len(), input.channels(), "shift channel mismatch");
     let (c, h, w) = (input.channels(), input.height(), input.width());
+    let src = input.as_slice();
     let mut out = pool.take_zeroed(c * h * w);
-    for ci in 0..c {
-        let (dy, dx) = shifts[ci];
-        for y in 0..h as i64 {
-            let sy = y - dy as i64;
-            if sy < 0 || sy >= h as i64 {
-                continue;
-            }
-            for x in 0..w as i64 {
-                let sx = x - dx as i64;
-                if sx < 0 || sx >= w as i64 {
-                    continue;
-                }
-                out[(ci * h + y as usize) * w + x as usize] =
-                    input.get(ci, sy as usize, sx as usize);
-            }
+    for (ci, &(dy, dx)) in shifts.iter().enumerate() {
+        // One copy per in-range row: the span of columns whose source
+        // column exists, from the source row `dy` above.
+        let xs = shifted_span(dx, w);
+        if xs.is_empty() {
+            continue;
+        }
+        let src_x = (xs.start as i64 - i64::from(dx)) as usize;
+        for y in shifted_span(dy, h) {
+            let sy = (y as i64 - i64::from(dy)) as usize;
+            let from = (ci * h + sy) * w + src_x;
+            out[(ci * h + y) * w..][xs.clone()].copy_from_slice(&src[from..from + xs.len()]);
         }
     }
     QMap::from_raw(out, c, h, w, input.scale())
@@ -334,14 +363,13 @@ fn run_packed_conv_batch(
     let mut batch = shells.take(b);
     batch.extend((0..b).map(|bi| {
         let mut out = bufs.take_with_capacity(n * l);
+        // Still one word at a time on purpose: the row form waits on a
+        // benchmark change (ROADMAP, "Profile-first kernel work").
         for ni in 0..n {
+            let (scale, bias) = (channel_scale[ni], channel_bias[ni]);
             for p in 0..l {
-                let acc = outputs[ni * bl + bi * l + p] as f32 * acc_scale;
-                let mut real = channel_scale[ni] * acc + channel_bias[ni];
-                if relu && real < 0.0 {
-                    real = 0.0;
-                }
-                out.push((real / out_scale).round().clamp(-127.0, 127.0) as i8);
+                let word = outputs[ni * bl + bi * l + p];
+                out.push(epilogue_word(word, acc_scale, scale, bias, relu, out_scale));
             }
         }
         QMap::from_raw(out, n, h, w, out_scale)
@@ -349,20 +377,40 @@ fn run_packed_conv_batch(
     batch
 }
 
+/// The ReLU + quantizer blocks behind the array (§4.4) on one accumulator
+/// word: folded batch norm, ReLU, rescale to the output step, round. The
+/// operation order is part of the result (see the module docs).
+#[inline]
+fn epilogue_word(
+    word: i32,
+    acc_scale: f32,
+    channel_scale: f32,
+    channel_bias: f32,
+    relu: bool,
+    out_scale: f32,
+) -> i8 {
+    let acc = word as f32 * acc_scale;
+    let real = channel_scale * acc + channel_bias;
+    let real = if relu && real < 0.0 { 0.0 } else { real };
+    requantize(real / out_scale)
+}
+
 fn run_avgpool(input: &QMap, pool: &mut BufPool) -> QMap {
     let (c, h, w) = (input.channels(), input.height(), input.width());
     let (oh, ow) = (h / 2, w / 2);
+    let src = input.as_slice();
     let mut out = pool.take_zeroed(c * oh * ow);
     for ci in 0..c {
         for y in 0..oh {
-            for x in 0..ow {
-                let s = input.get(ci, 2 * y, 2 * x) as i32
-                    + input.get(ci, 2 * y, 2 * x + 1) as i32
-                    + input.get(ci, 2 * y + 1, 2 * x) as i32
-                    + input.get(ci, 2 * y + 1, 2 * x + 1) as i32;
+            let top = &src[(ci * h + 2 * y) * w..][..w];
+            let bottom = &src[(ci * h + 2 * y + 1) * w..][..w];
+            let out_row = &mut out[(ci * oh + y) * ow..][..ow];
+            let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (q, (t, b)) in out_row.iter_mut().zip(pairs) {
+                let s = t[0] as i32 + t[1] as i32 + b[0] as i32 + b[1] as i32;
                 // round-half-away integer division by 4
                 let v = if s >= 0 { (s + 2) / 4 } else { (s - 2) / 4 };
-                out[(ci * oh + y) * ow + x] = v.clamp(-127, 127) as i8;
+                *q = v.clamp(-127, 127) as i8;
             }
         }
     }
@@ -370,18 +418,13 @@ fn run_avgpool(input: &QMap, pool: &mut BufPool) -> QMap {
 }
 
 fn run_global_pool(input: &QMap, pool: &mut BufPool) -> QMap {
-    let (c, h, w) = (input.channels(), input.height(), input.width());
-    let plane = (h * w) as i32;
+    let (c, hw) = (input.channels(), input.plane());
+    let plane = hw as i32;
     let mut out = pool.take_zeroed(c);
-    for ci in 0..c {
-        let mut s = 0i32;
-        for y in 0..h {
-            for x in 0..w {
-                s += input.get(ci, y, x) as i32;
-            }
-        }
+    for (ci, q) in out.iter_mut().enumerate() {
+        let s: i32 = input.as_slice()[ci * hw..][..hw].iter().map(|&v| v as i32).sum();
         let v = if s >= 0 { (s + plane / 2) / plane } else { (s - plane / 2) / plane };
-        out[ci] = v.clamp(-127, 127) as i8;
+        *q = v.clamp(-127, 127) as i8;
     }
     QMap::from_raw(out, c, 1, 1, input.scale())
 }
@@ -436,14 +479,15 @@ fn run_residual_batch(
             assert_eq!(h.channels(), shortcut_ref.channels(), "residual channel mismatch");
             assert_eq!(h.plane(), shortcut_ref.plane(), "residual plane mismatch");
 
-            // Integer add with per-path rescale into the calibrated output
-            // scale.
-            let (sb, ss) = (h.scale(), shortcut_ref.scale());
-            let mut out = scratch.bufs.take_with_capacity(h.as_slice().len());
-            out.extend(h.as_slice().iter().zip(shortcut_ref.as_slice()).map(|(&b, &s)| {
-                let real = b as f32 * sb + s as f32 * ss;
-                (real / out_scale).round().clamp(-127.0, 127.0) as i8
-            }));
+            let mut out = scratch.bufs.take_zeroed(h.as_slice().len());
+            residual_add(
+                h.as_slice(),
+                h.scale(),
+                shortcut_ref.as_slice(),
+                shortcut_ref.scale(),
+                out_scale,
+                &mut out,
+            );
             let merged = QMap::from_raw(out, h.channels(), h.height(), h.width(), out_scale);
             if let Some(sc) = shortcut {
                 scratch.bufs.recycle(sc.into_raw());
@@ -453,6 +497,16 @@ fn run_residual_batch(
         }));
     scratch.shells.recycle(hs);
     merged_batch
+}
+
+/// The residual merge: integer add with per-path rescale into the
+/// calibrated output scale. The operation order is part of the result (see
+/// the module docs).
+fn residual_add(body: &[i8], sb: f32, shortcut: &[i8], ss: f32, out_scale: f32, out: &mut [i8]) {
+    for ((q, &b), &s) in out.iter_mut().zip(body).zip(shortcut) {
+        let real = b as f32 * sb + s as f32 * ss;
+        *q = requantize(real / out_scale);
+    }
 }
 
 /// Zero-pads a map to `out_channels`, drawing the padded buffer from the
@@ -475,12 +529,10 @@ fn run_linear(weights: &QuantMatrix, weight_scale: f32, bias: &[f32], input: &QM
     let acc_scale = weight_scale * input.scale();
     (0..weights.rows())
         .map(|o| {
-            let mut acc = 0i64;
-            for f in 0..feat {
-                acc += weights.get(o, f) as i64 * input.as_slice()[f] as i64;
-            }
-            acc = AccumWidth::Bits32.wrap(acc);
-            acc as f32 * acc_scale + bias[o]
+            let row = &weights.as_slice()[o * feat..][..feat];
+            let products = row.iter().zip(input.as_slice()).map(|(&w, &x)| w as i64 * x as i64);
+            let acc: i64 = products.sum();
+            AccumWidth::Bits32.wrap(acc) as f32 * acc_scale + bias[o]
         })
         .collect()
 }
@@ -488,7 +540,491 @@ fn run_linear(weights: &QuantMatrix, weight_scale: f32, bias: &[f32], input: &QM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_packing::{group_columns, pack_columns, GroupingConfig};
+    use cc_systolic::array::{ArrayConfig, QuantPacked};
+    use cc_tensor::init::sparse_matrix;
     use cc_tensor::{Shape, Tensor};
+
+    /// The per-element blocks the row loops replaced, kept literally: the
+    /// oracles of the reference-vs-fast tests below, and nothing else.
+    mod oracle {
+        use super::*;
+
+        /// The formula `requantize` replaced.
+        pub fn round_clamp_cast(x: f32) -> i8 {
+            x.round().clamp(-127.0, 127.0) as i8
+        }
+
+        pub fn shift(shifts: &[(i8, i8)], input: &QMap) -> Vec<i8> {
+            let (c, h, w) = (input.channels(), input.height(), input.width());
+            let mut out = vec![0i8; c * h * w];
+            for ci in 0..c {
+                let (dy, dx) = shifts[ci];
+                for y in 0..h as i64 {
+                    let sy = y - dy as i64;
+                    if sy < 0 || sy >= h as i64 {
+                        continue;
+                    }
+                    for x in 0..w as i64 {
+                        let sx = x - dx as i64;
+                        if sx < 0 || sx >= w as i64 {
+                            continue;
+                        }
+                        out[(ci * h + y as usize) * w + x as usize] =
+                            input.get(ci, sy as usize, sx as usize);
+                    }
+                }
+            }
+            out
+        }
+
+        /// Image `bi`'s epilogue over the `i64` plane of a `b`-image run.
+        #[allow(clippy::too_many_arguments)]
+        pub fn epilogue(
+            outputs: &[i64],
+            (n, l, b, bi): (usize, usize, usize, usize),
+            acc_scale: f32,
+            channel_scale: &[f32],
+            channel_bias: &[f32],
+            relu: bool,
+            out_scale: f32,
+        ) -> Vec<i8> {
+            let bl = b * l;
+            let mut out = Vec::with_capacity(n * l);
+            for ni in 0..n {
+                for p in 0..l {
+                    let acc = outputs[ni * bl + bi * l + p] as f32 * acc_scale;
+                    let mut real = channel_scale[ni] * acc + channel_bias[ni];
+                    if relu && real < 0.0 {
+                        real = 0.0;
+                    }
+                    out.push(round_clamp_cast(real / out_scale));
+                }
+            }
+            out
+        }
+
+        pub fn residual_add(body: &QMap, shortcut: &QMap, out_scale: f32) -> Vec<i8> {
+            let (sb, ss) = (body.scale(), shortcut.scale());
+            body.as_slice()
+                .iter()
+                .zip(shortcut.as_slice())
+                .map(|(&b, &s)| {
+                    let real = b as f32 * sb + s as f32 * ss;
+                    round_clamp_cast(real / out_scale)
+                })
+                .collect()
+        }
+
+        pub fn avgpool(input: &QMap) -> QMap {
+            let (c, h, w) = (input.channels(), input.height(), input.width());
+            let (oh, ow) = (h / 2, w / 2);
+            let mut out = vec![0i8; c * oh * ow];
+            for ci in 0..c {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let s = input.get(ci, 2 * y, 2 * x) as i32
+                            + input.get(ci, 2 * y, 2 * x + 1) as i32
+                            + input.get(ci, 2 * y + 1, 2 * x) as i32
+                            + input.get(ci, 2 * y + 1, 2 * x + 1) as i32;
+                        let v = if s >= 0 { (s + 2) / 4 } else { (s - 2) / 4 };
+                        out[(ci * oh + y) * ow + x] = v.clamp(-127, 127) as i8;
+                    }
+                }
+            }
+            QMap::from_raw(out, c, oh, ow, input.scale())
+        }
+
+        pub fn global_pool(input: &QMap) -> Vec<i8> {
+            let plane = input.plane() as i32;
+            (0..input.channels())
+                .map(|ci| {
+                    let mut s = 0i32;
+                    for y in 0..input.height() {
+                        for x in 0..input.width() {
+                            s += input.get(ci, y, x) as i32;
+                        }
+                    }
+                    let v = if s >= 0 { (s + plane / 2) / plane } else { (s - plane / 2) / plane };
+                    v.clamp(-127, 127) as i8
+                })
+                .collect()
+        }
+
+        pub fn linear(
+            weights: &QuantMatrix,
+            weight_scale: f32,
+            bias: &[f32],
+            input: &QMap,
+        ) -> Vec<f32> {
+            let acc_scale = weight_scale * input.scale();
+            (0..weights.rows())
+                .map(|o| {
+                    let mut acc = 0i64;
+                    for f in 0..weights.cols() {
+                        acc += weights.get(o, f) as i64 * input.as_slice()[f] as i64;
+                    }
+                    AccumWidth::Bits32.wrap(acc) as f32 * acc_scale + bias[o]
+                })
+                .collect()
+        }
+    }
+
+    /// SplitMix64: test data with every `i8` code, both saturation ends
+    /// included.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn code(&mut self) -> i8 {
+            (self.next() % 255) as i8
+        }
+
+        /// A positive scale spread over a few orders of magnitude.
+        fn scale(&mut self) -> f32 {
+            (1 + self.next() % 4000) as f32 * 1e-4
+        }
+
+        fn map(&mut self, c: usize, h: usize, w: usize) -> QMap {
+            self.batch(1, c, h, w).pop().expect("batch of one")
+        }
+
+        /// `b` maps of one shape and one scale, as a batch must be.
+        fn batch(&mut self, b: usize, c: usize, h: usize, w: usize) -> Vec<QMap> {
+            let scale = self.scale();
+            (0..b)
+                .map(|_| {
+                    QMap::from_raw((0..c * h * w).map(|_| self.code()).collect(), c, h, w, scale)
+                })
+                .collect()
+        }
+    }
+
+    /// Plane shapes whose row and plane lengths straddle the vector widths:
+    /// 1, 7, 17 and 63 positions, as rows, columns and rectangles.
+    const PLANES: [(usize, usize); 7] = [(1, 1), (1, 7), (7, 1), (17, 1), (1, 17), (7, 9), (3, 21)];
+
+    /// A packed conv layer (`out_ch × in_ch`, quarter dense) on a small
+    /// array so the conv spans several tiles.
+    fn conv_fixture(
+        out_ch: usize,
+        in_ch: usize,
+        acc: AccumWidth,
+        rng: &mut Rng,
+    ) -> (TiledScheduler, DeployedLayer) {
+        let f = sparse_matrix(out_ch, in_ch, 0.4, rng.next());
+        let groups = group_columns(&f, &GroupingConfig::paper_default());
+        let weights = QuantPacked::quantize(&pack_columns(&f, &groups));
+        let sched = TiledScheduler::new(ArrayConfig::new(4, 4, acc));
+        let layer = DeployedLayer::PackedConv {
+            tiles: sched.prepare_packed(&weights),
+            weight_scale: rng.scale(),
+            channel_scale: (0..out_ch).map(|_| rng.scale() * 30.0).collect(),
+            channel_bias: (0..out_ch).map(|_| rng.scale() - 0.2).collect(),
+            relu: rng.next() & 1 == 0,
+            out_scale: rng.scale(),
+        };
+        (sched, layer)
+    }
+
+    /// What the old engine produced for a packed conv on `inputs`: the
+    /// `i64` kernel plane of the same data matrix through the old
+    /// per-element epilogue.
+    fn conv_oracle(layer: &DeployedLayer, inputs: &[QMap], sched: &TiledScheduler) -> Vec<Vec<i8>> {
+        let DeployedLayer::PackedConv {
+            tiles,
+            weight_scale,
+            channel_scale,
+            channel_bias,
+            relu,
+            out_scale,
+        } = layer
+        else {
+            panic!("conv fixture");
+        };
+        let (c, l, b) = (inputs[0].channels(), inputs[0].plane(), inputs.len());
+        let mut data = Vec::with_capacity(c * b * l);
+        for k in 0..c {
+            for m in inputs {
+                data.extend_from_slice(&m.as_slice()[k * l..(k + 1) * l]);
+            }
+        }
+        let data = QuantMatrix::from_raw(c, b * l, data, QuantParams::from_max_abs(1.0));
+        let plane = sched.run_prepared(tiles, &data).outputs;
+        (0..b)
+            .map(|bi| {
+                oracle::epilogue(
+                    &plane,
+                    (tiles.rows(), l, b, bi),
+                    weight_scale * inputs[0].scale(),
+                    channel_scale,
+                    channel_bias,
+                    *relu,
+                    *out_scale,
+                )
+            })
+            .collect()
+    }
+
+    fn maps_of(out: BatchOutput) -> Vec<QMap> {
+        match out {
+            BatchOutput::Maps(m) => m,
+            BatchOutput::Logits(_) => panic!("expected feature maps"),
+        }
+    }
+
+    #[test]
+    fn shift_matches_per_element_oracle_at_every_offset() {
+        let mut rng = Rng(1);
+        let mut pool = BufPool::default();
+        for (h, w) in PLANES.into_iter().chain([(63, 2), (16, 16)]) {
+            // In range, on the edge, just past it, and far past it, both
+            // signs, on both axes.
+            let (hi, wi) = (h as i64, w as i64);
+            let offsets = |n: i64| [0, 1, -1, n - 1, 1 - n, n, -n, n + 1, -n - 1, 127, -128];
+            let shifts: Vec<(i8, i8)> = offsets(hi)
+                .into_iter()
+                .flat_map(|dy| offsets(wi).into_iter().map(move |dx| (dy, dx)))
+                .filter(|(dy, dx)| (-128..=127).contains(dy) && (-128..=127).contains(dx))
+                .map(|(dy, dx)| (dy as i8, dx as i8))
+                .collect();
+            let input = rng.map(shifts.len(), h, w);
+            let out = run_shift(&shifts, &input, &mut pool);
+            assert_eq!(out.as_slice(), &oracle::shift(&shifts, &input)[..], "plane {h}x{w}");
+            assert_eq!(out.scale(), input.scale());
+            for (ci, &(dy, dx)) in shifts.iter().enumerate() {
+                if i64::from(dy).abs() >= hi || i64::from(dx).abs() >= wi {
+                    let channel = &out.as_slice()[ci * h * w..(ci + 1) * h * w];
+                    assert!(channel.iter().all(|&q| q == 0), "shift ({dy},{dx}) leaves nothing");
+                }
+            }
+            pool.recycle(out.into_raw());
+        }
+    }
+
+    /// Accumulator words through the epilogue against the old formula,
+    /// both ends of `i32` included.
+    #[test]
+    fn epilogue_words_match_round_clamp_cast() {
+        let mut rng = Rng(2);
+        for relu in [false, true] {
+            let acc: Vec<i32> = (0..200)
+                .map(|i| match i % 5 {
+                    0 => i32::MAX - (rng.next() % 3) as i32,
+                    1 => i32::MIN + (rng.next() % 3) as i32,
+                    2 => (rng.next() % 512) as i32 - 256,
+                    _ => rng.next() as i32 >> (rng.next() % 24),
+                })
+                .collect();
+            let (acc_scale, cs, cb, out_scale) =
+                (rng.scale() * 1e-3, rng.scale() * 30.0, rng.scale() - 0.2, rng.scale());
+            let out: Vec<i8> =
+                acc.iter().map(|&o| epilogue_word(o, acc_scale, cs, cb, relu, out_scale)).collect();
+            let wide: Vec<i64> = acc.iter().map(|&o| i64::from(o)).collect();
+            let dims = (1, acc.len(), 1, 0);
+            let want = oracle::epilogue(&wide, dims, acc_scale, &[cs], &[cb], relu, out_scale);
+            assert_eq!(out, want, "relu {relu}");
+        }
+    }
+
+    /// The epilogue on a tie lattice: output scales chosen so the quotient
+    /// lands within an ulp of `k + 0.5`, where a one-ulp difference in any
+    /// intermediate flips the activation. The three rewrites the module
+    /// docs rule out — reciprocal multiply, fused multiply-add,
+    /// pre-multiplied scales — must each *differ* from the oracle somewhere
+    /// on this lattice (so it can tell them apart), and the epilogue must
+    /// not.
+    #[test]
+    fn epilogue_keeps_its_float_operations_on_a_tie_lattice() {
+        let mut rng = Rng(6);
+        let (mut reciprocal, mut fused, mut premultiplied) = (0u32, 0u32, 0u32);
+        for _ in 0..4000 {
+            let o = (rng.next() % 60_000) as i32 + 1;
+            let (acc_scale, cs, cb) = (rng.scale() * 1e-2, rng.scale() * 30.0, rng.scale() - 0.2);
+            let centre = cs * (o as f32 * acc_scale) + cb;
+            let k = (rng.next() % 127) as f32;
+            let out_scale = centre.abs().max(1e-3) / (k + 0.5);
+            let acc = [o - 1, o, o + 1, -o, o];
+            let out = acc.map(|o| epilogue_word(o, acc_scale, cs, cb, false, out_scale));
+            let wide = acc.map(i64::from);
+            let dims = (1, 5, 1, 0);
+            let want = oracle::epilogue(&wide, dims, acc_scale, &[cs], &[cb], false, out_scale);
+            assert_eq!(out[..], want[..], "o {o} acc_scale {acc_scale} cs {cs} cb {cb} k {k}");
+
+            for (&o, &want) in acc.iter().zip(&want) {
+                let a = o as f32 * acc_scale;
+                let real = cs * a + cb;
+                reciprocal += u32::from(oracle::round_clamp_cast(real * (1.0 / out_scale)) != want);
+                fused += u32::from(oracle::round_clamp_cast(cs.mul_add(a, cb) / out_scale) != want);
+                let pre = (cs * acc_scale) * o as f32 + cb;
+                premultiplied += u32::from(oracle::round_clamp_cast(pre / out_scale) != want);
+            }
+        }
+        assert!(reciprocal > 0 && fused > 0 && premultiplied > 0, "lattice lost its teeth");
+    }
+
+    /// The residual add on its own tie lattice (see the epilogue's).
+    #[test]
+    fn residual_add_keeps_its_float_operations_on_a_tie_lattice() {
+        let mut rng = Rng(7);
+        let (mut reciprocal, mut fused) = (0u32, 0u32);
+        for _ in 0..4000 {
+            let (sb, ss) = (rng.scale(), rng.scale());
+            let body: Vec<i8> = (0..19).map(|_| rng.code()).collect();
+            let shortcut: Vec<i8> = (0..19).map(|_| rng.code()).collect();
+            let centre = body[0] as f32 * sb + shortcut[0] as f32 * ss;
+            let k = (rng.next() % 127) as f32;
+            let out_scale = centre.abs().max(1e-3) / (k + 0.5);
+            let mut out = [0i8; 19];
+            residual_add(&body, sb, &shortcut, ss, out_scale, &mut out);
+            let want = oracle::residual_add(
+                &QMap::from_raw(body.clone(), 19, 1, 1, sb),
+                &QMap::from_raw(shortcut.clone(), 19, 1, 1, ss),
+                out_scale,
+            );
+            assert_eq!(out[..], want[..], "sb {sb} ss {ss} out_scale {out_scale}");
+
+            for ((&b, &s), &want) in body.iter().zip(&shortcut).zip(&want) {
+                let real = b as f32 * sb + s as f32 * ss;
+                reciprocal += u32::from(oracle::round_clamp_cast(real * (1.0 / out_scale)) != want);
+                let fma = (b as f32).mul_add(sb, s as f32 * ss);
+                fused += u32::from(oracle::round_clamp_cast(fma / out_scale) != want);
+            }
+        }
+        assert!(reciprocal > 0 && fused > 0, "lattice lost its teeth");
+    }
+
+    #[test]
+    fn packed_conv_matches_oracle_at_every_batch_and_plane() {
+        let mut rng = Rng(3);
+        let mut scratch = ActivationScratch::new();
+        for acc in [AccumWidth::Bits32, AccumWidth::Bits16] {
+            for (h, w) in PLANES {
+                let (sched, layer) = conv_fixture(10, 13, acc, &mut rng);
+                for b in 1..=9 {
+                    let inputs = rng.batch(b, 13, h, w);
+                    let out = run_layer_batch_scratch(&layer, &inputs, &sched, &mut scratch);
+                    let got = maps_of(out);
+                    let want = conv_oracle(&layer, &inputs, &sched);
+                    assert_eq!(got.len(), b);
+                    for (bi, (g, want)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.as_slice(), &want[..], "{acc:?} {h}x{w} image {bi} of {b}");
+                        assert_eq!((g.channels(), g.height(), g.width()), (10, h, w));
+                    }
+                    scratch.recycle_batch(got);
+                }
+            }
+        }
+    }
+
+    /// Identity and downsampling residual blocks against the old merge:
+    /// oracle body activations, oracle pooled-and-padded shortcut, old
+    /// per-element add.
+    #[test]
+    fn residual_blocks_match_oracle_merge() {
+        let mut rng = Rng(4);
+        let mut scratch = ActivationScratch::new();
+        for (h, w) in [(2, 2), (3, 7), (7, 9), (6, 21), (17, 2)] {
+            for b in [1usize, 2, 5, 9] {
+                let c = 6;
+                let inputs = rng.batch(b, c, h, w);
+                let shifts: Vec<(i8, i8)> =
+                    (0..c).map(|i| ((i % 3) as i8 - 1, (i / 3) as i8 - 1)).collect();
+
+                // Identity: the shortcut is the block input itself.
+                let out_scale = rng.scale();
+                let identity = DeployedLayer::Residual {
+                    body: vec![
+                        DeployedLayer::Shift { shifts: shifts.clone() },
+                        DeployedLayer::Relu,
+                    ],
+                    downsample: false,
+                    out_channels: c,
+                    out_scale,
+                };
+                let sched = TiledScheduler::new(ArrayConfig::new(4, 4, AccumWidth::Bits32));
+                let out = run_layer_batch_scratch(&identity, &inputs, &sched, &mut scratch);
+                let got = maps_of(out);
+                for (g, input) in got.iter().zip(&inputs) {
+                    let shifted = oracle::shift(&shifts, input);
+                    let body = QMap::from_raw(
+                        shifted.iter().map(|&q| q.max(0)).collect(),
+                        c,
+                        h,
+                        w,
+                        input.scale(),
+                    );
+                    let want = oracle::residual_add(&body, input, out_scale);
+                    assert_eq!(g.as_slice(), &want[..], "identity {h}x{w} batch {b}");
+                    assert_eq!(g.scale(), out_scale);
+                }
+                scratch.recycle_batch(got);
+
+                // Downsampling: pool, widen 6 → 10 channels through a
+                // packed conv; the shortcut is pooled and zero-padded.
+                let (sched, conv) = conv_fixture(10, c, AccumWidth::Bits32, &mut rng);
+                let block = DeployedLayer::Residual {
+                    body: vec![DeployedLayer::AvgPool, conv.clone()],
+                    downsample: true,
+                    out_channels: 10,
+                    out_scale,
+                };
+                let got = maps_of(run_layer_batch_scratch(&block, &inputs, &sched, &mut scratch));
+                let pooled: Vec<QMap> = inputs.iter().map(oracle::avgpool).collect();
+                let bodies = conv_oracle(&conv, &pooled, &sched);
+                let DeployedLayer::PackedConv { out_scale: body_scale, .. } = conv else {
+                    panic!("conv fixture");
+                };
+                for ((g, p), body) in got.iter().zip(&pooled).zip(bodies) {
+                    let (oh, ow) = (h / 2, w / 2);
+                    let mut padded = p.as_slice().to_vec();
+                    padded.resize(10 * oh * ow, 0);
+                    let shortcut = QMap::from_raw(padded, 10, oh, ow, p.scale());
+                    let body = QMap::from_raw(body, 10, oh, ow, body_scale);
+                    let want = oracle::residual_add(&body, &shortcut, out_scale);
+                    assert_eq!(g.as_slice(), &want[..], "downsample {h}x{w} batch {b}");
+                    assert_eq!((g.channels(), g.height(), g.width()), (10, oh, ow));
+                }
+                scratch.recycle_batch(got);
+            }
+        }
+    }
+
+    #[test]
+    fn pools_and_linear_match_per_element_oracles() {
+        let mut rng = Rng(5);
+        let mut pool = BufPool::default();
+        for (h, w) in PLANES.into_iter().chain([(2, 2), (5, 5), (8, 63), (16, 16)]) {
+            let input = rng.map(5, h, w);
+            let pooled = run_avgpool(&input, &mut pool);
+            assert_eq!(pooled, oracle::avgpool(&input), "avgpool {h}x{w}");
+            let global = run_global_pool(&input, &mut pool);
+            assert_eq!(global.as_slice(), &oracle::global_pool(&input)[..], "global pool {h}x{w}");
+            assert_eq!((global.channels(), global.plane()), (5, 1));
+
+            let feat = 5 * h * w;
+            let weights = QuantMatrix::from_raw(
+                3,
+                feat,
+                (0..3 * feat).map(|_| rng.code()).collect(),
+                QuantParams::from_max_abs(1.0),
+            );
+            let bias = [rng.scale(), -rng.scale(), 0.0];
+            let logits = run_linear(&weights, 0.01, &bias, &input);
+            let want = oracle::linear(&weights, 0.01, &bias, &input);
+            assert!(
+                logits.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "linear {h}x{w}: {logits:?} vs {want:?}"
+            );
+        }
+    }
 
     fn map_from(vals: &[f32], c: usize, h: usize, w: usize) -> QMap {
         let t = Tensor::from_vec(Shape::d3(c, h, w), vals.to_vec());

@@ -5,12 +5,13 @@
 //! fixed-size buffer demands per inference (the network and batch shape
 //! don't change between requests). [`ActivationScratch`] exploits that: a
 //! best-fit free list of activation buffers (`Vec<i8>`) plus the systolic
-//! kernel's [`RunScratch`]. Layers draw output buffers from the pool and
-//! the staged executor returns each layer's inputs to it as soon as the
-//! next layer has consumed them — a ping-pong through the pool — so after
-//! a warm-up inference the pool serves every request and the hot path
-//! performs no steady-state heap allocation. Serving workers and pipeline
-//! stages each own one long-lived scratch.
+//! kernel's [`RunScratch`] (its `i32` accumulator plane is what the
+//! engine's quantizer epilogue reads). Layers draw output buffers from the
+//! pool and the staged executor returns each layer's inputs to it as soon
+//! as the next layer has consumed them — a ping-pong through the pool — so
+//! after a warm-up inference the pool serves every request and the hot
+//! path performs no steady-state heap allocation. Serving workers and
+//! pipeline stages each own one long-lived scratch.
 //!
 //! The pool's counters ([`ActivationScratch::buffer_allocations`] /
 //! [`ActivationScratch::buffer_reuses`]) make that property testable: in

@@ -22,7 +22,11 @@
 //! `exact_bitserial` dispatch hoisted out of the inner loop — that writes
 //! into a caller-owned [`RunScratch`] and assembles [`SimStats`] by
 //! O(tiles) addition, with zero allocations once the scratch has warmed
-//! up. The original per-call path survives as
+//! up. The scratch's output plane is `i32`: an [`AccumWidth`] is at most
+//! 32 bits, so every wrapped accumulator word fits, the 32-bit lane
+//! kernel accumulates straight into the plane (no second plane, no
+//! widening pass), and the engine's quantizer reads four-byte words. The
+//! original per-call path survives as
 //! [`TiledScheduler::run_packed_reference`], the bit-exactness baseline
 //! for tests and benchmarks.
 //!
@@ -252,7 +256,8 @@ impl TiledScheduler {
     pub fn run_prepared(&self, p: &PreparedPacked, d: &QuantMatrix) -> TiledRun {
         let mut scratch = RunScratch::new();
         let stats = self.run_prepared_with(p, d, &mut scratch);
-        TiledRun { outputs: scratch.take_outputs(), stats, tiles: p.tiles.len() }
+        let outputs = scratch.take_outputs().into_iter().map(i64::from).collect();
+        TiledRun { outputs, stats, tiles: p.tiles.len() }
     }
 
     /// The allocation-free kernel: multiplies pre-lowered packed tiles by
@@ -289,11 +294,12 @@ impl TiledScheduler {
         lane.stats
     }
 
-    /// Runs only `band`'s tiles against `d`, widening the band's output
-    /// rows into `out` — the `band.rows()` row slice of the full output
+    /// Runs only `band`'s tiles against `d`, leaving the band's output
+    /// rows in `out` — the `band.rows()` row slice of the full output
     /// plane (`band` rows × `d.cols()` accumulator words). `scratch`
-    /// supplies the native accumulator lanes only; reusing one per shard
-    /// keeps repeated band runs allocation-free. The *outputs* are
+    /// supplies the 16-bit accumulator lanes only (32-bit lanes are the
+    /// plane itself); reusing one per shard keeps repeated band runs
+    /// allocation-free. The *outputs* are
     /// bit-identical regardless of `geom` (the shared base op list is what
     /// executes); the returned [`SimStats`] model *this band's array
     /// alone*, its prepared tiles re-tiled into `geom`-sized physical
@@ -307,7 +313,7 @@ impl TiledScheduler {
         band: &RowBand,
         geom: ArrayGeometry,
         d: &QuantMatrix,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut RunScratch,
         scalar: bool,
     ) -> SimStats {
@@ -320,19 +326,27 @@ impl TiledScheduler {
 
         // The exact-bitserial dispatch happens once per run, not once per
         // MAC; the fast paths further specialize to the accumulator's
-        // native lane width so per-MAC wrapping is free.
-        if self.cfg.exact_bitserial {
-            out.fill(0);
-            let mut sweep = ExactSweep { data, l, acc: self.cfg.acc, out };
-            walk_band(tiles, band.rows.start, l, &mut sweep);
-        } else {
-            match self.cfg.acc {
-                AccumWidth::Bits32 => run_band_lanes::<i32>(
-                    tiles, band.rows.start, data, l, &mut scratch.lane32, out, scalar,
-                ),
-                AccumWidth::Bits16 => run_band_lanes::<i16>(
-                    tiles, band.rows.start, data, l, &mut scratch.lane16, out, scalar,
-                ),
+        // native lane width so per-MAC wrapping is free. 32-bit lanes are
+        // the output plane itself; 16-bit lanes sweep their own plane and
+        // sign-extend into it.
+        let row0 = band.rows.start;
+        match (self.cfg.exact_bitserial, self.cfg.acc) {
+            (true, acc) => {
+                out.fill(0);
+                walk_band(tiles, row0, l, &mut ExactSweep { data, l, acc, out });
+            }
+            (false, AccumWidth::Bits32) => {
+                out.fill(0);
+                sweep_lanes(tiles, row0, data, l, out, scalar);
+            }
+            (false, AccumWidth::Bits16) => {
+                let plane = &mut scratch.lane16;
+                plane.clear();
+                plane.resize(out.len(), 0);
+                sweep_lanes(tiles, row0, data, l, plane, scalar);
+                for (o, &v) in out.iter_mut().zip(plane.iter()) {
+                    *o = i32::from(v);
+                }
             }
         }
         // Stats are O(physical tiles) arithmetic over the prepared
@@ -438,8 +452,8 @@ impl TiledScheduler {
 
         let l = d.cols();
         // The output plane moves out of the scratch for the duration of
-        // the run so the band kernels can borrow the lane planes mutably
-        // alongside it; capacity is preserved, so this stays
+        // the run so the band kernels can borrow each scratch's lane plane
+        // mutably alongside it; capacity is preserved, so this stays
         // allocation-free once warm. Stale contents are fine — every band
         // kernel fully overwrites (or re-zeroes) its row slice — so at a
         // steady-state size the resize is a no-op, not a memset.
@@ -479,7 +493,7 @@ impl TiledScheduler {
         p: &PreparedPacked,
         band: &RowBand,
         d: &QuantMatrix,
-        out: &mut [i64],
+        out: &mut [i32],
         scratch: &mut RunScratch,
         lane: &mut BandLane,
     ) {
@@ -845,14 +859,15 @@ impl PreparedPacked {
 }
 
 /// Reusable output storage for [`TiledScheduler::run_prepared_with`]: the
-/// `i64` accumulator plane handed back to callers plus the native-width
-/// lane planes the fast kernels accumulate in. Hold one per worker (or per
-/// pipeline stage) and reuse it across inferences — after the first call
-/// at a given size, runs perform no heap allocation.
+/// `i32` accumulator plane handed back to callers — wide enough for every
+/// [`AccumWidth`], and the plane the 32-bit lane kernel accumulates in —
+/// plus the `i16` lane plane the 16-bit kernel sweeps before sign-extending
+/// into it. Hold one per worker (or per pipeline stage) and reuse it across
+/// inferences — after the first call at a given size, runs perform no heap
+/// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct RunScratch {
-    out: Vec<i64>,
-    lane32: Vec<i32>,
+    out: Vec<i32>,
     lane16: Vec<i16>,
 }
 
@@ -863,14 +878,15 @@ impl RunScratch {
     }
 
     /// Output accumulator words of the last run, row-major
-    /// `weight_rows × data_cols`.
-    pub fn outputs(&self) -> &[i64] {
+    /// `weight_rows × data_cols`, each already wrapped to the array's
+    /// [`AccumWidth`].
+    pub fn outputs(&self) -> &[i32] {
         &self.out
     }
 
     /// Moves the last run's outputs out of the scratch (leaving it empty
     /// but with its lane capacity intact).
-    pub fn take_outputs(&mut self) -> Vec<i64> {
+    pub fn take_outputs(&mut self) -> Vec<i32> {
         std::mem::take(&mut self.out)
     }
 }
@@ -880,32 +896,20 @@ impl RunScratch {
 /// running value always fits the lane and the product never wraps
 /// (|w·x| ≤ 2¹⁴ < 2¹⁵ − 1).
 trait Lane: Copy {
-    const ZERO: Self;
     fn mac(self, w: i8, x: i8) -> Self;
-    fn widen(self) -> i64;
 }
 
 impl Lane for i32 {
-    const ZERO: Self = 0;
     #[inline(always)]
     fn mac(self, w: i8, x: i8) -> Self {
         self.wrapping_add(w as i32 * x as i32)
     }
-    #[inline(always)]
-    fn widen(self) -> i64 {
-        self as i64
-    }
 }
 
 impl Lane for i16 {
-    const ZERO: Self = 0;
     #[inline(always)]
     fn mac(self, w: i8, x: i8) -> Self {
         self.wrapping_add(w as i16 * x as i16)
-    }
-    #[inline(always)]
-    fn widen(self) -> i64 {
-        self as i64
     }
 }
 
@@ -1016,12 +1020,13 @@ impl<L: Lane> BandVisitor for ScalarSweep<'_, L> {
 }
 
 /// The validation kernel: identical sweep, but every MAC runs the
-/// bit-level datapath ([`BitSerialMac`]) on the `i64` plane directly.
+/// bit-level datapath ([`BitSerialMac`]) on the output plane directly (the
+/// datapath's wrapped `i64` result fits the plane's `i32` words).
 struct ExactSweep<'a> {
     data: &'a [i8],
     l: usize,
     acc: AccumWidth,
-    out: &'a mut [i64],
+    out: &'a mut [i32],
 }
 
 impl BandVisitor for ExactSweep<'_> {
@@ -1032,35 +1037,26 @@ impl BandVisitor for ExactSweep<'_> {
             let mac = BitSerialMac::new(op.weight, self.acc);
             let stream = &self.data[op.channel as usize * l..op.channel as usize * l + l];
             for (y, &x) in row.iter_mut().zip(stream) {
-                *y = mac.run(x, *y).0;
+                *y = mac.run(x, i64::from(*y)).0 as i32;
             }
         }
     }
 }
 
-/// Runs one of the native-lane kernels over a band: resize the lane
-/// plane, sweep (batch-major by default, the scalar baseline on demand),
-/// widen into the caller's `i64` slice.
-fn run_band_lanes<L: Lane>(
+/// Runs one of the native-lane kernels over a band's zeroed plane:
+/// batch-major by default, the scalar baseline on demand.
+fn sweep_lanes<L: Lane>(
     tiles: &[PreparedTile],
     row0: usize,
     data: &[i8],
     l: usize,
-    plane: &mut Vec<L>,
-    out: &mut [i64],
+    plane: &mut [L],
     scalar: bool,
 ) {
-    plane.clear();
-    plane.resize(out.len(), L::ZERO);
     if scalar {
-        let mut sweep = ScalarSweep { data, l, plane };
-        walk_band(tiles, row0, l, &mut sweep);
+        walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane });
     } else {
-        let mut sweep = LaneSweep { data, l, plane };
-        walk_band(tiles, row0, l, &mut sweep);
-    }
-    for (o, v) in out.iter_mut().zip(plane.iter()) {
-        *o = v.widen();
+        walk_band(tiles, row0, l, &mut LaneSweep { data, l, plane });
     }
 }
 
@@ -1320,9 +1316,10 @@ mod tests {
                         let d = QuantMatrix::quantize(&sparse_matrix(66, 9, 1.0, seed));
                         let reference = sched.run_packed_reference(&qp, &d);
                         let stats = sched.run_prepared_with(&prepared, &d, &mut scratch);
+                        let outputs: Vec<i64> =
+                            scratch.outputs().iter().map(|&o| i64::from(o)).collect();
                         assert_eq!(
-                            scratch.outputs(),
-                            &reference.outputs[..],
+                            outputs, reference.outputs,
                             "outputs diverged: acc {acc:?} cell {cell:?} exact {exact}"
                         );
                         assert_eq!(

@@ -6,6 +6,15 @@
 //! implements that scheme exactly so the cycle-level simulator in
 //! `cc-systolic` can be validated bit-for-bit against integer reference
 //! arithmetic.
+//!
+//! Every float → 8-bit conversion in the workspace goes through one
+//! function, [`requantize`]: round half away from zero, saturate at ±127.
+//! It is written without `f32::round` (a `roundf` libcall per word on
+//! baseline x86-64, which has no SSE4.1 `roundps`) and without branches, so
+//! a slice loop over it autovectorises (the deployed engine's residual add
+//! is one) — and it is *exactly* the libcall formula on all 2³² bit
+//! patterns, which the tests below check (sampled by default, exhaustively
+//! under `--ignored`).
 
 use crate::matrix::Matrix;
 
@@ -88,9 +97,9 @@ impl QuantParams {
     }
 
     /// Quantizes a real value to `i8`, saturating at ±127.
+    #[inline]
     pub fn quantize(&self, v: f32) -> i8 {
-        let q = (v / self.scale).round();
-        q.clamp(-127.0, 127.0) as i8
+        requantize(v / self.scale)
     }
 
     /// Dequantizes an `i8` back to a real value.
@@ -102,6 +111,41 @@ impl QuantParams {
     pub fn quantize_slice(&self, data: &[f32]) -> Vec<i8> {
         data.iter().map(|&v| self.quantize(v)).collect()
     }
+}
+
+/// The quantizer block's rounding: `x` (already divided by the output
+/// scale) to the nearest integer, halves away from zero, saturated to
+/// `[-127, 127]`; NaN maps to 0. Bit-for-bit the `f32::round` →
+/// `clamp(-127.0, 127.0)` → `as i8` chain for every `f32`, but branch-free
+/// and libcall-free so a loop over it vectorises.
+///
+/// Clamping first is safe because the bounds are integers (round and clamp
+/// commute there). Adding 1.5·2²³ then leaves the clamped value rounded to
+/// an integer — ties to *even* — in the low mantissa bits; the exact
+/// residual tells a tie that went toward zero from everything else, and
+/// those ties take one step away from zero.
+///
+/// # Examples
+///
+/// ```
+/// use cc_tensor::quant::requantize;
+/// assert_eq!(requantize(2.5), 3);
+/// assert_eq!(requantize(-2.5), -3);
+/// assert_eq!(requantize(0.49999997), 0);
+/// assert_eq!(requantize(1e9), 127);
+/// assert_eq!(requantize(f32::NAN), 0);
+/// ```
+#[inline]
+pub fn requantize(x: f32) -> i8 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³: one ulp is 1.0
+    let x = if x.is_nan() { 0.0 } else { x };
+    let c = x.clamp(-127.0, 127.0);
+    let m = c + MAGIC;
+    let even = (m.to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    let diff = c - (m - MAGIC); // exact, in [-0.5, 0.5]
+    let up = ((diff == 0.5) & (c > 0.0)) as i32;
+    let down = ((diff == -0.5) & (c < 0.0)) as i32;
+    (even + up - down) as i8
 }
 
 /// An 8-bit quantized matrix plus its scale, as loaded into a systolic array.
@@ -256,6 +300,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The formula [`requantize`] replaced, kept literally as its oracle.
+    fn round_clamp_cast(x: f32) -> i8 {
+        x.round().clamp(-127.0, 127.0) as i8
+    }
+
+    fn assert_requantize_matches(bits: u32) {
+        let x = f32::from_bits(bits);
+        assert_eq!(requantize(x), round_clamp_cast(x), "x = {x:e} (bits {bits:#010x})");
+    }
+
+    /// Every 251st bit pattern (251 is prime, so the stride visits every
+    /// exponent and both signs, NaN payloads included), plus the places a
+    /// rounding rewrite goes wrong: each half-integer across the saturation
+    /// bounds with the floats on either side of it, zeros, infinities,
+    /// subnormals and NaNs of both signs.
+    #[test]
+    fn requantize_matches_round_clamp_cast_on_sampled_and_edge_patterns() {
+        for bits in (0..=u32::MAX).step_by(251) {
+            assert_requantize_matches(bits);
+        }
+        for k in -130i32..=130 {
+            for half in [k as f32 - 0.5, k as f32, k as f32 + 0.5] {
+                for bits in [half.to_bits().wrapping_sub(1), half.to_bits(), half.to_bits() + 1] {
+                    assert_requantize_matches(bits);
+                }
+            }
+        }
+        let specials = [
+            0.0f32,
+            f32::INFINITY,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0x7fff_ffff),
+            0.49999997,
+            0.5,
+            8388608.5,
+            12582912.0,
+        ];
+        for x in specials {
+            assert_requantize_matches(x.to_bits());
+            assert_requantize_matches((-x).to_bits());
+        }
+    }
+
+    /// All 2³² bit patterns; ≈ 20 s in release, so CI runs it as its own
+    /// step: `cargo test --release -p cc-tensor -- --ignored requantize`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run in release"]
+    fn requantize_matches_round_clamp_cast_on_every_bit_pattern() {
+        let mismatches = (0..=u32::MAX)
+            .filter(|&bits| {
+                let x = f32::from_bits(bits);
+                requantize(x) != round_clamp_cast(x)
+            })
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

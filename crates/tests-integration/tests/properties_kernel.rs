@@ -19,6 +19,11 @@ use cc_tensor::init::sparse_matrix;
 use cc_tensor::quant::{quant_matmul, AccumWidth, QuantMatrix, QuantParams};
 use proptest::prelude::*;
 
+/// The scratch's `i32` accumulator plane as the oracles' `i64` words.
+fn widened(scratch: &RunScratch) -> Vec<i64> {
+    scratch.outputs().iter().map(|&o| i64::from(o)).collect()
+}
+
 proptest! {
     // Cases and RNG stream are pinned so CI failures replay exactly.
     #![proptest_config(ProptestConfig::with_cases(24).with_rng_seed(0xA5_1305_0004))]
@@ -67,8 +72,8 @@ proptest! {
         for round in 0..2 {
             let stats = sched.run_prepared_with(&prepared, &d, &mut scratch);
             prop_assert_eq!(
-                scratch.outputs(),
-                &reference.outputs[..],
+                &widened(&scratch),
+                &reference.outputs,
                 "kernel outputs diverged on round {}",
                 round
             );
@@ -131,6 +136,6 @@ proptest! {
         prop_assert_eq!(lane_stats, scalar_stats, "lane stats diverged at batch {}", batch);
 
         let q_pruned = QuantMatrix::quantize_with(&packed.unpack(), params);
-        prop_assert_eq!(lane.outputs(), &quant_matmul(&q_pruned, &d, acc)[..]);
+        prop_assert_eq!(widened(&lane), quant_matmul(&q_pruned, &d, acc));
     }
 }

@@ -80,6 +80,11 @@ fn random_fleet(shards: usize, gseed: u64) -> Vec<ArrayGeometry> {
         .collect()
 }
 
+/// The scratch's `i32` accumulator plane as the oracles' `i64` words.
+fn widened(scratch: &RunScratch) -> Vec<i64> {
+    scratch.outputs().iter().map(|&o| i64::from(o)).collect()
+}
+
 proptest! {
     // Cases and RNG stream are pinned so CI failures replay exactly.
     #![proptest_config(ProptestConfig::with_cases(16).with_rng_seed(0xA5_1305_0005))]
@@ -308,7 +313,7 @@ proptest! {
         prop_assert_eq!(&indexed.outputs, &gemm, "indexed path diverged from the i64 GEMM");
         let mut unsharded = RunScratch::new();
         let ref_stats = sched.run_prepared_with(&prepared, &d, &mut unsharded);
-        prop_assert_eq!(unsharded.outputs(), &gemm[..], "unsharded kernel diverged");
+        prop_assert_eq!(&widened(&unsharded), &gemm, "unsharded kernel diverged");
         prop_assert_eq!(ref_stats, indexed.stats, "unsharded stats diverged");
 
         let (fleet, plan) = if mixed_fleet {
@@ -322,7 +327,7 @@ proptest! {
         let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
         let mut lanes: Vec<BandLane> = fleet.iter().copied().map(BandLane::new).collect();
         sched.run_bands(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes);
-        prop_assert_eq!(primary.outputs(), &gemm[..], "scatter diverged from the i64 GEMM");
+        prop_assert_eq!(&widened(&primary), &gemm, "scatter diverged from the i64 GEMM");
 
         let ran = &lanes[..plan.len()];
         prop_assert!(ran.iter().all(|lane| lane.outcome == BandOutcome::Ran));

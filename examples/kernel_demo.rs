@@ -33,7 +33,8 @@ fn main() {
 
     let reference = sched.run_packed_reference(&qp, &d);
     let stats = sched.run_prepared_with(&prepared, &d, &mut run_scratch);
-    assert_eq!(run_scratch.outputs(), &reference.outputs[..], "kernel outputs must match");
+    let outputs: Vec<i64> = run_scratch.outputs().iter().map(|&o| i64::from(o)).collect();
+    assert_eq!(outputs, reference.outputs, "kernel outputs must match");
     assert_eq!(stats, reference.stats, "kernel stats must match");
     println!(
         "kernel bit-identity: {} outputs, {} MAC ops — identical across paths\n",
