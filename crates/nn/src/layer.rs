@@ -178,42 +178,33 @@ impl ResidualBlock {
         if training {
             self.cache_in_shape = Some(x.shape());
         }
-        let mut h = x.clone();
-        for layer in &mut self.body {
-            h = layer.forward(&h, training);
+        let mut h = forward_chain(&mut self.body, x, training);
+        if self.downsample {
+            let pooled = self.shortcut_pool.forward(x, training);
+            add_shortcut(&mut h, &pad_channels(&pooled, self.out_channels));
+        } else {
+            add_shortcut(&mut h, x);
         }
-        let shortcut = self.shortcut(x, training);
-        assert_eq!(h.shape(), shortcut.shape(), "residual add shape mismatch");
-        h.axpy(1.0, &shortcut);
         h
-    }
-
-    fn shortcut(&mut self, x: &Tensor, training: bool) -> Tensor {
-        if !self.downsample {
-            return x.clone();
-        }
-        let pooled = self.shortcut_pool.forward(x, training);
-        pad_channels(&pooled, self.out_channels)
     }
 
     /// Backward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let in_shape = self.cache_in_shape.take().expect("backward before forward");
-        // Body path.
-        let mut g = grad_out.clone();
-        for layer in self.body.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        // Shortcut path.
-        let mut g_short = if self.downsample {
-            let unpadded = unpad_channels(grad_out, self.in_channels);
-            self.shortcut_pool.backward(&unpadded)
-        } else {
-            grad_out.clone()
-        };
+        let mut g = backward_chain(&mut self.body, grad_out);
         assert_eq!(g.shape(), in_shape, "body gradient shape mismatch");
-        g_short.axpy(1.0, &g);
-        g_short
+        let pooled_grad;
+        let g_short = if self.downsample {
+            pooled_grad = self.shortcut_pool.backward(&unpad_channels(grad_out, self.in_channels));
+            &pooled_grad
+        } else {
+            grad_out
+        };
+        // shortcut gradient + body gradient, in that operand order
+        for (gv, s) in g.as_mut_slice().iter_mut().zip(g_short.as_slice()) {
+            *gv = s + 1.0 * *gv;
+        }
+        g
     }
 
     /// Visits trainable parameters in the body.
@@ -236,6 +227,36 @@ impl ResidualBlock {
             layer.visit_pointwise_ref(f);
         }
     }
+}
+
+/// Runs `layers` front to back on `x`.
+pub(crate) fn forward_chain(layers: &mut [LayerKind], x: &Tensor, training: bool) -> Tensor {
+    let Some((first, rest)) = layers.split_first_mut() else {
+        return x.clone();
+    };
+    let mut h = first.forward(x, training);
+    for layer in rest {
+        h = layer.forward(&h, training);
+    }
+    h
+}
+
+/// Runs `layers` back to front on the gradient of their output.
+pub(crate) fn backward_chain(layers: &mut [LayerKind], grad_out: &Tensor) -> Tensor {
+    let Some((last, rest)) = layers.split_last_mut() else {
+        return grad_out.clone();
+    };
+    let mut g = last.backward(grad_out);
+    for layer in rest.iter_mut().rev() {
+        g = layer.backward(&g);
+    }
+    g
+}
+
+/// `h += shortcut`, the residual add.
+fn add_shortcut(h: &mut Tensor, shortcut: &Tensor) {
+    assert_eq!(h.shape(), shortcut.shape(), "residual add shape mismatch");
+    h.axpy(1.0, shortcut);
 }
 
 /// Zero-pads channels of an NCHW tensor up to `out_channels`.

@@ -1,6 +1,6 @@
 //! Per-channel batch normalization with a hand-written backward pass.
 
-use crate::layers::pointwise::dims4;
+use crate::layers::pointwise::{block, block_mut, dims4};
 use crate::param::Param;
 use cc_tensor::{Shape, Tensor};
 
@@ -97,31 +97,31 @@ impl BatchNorm {
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
         let (b, c, h, w) = dims4(x);
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
-        let plane = b * h * w;
         let hw = h * w;
-        let mut out = Tensor::zeros(x.shape());
+        let count = (b * hw) as f32;
+        let xs = x.as_slice();
 
         let (mean, var) = if training {
+            // Each channel's sums run in (image, pixel) order.
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
             for ci in 0..c {
                 let mut s = 0.0;
                 for bi in 0..b {
-                    let base = (bi * c + ci) * hw;
-                    for i in 0..hw {
-                        s += x.as_slice()[base + i];
+                    for v in block(xs, bi * c + ci, hw) {
+                        s += v;
                     }
                 }
-                mean[ci] = s / plane as f32;
+                let mu = s / count;
                 let mut v = 0.0;
                 for bi in 0..b {
-                    let base = (bi * c + ci) * hw;
-                    for i in 0..hw {
-                        let d = x.as_slice()[base + i] - mean[ci];
+                    for xv in block(xs, bi * c + ci, hw) {
+                        let d = xv - mu;
                         v += d * d;
                     }
                 }
-                var[ci] = v / plane as f32;
+                mean[ci] = mu;
+                var[ci] = v / count;
             }
             for ci in 0..c {
                 self.running_mean[ci] =
@@ -135,17 +135,19 @@ impl BatchNorm {
         };
 
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        let mut out = Tensor::zeros(x.shape());
         let mut x_hat = Tensor::zeros(x.shape());
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * hw;
-                let g = self.gamma.value[ci];
-                let bt = self.beta.value[ci];
-                for i in 0..hw {
-                    let xh = (x.as_slice()[base + i] - mean[ci]) * inv_std[ci];
-                    x_hat.as_mut_slice()[base + i] = xh;
-                    out.as_mut_slice()[base + i] = g * xh + bt;
-                }
+        let planes = xs
+            .chunks(hw.max(1))
+            .zip(x_hat.as_mut_slice().chunks_mut(hw.max(1)))
+            .zip(out.as_mut_slice().chunks_mut(hw.max(1)));
+        for (plane, ((src, xh_plane), out_plane)) in planes.enumerate() {
+            let ci = plane % c;
+            let (mu, istd) = (mean[ci], inv_std[ci]);
+            let (g, bt) = (self.gamma.value[ci], self.beta.value[ci]);
+            for ((xv, xh), o) in src.iter().zip(xh_plane).zip(out_plane) {
+                *xh = (xv - mu) * istd;
+                *o = g * *xh + bt;
             }
         }
 
@@ -164,33 +166,30 @@ impl BatchNorm {
         let cache = self.cache.take().expect("backward before forward");
         let (b, c, h, w) = dims4(grad_out);
         let hw = h * w;
-        let plane = (b * hw) as f32;
+        let count = (b * hw) as f32;
+        let (dys, xhs) = (grad_out.as_slice(), cache.x_hat.as_slice());
         let mut dx = Tensor::zeros(grad_out.shape());
 
         for ci in 0..c {
-            // Accumulate per-channel reductions.
+            // Per-channel reductions, in (image, pixel) order.
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
             for bi in 0..b {
-                let base = (bi * c + ci) * hw;
-                for i in 0..hw {
-                    let dy = grad_out.as_slice()[base + i];
+                let p = bi * c + ci;
+                for (dy, xh) in block(dys, p, hw).iter().zip(block(xhs, p, hw)) {
                     sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.as_slice()[base + i];
+                    sum_dy_xhat += dy * xh;
                 }
             }
             self.beta.grad[ci] += sum_dy;
             self.gamma.grad[ci] += sum_dy_xhat;
 
-            let g = self.gamma.value[ci];
-            let istd = cache.inv_std[ci];
+            let scale = self.gamma.value[ci] * cache.inv_std[ci];
             for bi in 0..b {
-                let base = (bi * c + ci) * hw;
-                for i in 0..hw {
-                    let dy = grad_out.as_slice()[base + i];
-                    let xh = cache.x_hat.as_slice()[base + i];
-                    dx.as_mut_slice()[base + i] =
-                        g * istd * (dy - sum_dy / plane - xh * sum_dy_xhat / plane);
+                let p = bi * c + ci;
+                let terms = block(dys, p, hw).iter().zip(block(xhs, p, hw));
+                for (o, (dy, xh)) in block_mut(dx.as_mut_slice(), p, hw).iter_mut().zip(terms) {
+                    *o = scale * (dy - sum_dy / count - xh * sum_dy_xhat / count);
                 }
             }
         }

@@ -8,6 +8,7 @@
 //! within the same framework.
 
 use crate::layers::pointwise::dims4;
+use crate::layers::shift::shifted_span;
 use crate::param::Param;
 use cc_tensor::{init, matmul, transpose, Matrix, Shape, Tensor};
 
@@ -22,7 +23,7 @@ pub struct Conv3x3 {
 }
 
 const K: usize = 3;
-const PAD: i64 = 1;
+const PAD: i8 = 1;
 
 impl Conv3x3 {
     /// Creates a Kaiming-initialized 3×3 convolution.
@@ -85,12 +86,7 @@ impl Conv3x3 {
         let g = crate::layers::pointwise::to_data_matrix(grad_out); // N × BHW
 
         let dw = matmul(&g, &transpose(&col));
-        self.weight.grad.axpy(1.0, dw.as_tensor());
-        if let Some(mask) = &self.weight.mask {
-            for (gv, mv) in self.weight.grad.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-                *gv *= mv;
-            }
-        }
+        self.weight.accumulate_grad(dw.as_tensor());
 
         let f = Matrix::from_tensor(self.weight.value.clone());
         let dcol = matmul(&transpose(&f), &g); // (M*9) × BHW
@@ -103,73 +99,56 @@ impl Conv3x3 {
     }
 }
 
+/// Calls `f(row, col_at, img_at, len)` for every in-frame row segment of
+/// every tap, in im2col row order: the `len` values from column `col_at` of
+/// im2col row `row` (`m·9 + ky·3 + kx`) are the `len` tensor elements from
+/// `img_at`. Tap `(ky, kx)` is the image shifted by `(PAD − ky, PAD − kx)`.
+fn for_each_tap_segment(
+    (b, m, h, w): (usize, usize, usize, usize),
+    mut f: impl FnMut(usize, usize, usize, usize),
+) {
+    for bi in 0..b {
+        for mi in 0..m {
+            for ky in 0..K {
+                for kx in 0..K {
+                    let row = mi * K * K + ky * K + kx;
+                    let xs = shifted_span(PAD - kx as i8, w);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let sx = xs.start + kx - PAD as usize;
+                    for y in shifted_span(PAD - ky as i8, h) {
+                        let sy = y + ky - PAD as usize;
+                        let (col_at, img_at) = ((bi * h + y) * w, ((bi * m + mi) * h + sy) * w);
+                        f(row, col_at + xs.start, img_at + sx, xs.len());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// im2col for 3×3 / stride 1 / pad 1: row `(m·9 + ky·3 + kx)`, column
 /// `(b·H·W + y·W + x)` holds `x[b, m, y+ky−1, x+kx−1]` (zero outside).
 pub fn im2col(x: &Tensor) -> Matrix {
     let (b, m, h, w) = dims4(x);
     let mut col = Matrix::zeros(m * K * K, b * h * w);
-    for bi in 0..b {
-        for mi in 0..m {
-            for ky in 0..K {
-                for kx in 0..K {
-                    let row = mi * K * K + ky * K + kx;
-                    for y in 0..h as i64 {
-                        let sy = y + ky as i64 - PAD;
-                        if sy < 0 || sy >= h as i64 {
-                            continue;
-                        }
-                        for xx in 0..w as i64 {
-                            let sx = xx + kx as i64 - PAD;
-                            if sx < 0 || sx >= w as i64 {
-                                continue;
-                            }
-                            col.set(
-                                row,
-                                bi * h * w + y as usize * w + xx as usize,
-                                x.get4(bi, mi, sy as usize, sx as usize),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
+    for_each_tap_segment((b, m, h, w), |row, col_at, img_at, len| {
+        col.row_mut(row)[col_at..col_at + len].copy_from_slice(&x.as_slice()[img_at..img_at + len]);
+    });
     col
 }
 
 /// Adjoint of [`im2col`]: scatters column gradients back to image space.
 fn col2im(dcol: &Matrix, shape: Shape) -> Tensor {
-    let (b, m, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
     let mut out = Tensor::zeros(shape);
-    for bi in 0..b {
-        for mi in 0..m {
-            for ky in 0..K {
-                for kx in 0..K {
-                    let row = mi * K * K + ky * K + kx;
-                    for y in 0..h as i64 {
-                        let sy = y + ky as i64 - PAD;
-                        if sy < 0 || sy >= h as i64 {
-                            continue;
-                        }
-                        for xx in 0..w as i64 {
-                            let sx = xx + kx as i64 - PAD;
-                            if sx < 0 || sx >= w as i64 {
-                                continue;
-                            }
-                            let cur = out.get4(bi, mi, sy as usize, sx as usize);
-                            out.set4(
-                                bi,
-                                mi,
-                                sy as usize,
-                                sx as usize,
-                                cur + dcol.get(row, bi * h * w + y as usize * w + xx as usize),
-                            );
-                        }
-                    }
-                }
-            }
+    let dims = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
+    for_each_tap_segment(dims, |row, col_at, img_at, len| {
+        let grads = &dcol.row(row)[col_at..col_at + len];
+        for (o, g) in out.as_mut_slice()[img_at..img_at + len].iter_mut().zip(grads) {
+            *o += g;
         }
-    }
+    });
     out
 }
 

@@ -1,7 +1,8 @@
 //! Fully-connected layer on flattened activations.
 
+use crate::layers::pointwise::transpose_into;
 use crate::param::Param;
-use cc_tensor::{init, matmul, transpose, Matrix, Shape, Tensor};
+use cc_tensor::{init, matmul_acc, Shape, Tensor};
 
 /// Fully-connected layer: flattens `(B, C, H, W)` to `(B, C·H·W)` and
 /// applies `y = W·x + b` per sample.
@@ -15,8 +16,7 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    cache_x: Option<Matrix>,
-    cache_shape: Option<Shape>,
+    cache_x: Option<Tensor>,
 }
 
 impl Linear {
@@ -28,7 +28,6 @@ impl Linear {
             in_features,
             out_features,
             cache_x: None,
-            cache_shape: None,
         }
     }
 
@@ -68,25 +67,20 @@ impl Linear {
     /// Returns `(B, out, 1, 1)`.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
         let b = x.shape().dim(0);
-        let feat = x.len() / b;
+        let (feat, out_f) = (x.len() / b, self.out_features);
         assert_eq!(feat, self.in_features, "linear input features mismatch");
-        // X as (in_features × B)
-        let mut xm = Matrix::zeros(self.in_features, b);
-        for bi in 0..b {
-            for f in 0..feat {
-                xm.set(f, bi, x.as_slice()[bi * feat + f]);
-            }
-        }
-        let w = Matrix::from_tensor(self.weight.value.clone());
-        let y = matmul(&w, &xm); // out × B
+        // Y (out × B) = W · Xᵀ, with X the input as it lies: B × in_features.
+        let mut xt = vec![0.0; feat * b];
+        transpose_into(x.as_slice(), b, feat, &mut xt);
+        let mut y = vec![0.0; out_f * b];
+        matmul_acc(self.weight.value.as_slice(), &xt, &mut y, out_f, feat, b);
         if training {
-            self.cache_x = Some(xm);
-            self.cache_shape = Some(x.shape());
+            self.cache_x = Some(x.clone());
         }
-        let mut out = Tensor::zeros(Shape::d4(b, self.out_features, 1, 1));
-        for bi in 0..b {
-            for o in 0..self.out_features {
-                out.set4(bi, o, 0, 0, y.get(o, bi) + self.bias.value[o]);
+        let mut out = Tensor::zeros(Shape::d4(b, out_f, 1, 1));
+        for (bi, row) in out.as_mut_slice().chunks_mut(out_f.max(1)).enumerate() {
+            for (o, v) in row.iter_mut().enumerate() {
+                *v = y[o * b + bi] + self.bias.value[o];
             }
         }
         out
@@ -99,33 +93,30 @@ impl Linear {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xm = self.cache_x.take().expect("backward before forward");
-        let in_shape = self.cache_shape.take().expect("backward before forward");
-        let b = grad_out.shape().dim(0);
-        let mut g = Matrix::zeros(self.out_features, b);
-        for bi in 0..b {
-            for o in 0..self.out_features {
-                g.set(o, bi, grad_out.get4(bi, o, 0, 0));
-                self.bias.grad[o] += grad_out.get4(bi, o, 0, 0);
+        let x = self.cache_x.take().expect("backward before forward");
+        let b = x.shape().dim(0);
+        let (feat, out_f) = (self.in_features, self.out_features);
+        assert_eq!(grad_out.len(), b * out_f, "output gradient shape mismatch");
+        for row in grad_out.as_slice().chunks(out_f.max(1)) {
+            for (bg, g) in self.bias.grad.as_mut_slice().iter_mut().zip(row) {
+                *bg += g;
             }
         }
-        let dw = matmul(&g, &transpose(&xm));
-        self.weight.grad.axpy(1.0, dw.as_tensor());
-        if let Some(mask) = &self.weight.mask {
-            for (gv, mv) in self.weight.grad.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-                *gv *= mv;
-            }
-        }
-        let w = Matrix::from_tensor(self.weight.value.clone());
-        let dx = matmul(&transpose(&w), &g); // in × B
-        let mut out = Tensor::zeros(in_shape);
-        let feat = self.in_features;
-        for bi in 0..b {
-            for f in 0..feat {
-                out.as_mut_slice()[bi * feat + f] = dx.get(f, bi);
-            }
-        }
-        out
+        // G (out × B) is the transposed output gradient.
+        let mut g = vec![0.0; out_f * b];
+        transpose_into(grad_out.as_slice(), b, out_f, &mut g);
+        // dW = G · X  (out × in)
+        let mut dw = Tensor::zeros(Shape::d2(out_f, feat));
+        matmul_acc(&g, x.as_slice(), dw.as_mut_slice(), out_f, b, feat);
+        self.weight.accumulate_grad(&dw);
+        // dXᵀ = Wᵀ · G  (in × B)
+        let mut wt = vec![0.0; feat * out_f];
+        transpose_into(self.weight.value.as_slice(), out_f, feat, &mut wt);
+        let mut dxt = vec![0.0; feat * b];
+        matmul_acc(&wt, &g, &mut dxt, feat, out_f, b);
+        let mut dx = Tensor::zeros(x.shape());
+        transpose_into(&dxt, feat, b, dx.as_mut_slice());
+        dx
     }
 
     /// Visits weight and bias.
@@ -138,6 +129,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_tensor::Matrix;
 
     #[test]
     fn forward_is_affine() {

@@ -2,7 +2,7 @@
 //! combining packs.
 
 use crate::param::Param;
-use cc_tensor::{init, matmul, transpose, Matrix, Shape, Tensor};
+use cc_tensor::{init, matmul_acc, Matrix, Shape, Tensor};
 
 /// Pointwise convolution: `y[b,n,h,w] = Σ_m W[n,m]·x[b,m,h,w] (+ bias[n])`.
 ///
@@ -11,9 +11,10 @@ use cc_tensor::{init, matmul, transpose, Matrix, Shape, Tensor};
 /// are input channels. Column combining (cc-packing) groups and prunes these
 /// columns.
 ///
-/// Forward/backward are implemented as GEMMs against the *data matrix*
-/// `D ∈ R^{M×(B·H·W)}` (the layout a weight-stationary systolic array
-/// streams bottom-to-top, Fig. 1c).
+/// Forward/backward are GEMMs against the *data matrix* `D ∈ R^{M×(B·H·W)}`
+/// (the layout a weight-stationary systolic array streams bottom-to-top,
+/// Fig. 1c), run one image at a time: image `b`'s NCHW planes are columns
+/// `b·HW..(b+1)·HW` of `D` as they lie in memory.
 #[derive(Clone, Debug)]
 pub struct PointwiseConv {
     weight: Param,
@@ -97,15 +98,24 @@ impl PointwiseConv {
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
         let (b, m, h, w) = dims4(x);
         assert_eq!(m, self.in_channels, "input channels mismatch");
-        let d = to_data_matrix(x);
-        let f = Matrix::from_tensor(self.weight.value.clone());
-        let y = matmul(&f, &d); // N × BHW
-        if training {
-            self.cache_x = Some(x.clone());
+        let (n, hw) = (self.out_channels, h * w);
+        let mut out = Tensor::zeros(Shape::d4(b, n, h, w));
+        // Image `bi`'s planes are already the `M × HW` data matrix.
+        for bi in 0..b {
+            matmul_acc(
+                self.weight.value.as_slice(),
+                block(x.as_slice(), bi, m * hw),
+                block_mut(out.as_mut_slice(), bi, n * hw),
+                n,
+                m,
+                hw,
+            );
         }
-        let mut out = from_result_matrix(&y, b, self.out_channels, h, w);
         if let Some(bias) = &self.bias {
             add_channel_bias(&mut out, bias.value.as_slice());
+        }
+        if training {
+            self.cache_x = Some(x.clone());
         }
         out
     }
@@ -117,33 +127,47 @@ impl PointwiseConv {
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cache_x.take().expect("backward before forward");
-        let (b, _, h, w) = dims4(&x);
-        let d = to_data_matrix(&x); // M × BHW
-        let g = to_data_matrix(grad_out); // N × BHW
+        let (b, m, h, w) = dims4(&x);
+        let (n, hw) = (self.out_channels, h * w);
+        assert_eq!(grad_out.shape(), Shape::d4(b, n, h, w), "output gradient shape mismatch");
+        let g = grad_out.as_slice();
 
-        // dW = G · Dᵀ  (N × M)
-        let dw = matmul(&g, &transpose(&d));
-        self.weight.grad.axpy(1.0, dw.as_tensor());
-        if let Some(mask) = &self.weight.mask {
-            for (gv, mv) in self.weight.grad.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-                *gv *= mv;
-            }
+        // dW = Σ_b G_b · X_bᵀ  (N × M), columns summed image by image.
+        let mut dw = Tensor::zeros(Shape::d2(n, m));
+        let mut xt = vec![0.0; hw * m];
+        for bi in 0..b {
+            transpose_into(block(x.as_slice(), bi, m * hw), m, hw, &mut xt);
+            matmul_acc(block(g, bi, n * hw), &xt, dw.as_mut_slice(), n, hw, m);
         }
+        self.weight.accumulate_grad(&dw);
 
         if let Some(bias) = &mut self.bias {
-            for n in 0..self.out_channels {
+            for ni in 0..n {
                 let mut s = 0.0;
-                for j in 0..b * h * w {
-                    s += g.get(n, j);
+                for bi in 0..b {
+                    for v in block(g, bi * n + ni, hw) {
+                        s += v;
+                    }
                 }
-                bias.grad[n] += s;
+                bias.grad[ni] += s;
             }
         }
 
-        // dX = Wᵀ · G  (M × BHW)
-        let f = Matrix::from_tensor(self.weight.value.clone());
-        let dx = matmul(&transpose(&f), &g);
-        from_result_matrix(&dx, b, self.in_channels, h, w)
+        // dX_b = Wᵀ · G_b  (M × HW)
+        let mut wt = vec![0.0; m * n];
+        transpose_into(self.weight.value.as_slice(), n, m, &mut wt);
+        let mut dx = Tensor::zeros(x.shape());
+        for bi in 0..b {
+            matmul_acc(
+                &wt,
+                block(g, bi, n * hw),
+                block_mut(dx.as_mut_slice(), bi, m * hw),
+                m,
+                n,
+                hw,
+            );
+        }
+        dx
     }
 
     /// Visits the layer's parameters.
@@ -160,6 +184,28 @@ pub(crate) fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     let s = x.shape();
     assert_eq!(s.rank(), 4, "expected NCHW tensor, got {s}");
     (s.dim(0), s.dim(1), s.dim(2), s.dim(3))
+}
+
+/// The `i`-th block of `len` values: one image's planes, or one plane.
+pub(crate) fn block(data: &[f32], i: usize, len: usize) -> &[f32] {
+    &data[i * len..(i + 1) * len]
+}
+
+/// Mutable [`block`].
+pub(crate) fn block_mut(data: &mut [f32], i: usize, len: usize) -> &mut [f32] {
+    &mut data[i * len..(i + 1) * len]
+}
+
+/// Writes the transpose of the row-major `rows × cols` matrix `src` to
+/// `dst` (`cols × rows`).
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "source is not {rows}×{cols}");
+    assert_eq!(dst.len(), src.len(), "transpose size mismatch");
+    for (r, src_row) in src.chunks(cols.max(1)).enumerate() {
+        for (c, &v) in src_row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
 }
 
 /// Rearranges `(B, M, H, W)` into the paper's data matrix `M × (B·H·W)`.
@@ -206,7 +252,6 @@ fn add_channel_bias(x: &mut Tensor, bias: &[f32]) {
             }
         }
     }
-    let _ = (b, c);
 }
 
 #[cfg(test)]

@@ -24,17 +24,13 @@ impl AvgPool2 {
             self.in_shape = Some(x.shape());
         }
         let mut out = Tensor::zeros(Shape::d4(b, c, oh, ow));
-        for bi in 0..b {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xp in 0..ow {
-                        let s = x.get4(bi, ci, 2 * y, 2 * xp)
-                            + x.get4(bi, ci, 2 * y, 2 * xp + 1)
-                            + x.get4(bi, ci, 2 * y + 1, 2 * xp)
-                            + x.get4(bi, ci, 2 * y + 1, 2 * xp + 1);
-                        out.set4(bi, ci, y, xp, s / 4.0);
-                    }
-                }
+        // Output row `r` (counted over all planes) pools two input rows.
+        for (r, out_row) in out.as_mut_slice().chunks_mut(ow.max(1)).enumerate() {
+            let top = (r / oh * h + r % oh * 2) * w;
+            let (upper, lower) = (&x.as_slice()[top..top + w], &x.as_slice()[top + w..top + 2 * w]);
+            let windows = upper.chunks_exact(2).zip(lower.chunks_exact(2));
+            for (o, (u, l)) in out_row.iter_mut().zip(windows) {
+                *o = (u[0] + u[1] + l[0] + l[1]) / 4.0;
             }
         }
         out
@@ -47,19 +43,18 @@ impl AvgPool2 {
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let in_shape = self.in_shape.take().expect("backward before forward");
-        let (b, c, oh, ow) = dims4(grad_out);
+        let (_, _, oh, ow) = dims4(grad_out);
+        let (h, w) = (in_shape.dim(2), in_shape.dim(3));
         let mut dx = Tensor::zeros(in_shape);
-        for bi in 0..b {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xp in 0..ow {
-                        let g = grad_out.get4(bi, ci, y, xp) / 4.0;
-                        for (dy, dx_) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                            let prev = dx.get4(bi, ci, 2 * y + dy, 2 * xp + dx_);
-                            dx.set4(bi, ci, 2 * y + dy, 2 * xp + dx_, prev + g);
-                        }
-                    }
-                }
+        for (r, g_row) in grad_out.as_slice().chunks(ow.max(1)).enumerate() {
+            let top = (r / oh * h + r % oh * 2) * w;
+            let (upper, lower) = dx.as_mut_slice()[top..top + 2 * w].split_at_mut(w);
+            let windows = upper.chunks_exact_mut(2).zip(lower.chunks_exact_mut(2));
+            for (&g, (u, l)) in g_row.iter().zip(windows) {
+                // `0.0 +` keeps a `-0.0` share `+0.0`, as accumulating into
+                // the zeroed window does.
+                let share = 0.0 + g / 4.0;
+                (u[0], u[1], l[0], l[1]) = (share, share, share, share);
             }
         }
         dx
@@ -85,18 +80,14 @@ impl GlobalAvgPool {
         if training {
             self.in_shape = Some(x.shape());
         }
-        let hw = (h * w) as f32;
+        let hw = h * w;
         let mut out = Tensor::zeros(Shape::d4(b, c, 1, 1));
-        for bi in 0..b {
-            for ci in 0..c {
-                let mut s = 0.0;
-                for y in 0..h {
-                    for xp in 0..w {
-                        s += x.get4(bi, ci, y, xp);
-                    }
-                }
-                out.set4(bi, ci, 0, 0, s / hw);
+        for (o, plane) in out.as_mut_slice().iter_mut().zip(x.as_slice().chunks(hw.max(1))) {
+            let mut s = 0.0;
+            for v in plane {
+                s += v;
             }
+            *o = s / hw as f32;
         }
         out
     }
@@ -108,18 +99,10 @@ impl GlobalAvgPool {
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let in_shape = self.in_shape.take().expect("backward before forward");
-        let (b, c, h, w) = (in_shape.dim(0), in_shape.dim(1), in_shape.dim(2), in_shape.dim(3));
-        let hw = (h * w) as f32;
+        let hw = in_shape.dim(2) * in_shape.dim(3);
         let mut dx = Tensor::zeros(in_shape);
-        for bi in 0..b {
-            for ci in 0..c {
-                let g = grad_out.get4(bi, ci, 0, 0) / hw;
-                for y in 0..h {
-                    for xp in 0..w {
-                        dx.set4(bi, ci, y, xp, g);
-                    }
-                }
-            }
+        for (plane, g) in dx.as_mut_slice().chunks_mut(hw.max(1)).zip(grad_out.as_slice()) {
+            plane.fill(g / hw as f32);
         }
         dx
     }

@@ -16,22 +16,15 @@ impl Relu {
     }
 
     /// Forward pass; caches the activation mask when `training`.
+    ///
+    /// A select, not a branch: everything that is not `> 0.0` — negatives,
+    /// `-0.0`, NaN — becomes `+0.0`.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
-        let mut out = x.clone();
-        let mut mask = if training { Some(vec![false; x.len()]) } else { None };
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            if *v > 0.0 {
-                if let Some(m) = &mut mask {
-                    m[i] = true;
-                }
-            } else {
-                *v = 0.0;
-            }
-        }
         if training {
-            self.mask = mask;
+            self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
         }
-        out
+        let out = x.as_slice().iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
+        Tensor::from_vec(x.shape(), out)
     }
 
     /// Backward pass: zeroes gradients where the input was non-positive.
@@ -41,13 +34,13 @@ impl Relu {
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.take().expect("backward before forward");
-        let mut dx = grad_out.clone();
-        for (v, keep) in dx.as_mut_slice().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
-        dx
+        let dx = grad_out
+            .as_slice()
+            .iter()
+            .zip(mask)
+            .map(|(&g, keep)| if keep { g } else { 0.0 })
+            .collect();
+        Tensor::from_vec(grad_out.shape(), dx)
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::layers::pointwise::dims4;
 use cc_tensor::Tensor;
+use std::ops::Range;
 
 /// Per-channel spatial shift (paper §2.3, after Wu et al.'s shift
 /// convolution). Each channel is translated by a fixed `(dy, dx)` offset
@@ -70,39 +71,39 @@ impl Shift {
     }
 
     fn apply(&self, x: &Tensor, invert: bool) -> Tensor {
-        let (b, c, h, w) = dims4(x);
+        let (_, c, h, w) = dims4(x);
         assert_eq!(c, self.channels(), "shift channel count mismatch");
         let mut out = Tensor::zeros(x.shape());
-        for bi in 0..b {
-            for ci in 0..c {
-                let (mut dy, mut dx) = self.shifts[ci];
-                if invert {
-                    dy = -dy;
-                    dx = -dx;
-                }
-                for y in 0..h as i64 {
-                    let sy = y - dy as i64;
-                    if sy < 0 || sy >= h as i64 {
-                        continue;
-                    }
-                    for xp in 0..w as i64 {
-                        let sx = xp - dx as i64;
-                        if sx < 0 || sx >= w as i64 {
-                            continue;
-                        }
-                        out.set4(
-                            bi,
-                            ci,
-                            y as usize,
-                            xp as usize,
-                            x.get4(bi, ci, sy as usize, sx as usize),
-                        );
-                    }
-                }
+        let hw = (h * w).max(1);
+        let planes = x.as_slice().chunks(hw).zip(out.as_mut_slice().chunks_mut(hw));
+        for (plane, (src, dst)) in planes.enumerate() {
+            let (mut dy, mut dx) = self.shifts[plane % c];
+            if invert {
+                (dy, dx) = (-dy, -dx);
+            }
+            // One copy per in-range row: the span of columns whose source
+            // column exists, from the source row `dy` above.
+            let xs = shifted_span(dx, w);
+            if xs.is_empty() {
+                continue;
+            }
+            let src_x = (xs.start as i64 - i64::from(dx)) as usize;
+            for y in shifted_span(dy, h) {
+                let sy = (y as i64 - i64::from(dy)) as usize;
+                dst[y * w..][xs.clone()].copy_from_slice(&src[sy * w + src_x..][..xs.len()]);
             }
         }
         out
     }
+}
+
+/// Destination positions `p` of an `n`-long axis whose source `p - d` is
+/// in range — empty once `|d| ≥ n`.
+pub(crate) fn shifted_span(d: i8, n: usize) -> Range<usize> {
+    let (d, n) = (i64::from(d), n as i64);
+    let lo = d.clamp(0, n);
+    let hi = (n + d).clamp(lo, n);
+    lo as usize..hi as usize
 }
 
 #[cfg(test)]

@@ -44,6 +44,8 @@ pub mod metrics;
 pub mod models;
 pub mod network;
 pub mod optim;
+#[cfg(test)]
+mod oracle;
 pub mod param;
 pub mod schedule;
 pub mod serialize;

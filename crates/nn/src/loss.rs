@@ -28,39 +28,44 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     let s = logits.shape();
     assert_eq!(s.rank(), 4, "expected (B, K, 1, 1) logits");
     let (b, k) = (s.dim(0), s.dim(1));
+    assert_eq!(s.len(), b * k, "expected (B, K, 1, 1) logits");
     assert_eq!(labels.len(), b, "labels/batch mismatch");
 
     let mut grad = Tensor::zeros(s);
     let mut total_loss = 0.0f32;
-    for bi in 0..b {
-        let label = labels[bi];
+    let rows = logits.as_slice().chunks(k.max(1)).zip(grad.as_mut_slice().chunks_mut(k.max(1)));
+    for ((row, grad_row), &label) in rows.zip(labels) {
         assert!(label < k, "label {label} out of range for {k} classes");
-        let row: Vec<f32> = (0..k).map(|c| logits.get4(bi, c, 0, 0)).collect();
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let exps: Vec<f32> = row.iter().map(|v| (v - max).exp()).collect();
         let z: f32 = exps.iter().sum();
         let log_z = z.ln() + max;
         total_loss += log_z - row[label];
-        for c in 0..k {
-            let p = exps[c] / z;
+        for (c, (g, e)) in grad_row.iter_mut().zip(&exps).enumerate() {
+            let p = e / z;
             let target = if c == label { 1.0 } else { 0.0 };
-            grad.set4(bi, c, 0, 0, (p - target) / b as f32);
+            *g = (p - target) / b as f32;
         }
     }
     (total_loss / b as f32, grad)
 }
 
-/// Returns the predicted class (arg-max logit) per sample.
+/// Returns the predicted class (arg-max logit) per sample. NaN compares
+/// lowest, so a diverged network still yields a class; among equal maxima
+/// the last wins.
 pub fn predictions(logits: &Tensor) -> Vec<usize> {
-    let s = logits.shape();
-    let (b, k) = (s.dim(0), s.dim(1));
-    (0..b)
-        .map(|bi| {
+    let k = logits.shape().dim(1);
+    assert_eq!(logits.len(), logits.shape().dim(0) * k, "expected (B, K, 1, 1) logits");
+    logits
+        .as_slice()
+        .chunks(k.max(1))
+        .map(|row| {
             (0..k)
                 .max_by(|&a, &c| {
-                    logits.get4(bi, a, 0, 0).partial_cmp(&logits.get4(bi, c, 0, 0)).unwrap()
+                    let (x, y) = (row[a], row[c]);
+                    x.partial_cmp(&y).unwrap_or_else(|| y.is_nan().cmp(&x.is_nan()))
                 })
-                .unwrap()
+                .expect("logits have at least one class")
         })
         .collect()
 }
@@ -110,6 +115,18 @@ mod tests {
     fn predictions_argmax() {
         let logits = Tensor::from_vec(Shape::d4(2, 3, 1, 1), vec![0.1, 0.9, 0.0, 2.0, 1.0, 1.5]);
         assert_eq!(predictions(&logits), vec![1, 0]);
+    }
+
+    #[test]
+    fn predictions_rank_nan_lowest() {
+        let nan = f32::NAN;
+        let logits = Tensor::from_vec(
+            Shape::d4(4, 3, 1, 1),
+            vec![nan, 0.5, -1.0, 2.0, nan, 2.0, nan, nan, nan, -0.0, 0.0, nan],
+        );
+        // a NaN never wins over a number; ties (and an all-NaN row) go to
+        // the last maximum, as they do without NaN
+        assert_eq!(predictions(&logits), vec![1, 2, 2, 1]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sequential network container.
 
-use crate::layer::LayerKind;
+use crate::layer::{backward_chain, forward_chain, LayerKind};
 use crate::layers::pointwise::PointwiseConv;
 use crate::param::Param;
 use cc_tensor::Tensor;
@@ -49,19 +49,12 @@ impl Network {
     /// Forward pass producing logits. `training` controls batch-norm
     /// statistics and activation caching.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, training);
-        }
-        h
+        forward_chain(&mut self.layers, x, training)
     }
 
     /// Backward pass from the loss gradient on the logits.
     pub fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
+        backward_chain(&mut self.layers, grad_logits);
     }
 
     /// Zeroes every parameter gradient.

@@ -45,6 +45,17 @@ impl Param {
         self.grad.as_mut_slice().fill(0.0);
     }
 
+    /// Adds a freshly computed gradient `dw` to the gradient buffer, then
+    /// zeroes the pruned positions so masked weights collect no gradient.
+    pub(crate) fn accumulate_grad(&mut self, dw: &Tensor) {
+        self.grad.axpy(1.0, dw);
+        if let Some(mask) = &self.mask {
+            for (gv, mv) in self.grad.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+                *gv *= mv;
+            }
+        }
+    }
+
     /// Installs (or replaces) a pruning mask and immediately applies it to
     /// the values so pruned weights become exactly zero.
     ///

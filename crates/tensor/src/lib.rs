@@ -6,7 +6,8 @@
 //!
 //! * [`Tensor`] — a minimal row-major NCHW `f32` tensor with shape checking,
 //! * [`Matrix`] — a 2-D view specialization used for filter matrices,
-//! * [`matmul`] — a blocked single-threaded GEMM,
+//! * [`matmul`] / [`matmul_acc`] — a single-threaded GEMM whose summation
+//!   order is fixed (training results are pinned bit for bit on it),
 //! * [`quant`] — the paper's linear 8-bit fixed-point quantization (§2.5)
 //!   with 16/32-bit integer accumulation semantics that the bit-serial
 //!   systolic arrays implement exactly,
@@ -31,6 +32,6 @@ pub mod shape;
 pub mod tensor;
 
 pub use matrix::Matrix;
-pub use ops::{matmul, matmul_into, transpose};
+pub use ops::{matmul, matmul_acc, matmul_into, transpose};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,15 +1,11 @@
-//! Matrix operations: blocked GEMM and transpose.
+//! Matrix operations: the order-preserving slice GEMM and transpose.
 
 use crate::matrix::Matrix;
 
-/// Cache-blocking tile edge for [`matmul`]. Chosen so three `f32` tiles fit
-/// comfortably in L1 (3 · 64² · 4 B = 48 KiB).
-const BLOCK: usize = 64;
-
 /// Multiplies `a (m×k)` by `b (k×n)`, returning an `m×n` matrix.
 ///
-/// Single-threaded, cache-blocked, with an i-k-j inner loop ordering so the
-/// innermost loop streams rows of `b` and `c` contiguously.
+/// Zero-fill plus [`matmul_acc`], so each output element is summed in
+/// ascending `k`.
 ///
 /// # Panics
 ///
@@ -40,32 +36,45 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch: {}×{} · {}×{}", m, k, b.rows(), n);
     assert_eq!(c.rows(), m, "output rows mismatch");
     assert_eq!(c.cols(), n, "output cols mismatch");
-
     c.as_mut_slice().fill(0.0);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let c_data = c.as_mut_slice();
+    matmul_acc(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, k, n);
+}
 
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let a_row = &a_data[i * k..(i + 1) * k];
-                    let c_row = &mut c_data[i * n + j0..i * n + j1];
-                    for kk in k0..k1 {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue; // sparse filter rows skip work
-                        }
-                        let b_row = &b_data[kk * n + j0..kk * n + j1];
-                        for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
+/// `c (m×n) += a (m×k) · b (k×n)` on row-major slices: the one GEMM kernel
+/// of the float path.
+///
+/// An i-k-j loop of whole-row axpys, so the inner loop streams a row of `b`
+/// into a row of `c` and vectorises across `j`. Per output element the
+/// terms are added in ascending `k`, each as a separate multiply and add,
+/// and a term whose `a` factor is `0.0` is skipped (pruned filter weights
+/// cost nothing). Training results are pinned bit for bit on that order:
+/// any blocking or tiling must keep it.
+///
+/// # Panics
+///
+/// Panics if a slice length differs from its `rows × cols`.
+///
+/// # Examples
+///
+/// ```
+/// let mut c = [1.0, 1.0];
+/// cc_tensor::matmul_acc(&[2.0, 0.0], &[3.0, 4.0, 5.0, 6.0], &mut c, 1, 2, 2);
+/// assert_eq!(c, [7.0, 9.0]);
+/// ```
+pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "a is not {m}×{k}");
+    assert_eq!(b.len(), k * n, "b is not {k}×{n}");
+    assert_eq!(c.len(), m * n, "c is not {m}×{n}");
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if aik == 0.0 {
+                continue;
+            }
+            for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                *cv += aik * bv;
             }
         }
     }
@@ -81,10 +90,13 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// assert_eq!(transpose(&m).get(0, 1), 3.0);
 /// ```
 pub fn transpose(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.cols(), m.rows());
-    for r in 0..m.rows() {
-        for c in 0..m.cols() {
-            out.set(c, r, m.get(r, c));
+    let (rows, cols) = (m.rows(), m.cols());
+    let mut out = Matrix::zeros(cols, rows);
+    if rows > 0 && cols > 0 {
+        for (c, out_row) in out.as_mut_slice().chunks_exact_mut(rows).enumerate() {
+            for (o, src_row) in out_row.iter_mut().zip(m.as_slice().chunks_exact(cols)) {
+                *o = src_row[c];
+            }
         }
     }
     out
@@ -137,6 +149,66 @@ mod tests {
                 assert!((x - y).abs() < 1e-3, "blocked GEMM diverged: {x} vs {y}");
             }
         }
+    }
+
+    /// `c += a · b` one element at a time: ascending `k`, separate multiply
+    /// and add, `a == 0.0` skipped.
+    fn ordered_acc(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut s = c.get(i, j);
+                for kk in 0..a.cols() {
+                    if a.get(i, kk) != 0.0 {
+                        s += a.get(i, kk) * b.get(kk, j);
+                    }
+                }
+                c.set(i, j, s);
+            }
+        }
+    }
+
+    #[test]
+    fn slice_gemm_keeps_summation_order_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let shapes =
+            [(1, 1, 1), (6, 1, 784), (16, 6, 196), (120, 16, 49), (5, 130, 3), (7, 70, 65)];
+        for &(m, k, n) in &shapes {
+            for density in [1.0, 0.25] {
+                let mut a = random_matrix(&mut rng, m, k);
+                for v in a.as_mut_slice() {
+                    if !rng.gen_bool(density) {
+                        *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                    }
+                }
+                // one row of `a` entirely zero: its row of `c` must come
+                // back untouched, `-0.0` entries included
+                a.row_mut(m / 2).fill(0.0);
+                let b = random_matrix(&mut rng, k, n);
+                let mut fast = random_matrix(&mut rng, m, n);
+                fast.row_mut(m / 2).fill(-0.0);
+                let mut slow = fast.clone();
+                matmul_acc(a.as_slice(), b.as_slice(), fast.as_mut_slice(), m, k, n);
+                ordered_acc(&a, &b, &mut slow);
+                for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{m}×{k}·{k}×{n} at density {density}");
+                }
+                assert!(fast.row(m / 2).iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+
+                let mut zeroed = Matrix::zeros(m, n);
+                ordered_acc(&a, &b, &mut zeroed);
+                assert_eq!(matmul(&a, &b), zeroed, "matmul is zero-fill plus the kernel");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_dimensions_are_no_ops() {
+        matmul_acc(&[], &[], &mut [], 0, 3, 0);
+        let mut c = [1.0, 2.0];
+        matmul_acc(&[], &[], &mut c, 2, 0, 1);
+        assert_eq!(c, [1.0, 2.0]);
+        assert_eq!(transpose(&Matrix::zeros(0, 3)), Matrix::zeros(3, 0));
+        assert_eq!(transpose(&Matrix::zeros(3, 0)), Matrix::zeros(0, 3));
     }
 
     #[test]

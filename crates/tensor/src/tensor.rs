@@ -111,16 +111,19 @@ impl Tensor {
 
     /// Element at a rank-3 CHW index.
     pub fn get3(&self, c: usize, h: usize, w: usize) -> f32 {
-        debug_assert_eq!(self.shape.rank(), 3);
-        let s = self.shape.strides();
-        self.data[c * s[0] + h * s[1] + w * s[2]]
+        self.data[self.index3(c, h, w)]
     }
 
     /// Sets the element at a rank-3 CHW index.
     pub fn set3(&mut self, c: usize, h: usize, w: usize, v: f32) {
+        let i = self.index3(c, h, w);
+        self.data[i] = v;
+    }
+
+    fn index3(&self, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.shape.rank(), 3);
-        let s = self.shape.strides();
-        self.data[c * s[0] + h * s[1] + w * s[2]] = v;
+        let d = self.shape.dims();
+        (c * d[1] + h) * d[2] + w
     }
 
     /// Element at a rank-4 NCHW index.
@@ -136,8 +139,8 @@ impl Tensor {
 
     fn index4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.shape.rank(), 4);
-        let s = self.shape.strides();
-        n * s[0] + c * s[1] + h * s[2] + w * s[3]
+        let d = self.shape.dims();
+        ((n * d[1] + c) * d[2] + h) * d[3] + w
     }
 
     /// Number of nonzero elements.
