@@ -760,18 +760,21 @@ mod tests {
         // Host wall clock: best of three runs per deployment (scheduler
         // noise on a busy CI box exceeds the thin MAC-count margin), and a
         // no-regression bound rather than strict dominance — packed must
-        // serve at least ~90% of unpacked throughput.
-        let best = |net: &DeployedNetwork| {
-            (0..3)
-                .map(|_| {
-                    let stats = closed_loop(net, &test, 2, 8, 1, 1, 16, 48);
-                    assert_eq!(stats.completed, 48);
-                    stats.throughput_rps
-                })
-                .fold(0.0f64, f64::max)
+        // serve at least ~90% of unpacked throughput. Each run measures
+        // 3072 requests (at 48 the whole measurement was a ~2 ms window,
+        // short enough for one scheduler hiccup to decide it; at 384 it
+        // still was), and the two deployments take turns, so a box that
+        // speeds up or slows down over the test moves both sides alike.
+        let run = |net: &DeployedNetwork| {
+            let stats = closed_loop(net, &test, 2, 8, 1, 1, 16, 3072);
+            assert_eq!(stats.completed, 3072);
+            stats.throughput_rps
         };
-        let packed_rps = best(&packed);
-        let unpacked_rps = best(&unpacked);
+        let (mut packed_rps, mut unpacked_rps) = (0.0f64, 0.0f64);
+        for _ in 0..3 {
+            packed_rps = packed_rps.max(run(&packed));
+            unpacked_rps = unpacked_rps.max(run(&unpacked));
+        }
         assert!(
             packed_rps > 0.9 * unpacked_rps,
             "packed serving fell behind unpacked wall clock: {packed_rps:.1} vs {unpacked_rps:.1} rps"

@@ -1,7 +1,7 @@
 //! Prior-art baselines quoted from the paper's Tables 1–3.
 //!
 //! These systems (SC-DCNN, TrueNorth, CPU/GPU rows, the FPGA designs
-//! [57]/[70]/[16]/[18]) were *not built by the paper* — they are published
+//! \[57\]/\[70\]/\[16\]/\[18\]) were *not built by the paper* — they are published
 //! numbers the paper compares against. We therefore carry them as fixed
 //! constants, exactly as printed, and regenerate only the "Ours" rows from
 //! the simulator + cost models.
@@ -151,7 +151,7 @@ pub struct Table3Row {
     pub design: &'static str,
     /// CIFAR-10 accuracy, percent.
     pub accuracy_pct: f64,
-    /// End-to-end latency per frame, microseconds. For [18] the paper
+    /// End-to-end latency per frame, microseconds. For \[18\] the paper
     /// reports a lower bound (convolutional layers only).
     pub latency_us: f64,
     /// `true` when the latency is a lower bound.

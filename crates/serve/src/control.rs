@@ -454,7 +454,7 @@ impl ProfileStore {
         }
     }
 
-    /// The throughput target: among profiles within [`THROUGHPUT_BAND`]
+    /// The throughput target: among profiles within 5 % (`THROUGHPUT_BAND`)
     /// of the highest measured throughput that fit the given bounds, the
     /// one with the lowest p99. Raw argmax would chase measurement noise
     /// between statistically-equivalent configs; inside the band,

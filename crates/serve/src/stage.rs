@@ -2,13 +2,13 @@
 //! thread of a [`crate::PipelineExecutor`] — runs a layer range of one
 //! batch.
 //!
-//! A serial worker is the degenerate pipeline: one [`StageRunner`] whose
+//! A serial worker is the degenerate pipeline: one `StageRunner` whose
 //! range is the whole network, stepped on the worker's own thread (no
 //! channel hop); a K-stage pipeline is K runners, one per stage thread.
 //! Both get the same unwind boundary, occupancy telemetry, shard-health
-//! export, trace spans and fault triage from [`StageRunner::step`], and
+//! export, trace spans and fault triage from `StageRunner::step`, and
 //! the same "band set from (shards, fleet, fault plan)" from
-//! [`StageRunner::rebuild`].
+//! `StageRunner::rebuild`.
 
 use crate::fault::FaultPlan;
 use crate::telemetry::Telemetry;

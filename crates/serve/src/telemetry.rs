@@ -335,16 +335,24 @@ impl Telemetry {
         self.shed_class[class.index()].fetch_add(1, Ordering::SeqCst);
     }
 
-    /// A queued request was shed because its deadline passed before a
-    /// batch could carry it. Counts toward `dispatched` as well: the
-    /// request left the queue, and a depth gauge that never saw it leave
-    /// would creep toward permanent [`crate::SubmitError::QueueFull`].
-    /// Write order total → class → deadline (the snapshot reads the
-    /// reverse) keeps `shed >= sum(by class) >= deadline_shed` torn-free.
+    /// A ticket resolved [`crate::WaitError::DeadlineExceeded`]: a queued
+    /// request whose deadline passed before a batch could carry it, or a
+    /// follower coalesced onto one. Write order total → class → deadline
+    /// (the snapshot reads the reverse) keeps
+    /// `shed >= sum(by class) >= deadline_shed` torn-free.
     pub(crate) fn on_deadline_shed(&self, class: QosClass) {
         self.shed.fetch_add(1, Ordering::SeqCst);
         self.shed_class[class.index()].fetch_add(1, Ordering::SeqCst);
         self.deadline_shed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The batcher took a blown-deadline request out of the queue without
+    /// dispatching it. Counts toward `dispatched`: a depth gauge that
+    /// never saw it leave would creep toward permanent
+    /// [`crate::SubmitError::QueueFull`]. (Followers of that request took
+    /// no queue slot, so they pass through [`Telemetry::on_deadline_shed`]
+    /// only.)
+    pub(crate) fn on_expire(&self) {
         self.dispatched.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -870,6 +878,7 @@ mod tests {
         t.on_admit();
         t.on_admit();
         assert_eq!(t.queue_depth(), 2);
+        t.on_expire();
         t.on_deadline_shed(QosClass::Interactive);
         assert_eq!(t.queue_depth(), 1, "shed request must leave the gauge");
         t.on_dispatch(1);

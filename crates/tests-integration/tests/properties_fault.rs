@@ -15,8 +15,8 @@ use cc_nn::layers::{Linear, PointwiseConv, Relu, Shift};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_nn::Network;
 use cc_serve::{
-    EventKind, FaultPlan, ModelRegistry, PipelineExecutor, ServeConfig, Server, StageEnv,
-    Telemetry, TraceConfig, TraceRecorder, Track, WaitError,
+    CacheConfig, EventKind, FaultPlan, ModelRegistry, PipelineExecutor, ServeConfig, Server,
+    StageEnv, Telemetry, TraceConfig, TraceRecorder, Track, WaitError,
 };
 use cc_systolic::array::ArrayConfig;
 use cc_tensor::quant::AccumWidth;
@@ -125,6 +125,62 @@ proptest! {
         prop_assert_eq!(stats.failed, failed, "failed must count exactly the Err tickets");
         prop_assert_eq!(ok + failed, total as u64, "every request resolves exactly once");
     }
+}
+
+/// The same ledger with the memo-cache on and identical requests in
+/// flight together, which the property above (cache off, one request at
+/// a time) cannot see: requests that coalesce onto an in-flight miss get
+/// tickets too, so when their leader's batch panics they must land in
+/// `failed` — followers of a failed leader used to be counted in no
+/// bucket at all, while followers of a successful one were `completed`.
+/// `completed + failed + shed` must equal the tickets handed out.
+///
+/// The interleaving is forced, not slept for: batches of two under a
+/// window that outlasts the test, so a leader stays in flight — and every
+/// identical submit after it attaches as a follower — until a different
+/// image fills its batch.
+#[test]
+fn coalesced_followers_share_their_leaders_ledger_bucket() {
+    let (net, test) = deployed(3, 4, 29);
+    let reference = [net.logits(test.image(0)), net.logits(test.image(1))];
+    let server = Server::start(
+        ModelRegistry::new().with_model("m", net),
+        ServeConfig::default()
+            .with_workers(1)
+            .with_max_batch(2)
+            .with_batch_deadline(Duration::from_secs(600))
+            .with_cache(CacheConfig::bounded(32, 1 << 20))
+            .with_faults(Arc::new(FaultPlan::seeded(29).panic_on_batch(0))),
+    );
+
+    const FOLLOWERS: u64 = 3;
+    let (mut ok, mut failed) = (0u64, 0u64);
+    // Round 0 rides the batch that panics, round 1 the respawned worker.
+    for round in 0..2 {
+        let images = (0..=FOLLOWERS).map(|_| 0).chain([1]);
+        let tickets: Vec<_> = images
+            .map(|idx| (idx, server.submit("m", test.image(idx).clone()).expect("admitted")))
+            .collect();
+        for (idx, ticket) in tickets {
+            match ticket.wait_timeout(Duration::from_secs(20)) {
+                Some(Ok(resp)) => {
+                    assert_eq!(resp.logits, reference[idx], "round {round} diverged");
+                    ok += 1;
+                }
+                Some(Err(WaitError::WorkerPanicked | WaitError::Faulted)) => failed += 1,
+                Some(Err(e)) => panic!("unexpected resolution: {e}"),
+                None => panic!("a ticket of round {round} hung"),
+            }
+        }
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.submitted, 4, "only leaders take queue slots: the rest must have coalesced");
+    assert_eq!(stats.cache.coalesced_hits, FOLLOWERS, "round 1 followers get their leader's logits");
+    assert_eq!((ok, failed), (FOLLOWERS + 2, FOLLOWERS + 2), "round 0 fails whole, round 1 serves");
+    assert_eq!(stats.completed, ok, "completed must count exactly the Ok tickets");
+    assert_eq!(stats.failed, failed, "failed must count exactly the Err tickets");
+    assert_eq!(stats.completed + stats.failed + stats.shed, 2 * (FOLLOWERS + 2));
 }
 
 /// Regression for the ticket-hang failure mode: a worker panicking

@@ -10,10 +10,11 @@ use cc_nn::layer::LayerKind;
 use cc_nn::layers::{Linear, PointwiseConv, Relu, Shift};
 use cc_nn::Network;
 use cc_serve::{
-    CacheConfig, ModelRegistry, Outcome, QosClass, ServeConfig, Server, SubmitOptions,
-    TraceConfig,
+    CacheConfig, EventKind, FaultPlan, ModelRegistry, Outcome, QosClass, ServeConfig, Server,
+    SubmitOptions, TraceConfig,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A deployed network over a random shape: 1-channel `size`×`size` input,
@@ -255,4 +256,163 @@ fn exporters_render_a_traced_run() {
     }
     let stats = server.trace_stats().expect("recorder configured");
     assert!(stats.enabled && stats.recorded > 0 && stats.dropped == 0);
+}
+
+/// Which lifecycle span a request is in the middle of when it ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Open {
+    /// Answered or turned away on the submit path: it never queued.
+    Nothing,
+    /// Still queued (a deadline shed).
+    Queue,
+    /// On a worker (a batch ending, good or bad).
+    Execute,
+}
+
+/// One submit of an ending scenario and how its request must end.
+struct Step {
+    model: &'static str,
+    image: usize,
+    options: SubmitOptions,
+    /// Wait for every earlier ticket before submitting this one.
+    settle: bool,
+    ends: Outcome,
+    open: Open,
+}
+
+fn step(model: &'static str, image: usize, ends: Outcome, open: Open) -> Step {
+    Step { model, image, options: SubmitOptions::new(), settle: false, ends, open }
+}
+
+/// One `Resolve` per request, for every way a request can end: Ok, cache
+/// hit, coalesced hit, quota shed, queue-full shed, deadline shed,
+/// `Faulted`, `WorkerPanicked`, and a follower of each kind of failed
+/// leader. Each rid must carry exactly one `Resolve` instant with the
+/// expected outcome, and the span it had open — `Queue` for a deadline
+/// shed, `Execute` for a batch ending — must be closed at or before it.
+///
+/// Interleavings are forced, not slept for: every server coalesces
+/// batches of two under a window that outlasts the test, so a leader
+/// stays in flight (and its followers attach) until the step that fills
+/// its batch. Only the shed scenario, whose queue is full by design, lets
+/// a (generous) window close a batch.
+#[test]
+fn every_ending_resolves_exactly_once_with_its_open_span_closed() {
+    use Open::{Execute, Nothing, Queue};
+    const NEVER: Duration = Duration::from_secs(600);
+    let base = || {
+        ServeConfig::default()
+            .with_workers(1)
+            .with_max_batch(2)
+            .with_batch_deadline(NEVER)
+            .with_cache(CacheConfig::bounded(32, 1 << 20))
+            .with_trace(TraceConfig::on())
+    };
+    // leader, follower, batch-filler: the shape every batch ending shares.
+    let batch_of = |leader: Outcome, follower: Outcome| {
+        vec![
+            step("x", 0, leader, Execute),
+            step("x", 0, follower, Nothing),
+            step("x", 1, leader, Execute),
+        ]
+    };
+    let mut served = batch_of(Outcome::Ok, Outcome::CoalescedHit);
+    served.push(Step { settle: true, ..step("x", 0, Outcome::CacheHit, Nothing) });
+    let tenant = || SubmitOptions::new().with_tenant("t");
+    let shed = vec![
+        // Seeds a batch that only the window can release: the queue is
+        // full before a second member could join it.
+        Step { options: tenant(), ..step("x", 0, Outcome::Ok, Execute) },
+        Step { options: tenant(), ..step("x", 1, Outcome::Shed, Nothing) },
+        // Another network's request waits in the batcher's stash behind
+        // that batch with its deadline already blown, and takes an
+        // identical follower with it.
+        Step {
+            options: SubmitOptions::new().with_deadline(Duration::ZERO),
+            ..step("y", 0, Outcome::DeadlineExceeded, Queue)
+        },
+        step("y", 0, Outcome::DeadlineExceeded, Nothing),
+        step("x", 2, Outcome::Shed, Nothing),
+    ];
+    let scenarios = [
+        ("served", base(), served),
+        (
+            "panicked",
+            base().with_faults(Arc::new(FaultPlan::seeded(3).panic_on_batch(0))),
+            batch_of(Outcome::WorkerPanicked, Outcome::WorkerPanicked),
+        ),
+        (
+            "faulted",
+            base().with_faults(Arc::new(FaultPlan::seeded(5).poison_every(1))),
+            batch_of(Outcome::Faulted, Outcome::Faulted),
+        ),
+        (
+            "shed",
+            base()
+                .with_tenant_quota(1)
+                .with_queue_capacity(2)
+                .with_batch_deadline(Duration::from_millis(500)),
+            shed,
+        ),
+    ];
+
+    for (name, cfg, steps) in scenarios {
+        let (x, test) = deployed(3, 4, 17);
+        let (y, _) = deployed(3, 4, 18);
+        let server =
+            Server::start(ModelRegistry::new().with_model("x", x).with_model("y", y), cfg);
+        let mut tickets = Vec::new();
+        let settle = |tickets: &mut Vec<(usize, cc_serve::Ticket)>| {
+            for (i, ticket) in tickets.drain(..) {
+                let resolution = ticket
+                    .wait_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|| panic!("{name}: ticket of step {i} hung"));
+                let good = matches!(
+                    steps[i].ends,
+                    Outcome::Ok | Outcome::CacheHit | Outcome::CoalescedHit
+                );
+                assert_eq!(resolution.is_ok(), good, "{name}: step {i} resolved {resolution:?}");
+            }
+        };
+        for (i, s) in steps.iter().enumerate() {
+            if s.settle {
+                settle(&mut tickets);
+            }
+            // A shed at the door hands out no ticket; its rid still resolves.
+            let image = test.image(s.image).clone();
+            if let Ok(ticket) = server.submit_with(s.model, image, s.options.clone()) {
+                tickets.push((i, ticket));
+            }
+        }
+        settle(&mut tickets);
+
+        // One thread submitted everything, so step i holds rid i + 1.
+        let events = server.trace_events();
+        let traced = cc_serve::trace::summarize_requests(&events);
+        assert_eq!(traced.len(), steps.len(), "{name}: every submit is traced");
+        for (i, s) in steps.iter().enumerate() {
+            let rid = i as u64 + 1;
+            let resolves =
+                events.iter().filter(|e| e.kind == EventKind::Resolve && e.rid == rid).count();
+            assert_eq!(resolves, 1, "{name}: step {i} must resolve exactly once");
+            let t = traced.iter().find(|t| t.rid == rid).expect("traced");
+            let (resolve_ns, outcome) = t.resolve.expect("resolve recorded");
+            assert_eq!(outcome, s.ends, "{name}: step {i} ended the wrong way");
+            let closed = |span: Option<(u64, u64)>| {
+                let (start, dur) = span.unwrap_or_else(|| panic!("{name}: step {i} span missing"));
+                assert!(start + dur <= resolve_ns, "{name}: step {i} span outlives its resolve");
+            };
+            match s.open {
+                Nothing => assert!(t.queue.is_none() && t.execute.is_none(), "{name}: step {i}"),
+                Queue => {
+                    closed(t.queue);
+                    assert!(t.execute.is_none(), "{name}: step {i} never reached a worker");
+                }
+                Execute => {
+                    closed(t.queue);
+                    closed(t.execute);
+                }
+            }
+        }
+    }
 }
