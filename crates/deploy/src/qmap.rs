@@ -15,6 +15,15 @@ pub struct QMap {
     scale: f32,
 }
 
+/// Raw storage, channel-major, for a block that fills a pre-sized map in
+/// place (what [`QMap::into_raw`] → [`QMap::from_raw`] allows anyway); the
+/// length, and so the shape, cannot change through it.
+impl AsMut<[i8]> for QMap {
+    fn as_mut(&mut self) -> &mut [i8] {
+        &mut self.data
+    }
+}
+
 impl QMap {
     /// Quantizes a float `(C, H, W)` tensor at the given scale.
     ///

@@ -14,9 +14,16 @@
 //!   layer's output rows split across arrays, each array owning a
 //!   contiguous band of the layer's prepared tiles
 //!   ([`cc_systolic::RowBand`]). The bands of one layer run concurrently
-//!   (scoped threads, one kernel scratch each) and the gather is pure row
-//!   concatenation — bit-identical to the unsharded kernel by
-//!   construction, because per-channel quantization stats are precomputed.
+//!   (scoped threads, one kernel scratch each) and every lane hands back
+//!   *finished* rows: as in the paper's Fig. 6, each array is followed by
+//!   its own ReLU + quantization block, so a lane runs its band's kernel
+//!   and then the conv's epilogue over that band's rows, writing its row
+//!   range of every image's output map. Per-channel quantization stats
+//!   are precomputed, so the maps are bit-identical to the unsharded
+//!   engine's by construction and nothing of a conv is left to one thread
+//!   behind the gather. The `i32` accumulator plane is still gathered, by
+//!   pure row concatenation, for stats, oracles and
+//!   [`cc_systolic::RunScratch::outputs`].
 //!
 //! Either way the shards share one prepared op list (the
 //! [`DeployedNetwork`]'s `Arc` internals); nothing is re-prepared per
@@ -40,7 +47,8 @@
 //! by construction.
 
 use crate::builder::DeployedNetwork;
-use crate::engine::BatchOutput;
+use crate::engine::{BatchOutput, Epilogue};
+use crate::qmap::QMap;
 use crate::scratch::ActivationScratch;
 use cc_systolic::partition::partition_min_max;
 use cc_systolic::tiled::{BandAction, BandLane, BandOutcome, PreparedPacked, TiledScheduler};
@@ -62,15 +70,17 @@ const MAX_CACHED_PLANS: usize = 32;
 const MAX_CONV_LOG: usize = 1024;
 
 /// One traced conv scatter: when the gather finished and how long each
-/// shard lane spent in the kernel for this conv alone. Serving-side
-/// tracing turns these into per-lane span events (the span is
-/// reconstructed as `ended - lane_busy[lane] .. ended` — lanes run
-/// concurrently, so each lane's busy time ends at the gather).
+/// shard lane was occupied by this conv alone — its band's kernel and
+/// the epilogue over the band's rows. Serving-side tracing turns these
+/// into per-lane span events (the span is reconstructed as
+/// `ended - lane_busy[lane] .. ended` — lanes run concurrently, so each
+/// lane's busy time ends at the gather).
 #[derive(Clone, Debug)]
 pub struct ConvTrace {
     /// When the scatter's gather completed.
     pub ended: Instant,
-    /// Kernel nanoseconds per shard lane for this conv (index = lane).
+    /// Nanoseconds each shard lane was occupied by this conv, kernel and
+    /// epilogue (index = lane).
     pub lane_busy: Vec<u64>,
 }
 
@@ -384,8 +394,9 @@ impl BandSet {
         self.concurrent_stats().cycles
     }
 
-    /// Host nanoseconds each shard has spent in the kernel since the last
-    /// [`BandSet::reset_busy`] (occupancy telemetry).
+    /// Host nanoseconds each shard lane has been occupied — stalls,
+    /// kernels and the epilogues behind them, failed attempts included —
+    /// since the last [`BandSet::reset_busy`] (occupancy telemetry).
     pub fn busy_nanos(&self) -> &[u64] {
         &self.busy_nanos
     }
@@ -497,19 +508,23 @@ impl BandSet {
     }
 
     /// Runs one prepared conv on the set: scatters it across the active
-    /// arrays and gathers the band outputs into `primary`'s plane (row
-    /// concatenation — the plane ends bit-identical to
-    /// `run_prepared_with`). The one path for every configuration: band
-    /// `i` runs on lane `active[i]` under that lane's geometry (the base
-    /// array's without a fleet) and the action the injector orders for it
-    /// (`Run` without an injector); a single active lane runs the whole
-    /// matrix as one band on the calling thread.
+    /// arrays, each lane running its band's kernel and then `epilogue`
+    /// over the band's rows — writing that row range of every map in
+    /// `outs` (one per image of the batch, pre-sized) — and gathers the
+    /// band accumulators into `primary`'s plane (row concatenation — the
+    /// plane ends bit-identical to `run_prepared_with`). The one path for
+    /// every configuration: band `i` runs on lane `active[i]` under that
+    /// lane's geometry (the base array's without a fleet) and the action
+    /// the injector orders for it (`Run` without an injector); a single
+    /// active lane runs the whole matrix as one band, kernel and
+    /// epilogue, on the calling thread.
     ///
     /// Outcomes feed the lane health scores: poisoned/dead bands count
     /// toward the breaker, tripped lanes are quarantined, the bands are
     /// re-planned over the survivors, and the conv is re-run until it
-    /// completes cleanly (every row was then written by a successful
-    /// band) or the retry budget/deadline is exhausted.
+    /// completes cleanly (every row of `outs` was then finished by a
+    /// successful band of that attempt's plan) or the retry budget/deadline
+    /// is exhausted.
     ///
     /// # Panics
     ///
@@ -523,6 +538,8 @@ impl BandSet {
         tiles: &PreparedPacked,
         d: &QuantMatrix,
         primary: &mut RunScratch,
+        epilogue: &Epilogue<'_>,
+        outs: &mut [QMap],
     ) {
         let injector = self.injector.clone();
         self.convs += 1;
@@ -556,7 +573,22 @@ impl BandSet {
                 }
                 lanes.push(band);
             }
-            sched.run_bands(tiles, plan, d, primary, &mut self.aux, &mut lanes);
+            // Every attempt carves `outs` along *its* plan: a re-plan
+            // after quarantine moves the row ranges. One band finishes
+            // the maps whole, with nothing to carve or allocate.
+            let aux = &mut self.aux;
+            if let [_] = plan {
+                let mut whole = |band: &RowBand, words: &[i32]| epilogue.rows(band, words, outs);
+                let steps = std::slice::from_mut(&mut whole);
+                sched.run_bands_then(tiles, plan, d, primary, aux, &mut lanes, steps);
+            } else {
+                let mut steps: Vec<_> = band_rows(plan, outs)
+                    .map(|mut rows| {
+                        move |band: &RowBand, words: &[i32]| epilogue.rows(band, words, &mut rows)
+                    })
+                    .collect();
+                sched.run_bands_then(tiles, plan, d, primary, aux, &mut lanes, &mut steps);
+            }
 
             // Host time is real on every attempt, successful or not; lane
             // health is scored from what each band reported.
@@ -662,6 +694,26 @@ impl BandSet {
         }
         self.plans.len() - 1
     }
+}
+
+/// Carves every map along `plan`: item `i` holds band `i`'s output rows
+/// of each map, in batch order — disjoint slices, so each band's lane can
+/// fill its own while the others fill theirs.
+fn band_rows<'a>(
+    plan: &'a [RowBand],
+    outs: &'a mut [QMap],
+) -> impl Iterator<Item = Vec<&'a mut [i8]>> {
+    let plane = outs.first().map_or(0, QMap::plane);
+    let mut rest: Vec<&mut [i8]> = outs.iter_mut().map(QMap::as_mut).collect();
+    plan.iter().map(move |band| {
+        rest.iter_mut()
+            .map(|tail| {
+                let (rows, below) = std::mem::take(tail).split_at_mut(band.rows().len() * plane);
+                *tail = below;
+                rows
+            })
+            .collect()
+    })
 }
 
 /// Reusable execution state for one [`ShardedNetwork`]: one activation
@@ -977,30 +1029,35 @@ mod tests {
         assert_eq!(plan.layer_ranges().last().unwrap().end, deployed.num_layers());
     }
 
+    /// Three lanes, and the one-lane set every `cc-serve` worker runs by
+    /// default: the lanes fill maps drawn from the pool before the
+    /// scatter, so a warm scratch still serves every buffer.
     #[test]
     fn sharded_scratch_reuse_is_stable_and_warm() {
         let (deployed, images) = lenet_fixture();
-        let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 3);
-        let mut scratch = ShardScratch::for_network(&plan);
-        let (first, _) = plan.run_batch_stats(&images, &mut scratch);
-        // Warm-up round two, then assert the pools stop growing.
-        plan.run_batch_stats(&images, &mut scratch);
-        let warm_bufs = scratch.acts[0].buffer_allocations();
-        let warm_shells = scratch.acts[0].shell_allocations();
-        for round in 0..3 {
-            let (logits, _) = plan.run_batch_stats(&images, &mut scratch);
-            assert_eq!(logits, first, "scratch reuse diverged on round {round}");
+        for shards in [1, 3] {
+            let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, shards);
+            let mut scratch = ShardScratch::for_network(&plan);
+            let (first, _) = plan.run_batch_stats(&images, &mut scratch);
+            // Warm-up round two, then assert the pools stop growing.
+            plan.run_batch_stats(&images, &mut scratch);
+            let warm_bufs = scratch.acts[0].buffer_allocations();
+            let warm_shells = scratch.acts[0].shell_allocations();
+            for round in 0..3 {
+                let (logits, _) = plan.run_batch_stats(&images, &mut scratch);
+                assert_eq!(logits, first, "scratch reuse diverged on round {round}");
+            }
+            assert_eq!(
+                scratch.acts[0].buffer_allocations(),
+                warm_bufs,
+                "steady-state {shards}-shard run allocated activation buffers"
+            );
+            assert_eq!(
+                scratch.acts[0].shell_allocations(),
+                warm_shells,
+                "steady-state {shards}-shard run allocated batch shells"
+            );
         }
-        assert_eq!(
-            scratch.acts[0].buffer_allocations(),
-            warm_bufs,
-            "steady-state sharded run allocated activation buffers"
-        );
-        assert_eq!(
-            scratch.acts[0].shell_allocations(),
-            warm_shells,
-            "steady-state sharded run allocated batch shells"
-        );
     }
 
     #[test]

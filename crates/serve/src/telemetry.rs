@@ -225,7 +225,8 @@ pub struct Telemetry {
     /// Busy time per pipeline stage (stage 0 doubles as the serial
     /// worker's execution slot).
     stage_busy: Occupancy,
-    /// Busy kernel time per row-band shard lane.
+    /// Time each row-band shard lane was occupied: band kernels plus the
+    /// epilogues the lane runs behind them.
     shard_busy: Occupancy,
     /// Geometry label per shard lane ([`cc_systolic::ArrayGeometry::label`])
     /// when the server runs a heterogeneous fleet; empty otherwise. The
@@ -274,7 +275,7 @@ impl Telemetry {
     /// Labels the shard lanes with their array-geometry names (lane `i`
     /// gets `labels[i]`). Labeled lanes additionally aggregate into
     /// [`TelemetrySnapshot::shard_geometry_busy`] by label, so a fleet of
-    /// mixed array shapes reports how much kernel time each shape
+    /// mixed array shapes reports how much lane time each shape
     /// absorbed. Lanes beyond the label list stay unlabeled.
     #[must_use]
     pub fn with_shard_labels(mut self, labels: Vec<String>) -> Self {
@@ -302,7 +303,7 @@ impl Telemetry {
         self.stage_busy.record(stage, busy);
     }
 
-    /// Moves a shard set's accumulated per-lane kernel time into the
+    /// Moves a shard set's accumulated per-lane busy time into the
     /// shard occupancy gauges and clears the set's clocks.
     pub(crate) fn drain_shard_busy(&self, bands: &mut BandSet) {
         for (lane, &nanos) in bands.busy_nanos().iter().enumerate() {

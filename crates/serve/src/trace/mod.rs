@@ -104,8 +104,9 @@ pub enum EventKind {
     /// Span: one pipeline stage (or serial worker) executing a batch
     /// (arg = stage index).
     Stage = 5,
-    /// Span: one shard lane's kernel time within a conv scatter
-    /// (arg = lane index).
+    /// Span: the time one shard lane was occupied within a conv scatter
+    /// — its band's kernel, then the ReLU + quantizer block over the
+    /// band's rows (arg = lane index).
     ShardRun = 6,
     /// Span: a request's execution residence, dispatch to completion.
     Execute = 7,

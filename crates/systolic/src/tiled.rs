@@ -65,6 +65,14 @@
 //! [`TiledScheduler::run_bands_with`], and [`BandAction::Run`] on every
 //! lane is the fault-free run.
 //!
+//! In the paper's system every array is followed by its own ReLU +
+//! quantization block (Fig. 6), so a lane need not stop at the
+//! accumulators: [`TiledScheduler::run_bands_then`] is the same scatter
+//! with a per-band finishing step, run on the band's own thread the
+//! moment its kernel returns and handed that band's finished rows.
+//! Whatever the caller does per output word therefore scatters with the
+//! kernel instead of queueing behind the gather on one thread.
+//!
 //! The arrays of a scatter need not be identical:
 //! [`PreparedPacked::partition_row_bands_for`] weights the banding DP by
 //! each target [`ArrayGeometry`]'s cycle model. Execution always sweeps
@@ -426,6 +434,8 @@ impl TiledScheduler {
     /// stale — the caller owns detection (via the outcomes) and recovery
     /// (re-planning over surviving arrays and re-running).
     ///
+    /// This is [`TiledScheduler::run_bands_then`] with no finishing step.
+    ///
     /// # Panics
     ///
     /// Panics if `plan` is empty or does not cover the matrix's rows
@@ -441,6 +451,46 @@ impl TiledScheduler {
         aux: &mut [RunScratch],
         lanes: &mut [BandLane],
     ) {
+        let none: &mut [fn(&RowBand, &[i32])] = &mut [];
+        self.run_bands_then(p, plan, d, primary, aux, lanes, none);
+    }
+
+    /// [`TiledScheduler::run_bands`] where every array finishes its own
+    /// rows (see the module docs): `steps[i]` runs on band `i`'s thread
+    /// right after the band's kernel, with the band and the band's row
+    /// slice of the output plane (`band.rows()` rows × `d.cols()`
+    /// accumulator words). `steps` is empty (no finishing step) or one
+    /// per band; a one-band plan still runs everything on the calling
+    /// thread and allocates nothing.
+    ///
+    /// What a step may assume: *its* rows are complete — the kernel has
+    /// returned, 16-bit lanes are sign-extended, and under
+    /// [`BandAction::Poison`] the rows are already corrupted (garbage in,
+    /// garbage out; the lane reports [`BandOutcome::Poisoned`] and the
+    /// caller re-runs). Other bands' rows are *not* — their lanes may
+    /// still be sweeping — which is why a step is handed its own slice
+    /// and nothing else. A [`BandAction::Dead`] band runs no step: its
+    /// rows were never produced. The step's host time counts into the
+    /// lane's `busy_ns` like the kernel's, on band 0 as on the spawned
+    /// bands. The plane is gathered as without steps, so
+    /// [`RunScratch::outputs`] reads the same afterwards.
+    ///
+    /// # Panics
+    ///
+    /// As [`TiledScheduler::run_bands`], plus if `steps` is neither empty
+    /// nor at least as long as `plan`.
+    pub fn run_bands_then<S>(
+        &self,
+        p: &PreparedPacked,
+        plan: &[RowBand],
+        d: &QuantMatrix,
+        primary: &mut RunScratch,
+        aux: &mut [RunScratch],
+        lanes: &mut [BandLane],
+        steps: &mut [S],
+    ) where
+        S: FnMut(&RowBand, &[i32]) + Send,
+    {
         let (band0, rest_bands) = plan.split_first().expect("empty shard plan");
         assert_eq!(band0.rows.start, 0, "plan must start at row 0");
         assert_eq!(plan.last().unwrap().rows.end, p.rows, "plan must cover every row");
@@ -449,6 +499,10 @@ impl TiledScheduler {
         }
         assert!(aux.len() >= rest_bands.len(), "need one aux scratch per extra band");
         assert!(lanes.len() >= plan.len(), "need one lane per band");
+        assert!(
+            steps.is_empty() || steps.len() >= plan.len(),
+            "need one finishing step per band, or none"
+        );
 
         let l = d.cols();
         // The output plane moves out of the scratch for the duration of
@@ -461,11 +515,14 @@ impl TiledScheduler {
         out.resize(p.rows * l, 0);
         let (out0, mut out_tail) = out.split_at_mut(band0.rows.len() * l);
         let (lane0, rest_lanes) = lanes.split_first_mut().expect("lanes sized");
+        // With no steps every lane draws `None`.
+        let mut steps = steps.iter_mut();
+        let step0 = steps.next();
 
         if rest_bands.is_empty() {
             // A thread scope allocates its bookkeeping even when nothing
             // is spawned; the unsharded call must not.
-            self.run_lane(p, band0, d, out0, primary, lane0);
+            self.run_lane(p, band0, d, out0, primary, lane0, step0);
         } else {
             std::thread::scope(|scope| {
                 for ((band, scratch), lane) in
@@ -474,21 +531,24 @@ impl TiledScheduler {
                     let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
                     out_tail = tail;
                     let sched = *self;
-                    scope.spawn(move || sched.run_lane(p, band, d, slice, scratch, lane));
+                    let step = steps.next();
+                    scope.spawn(move || sched.run_lane(p, band, d, slice, scratch, lane, step));
                 }
-                self.run_lane(p, band0, d, out0, primary, lane0);
+                self.run_lane(p, band0, d, out0, primary, lane0, step0);
             });
         }
         primary.out = out;
     }
 
-    /// One band on one lane, timed. `Run` and `Stall` produce the band's
-    /// correct output rows (a stall merely sleeps first, modeling a slow
-    /// array); `Poison` computes the correct rows and then corrupts them
-    /// in place (a sick array returning garbage); `Dead` touches nothing —
-    /// the band's slice of `out` keeps whatever stale contents it had, and
-    /// the lane's stats are zero.
-    fn run_lane(
+    /// One band on one lane, timed from the stall to the end of the
+    /// finishing step. `Run` and `Stall` produce the band's correct output
+    /// rows (a stall merely sleeps first, modeling a slow array); `Poison`
+    /// computes the correct rows and then corrupts them in place (a sick
+    /// array returning garbage); `Dead` touches nothing — the band's slice
+    /// of `out` keeps whatever stale contents it had, the lane's stats are
+    /// zero and `step` is not called. Every other action hands `step` the
+    /// rows as the lane left them.
+    fn run_lane<S: FnMut(&RowBand, &[i32])>(
         &self,
         p: &PreparedPacked,
         band: &RowBand,
@@ -496,6 +556,7 @@ impl TiledScheduler {
         out: &mut [i32],
         scratch: &mut RunScratch,
         lane: &mut BandLane,
+        step: Option<&mut S>,
     ) {
         let t0 = Instant::now();
         if let BandAction::Stall(micros) = lane.action {
@@ -516,6 +577,11 @@ impl TiledScheduler {
             }
             BandAction::Dead => BandOutcome::Dead,
         };
+        if lane.outcome != BandOutcome::Dead {
+            if let Some(step) = step {
+                step(band, out);
+            }
+        }
         lane.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 }
@@ -533,7 +599,8 @@ pub struct BandLane {
     /// Out: the band's counters under `geom`'s cycle model (zero for a
     /// `Dead` band).
     pub stats: SimStats,
-    /// Out: host nanoseconds the band took, *added* to the running value.
+    /// Out: host nanoseconds the band occupied its lane — stall, kernel
+    /// and finishing step — *added* to the running value.
     pub busy_ns: u64,
     /// Out: what actually happened to the band.
     pub outcome: BandOutcome,
@@ -1600,6 +1667,125 @@ mod tests {
         assert_eq!(lanes[3].outcome, BandOutcome::Dead);
         assert!(out[rows(&plan[3])].iter().all(|&o| o == 0), "a dead band writes nothing");
         assert_eq!(lanes[3].stats, SimStats::default());
+    }
+
+    /// The finishing step rides the same scatter: called exactly once per
+    /// band that produced rows — on that band's thread, after its kernel,
+    /// with the band's rows as the lane left them (inverted under
+    /// `Poison`) — and never for a dead band. Its host time lands in the
+    /// lane's `busy_ns` on band 0 as on the spawned bands.
+    #[test]
+    fn finishing_step_runs_once_per_live_band_on_its_finished_rows() {
+        let qp = packed_fixture(96, 40, 0.3, 49);
+        let sched = TiledScheduler::new(ArrayConfig::new(8, 16, AccumWidth::Bits32));
+        let prepared = sched.prepare_packed(&qp);
+        let d = QuantMatrix::quantize(&sparse_matrix(40, 6, 1.0, 50));
+        let mut reference = RunScratch::new();
+        sched.run_prepared_with(&prepared, &d, &mut reference);
+
+        let plan = prepared.partition_row_bands(4);
+        assert_eq!(plan.len(), 4);
+        let actions =
+            [BandAction::Run, BandAction::Stall(50), BandAction::Poison, BandAction::Dead];
+        let mut lanes =
+            actions.map(|action| BandLane { action, ..BandLane::new(sched.cfg.geometry()) });
+        let mut primary = RunScratch::new();
+        let mut aux = vec![RunScratch::new(); 3];
+        const STEP_NS: u64 = 2_000_000;
+        let mut calls: Vec<Vec<_>> = vec![Vec::new(); 4];
+        let mut steps: Vec<_> = calls
+            .iter_mut()
+            .map(|seen| {
+                move |band: &RowBand, words: &[i32]| {
+                    std::thread::sleep(std::time::Duration::from_nanos(STEP_NS));
+                    seen.push((std::thread::current().id(), band.rows(), words.to_vec()));
+                }
+            })
+            .collect();
+        sched.run_bands_then(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes, &mut steps);
+        drop(steps);
+
+        let l = d.cols();
+        let me = std::thread::current().id();
+        let want = reference.outputs();
+        for (i, (band, seen)) in plan.iter().zip(&calls).enumerate() {
+            if actions[i] == BandAction::Dead {
+                assert!(seen.is_empty(), "a dead band produced no rows to finish");
+                continue;
+            }
+            let [(thread, rows, words)] = &seen[..] else {
+                panic!("band {i}'s step ran {} times", seen.len());
+            };
+            assert_eq!(*rows, band.rows(), "band {i} was handed another band's rows");
+            assert_eq!(*thread == me, i == 0, "band 0 on the caller, the rest on their own");
+            let finished = &want[band.rows.start * l..band.rows.end * l];
+            if actions[i] == BandAction::Poison {
+                assert!(words.iter().zip(finished).all(|(w, f)| *w == !*f), "poison comes first");
+            } else {
+                assert_eq!(&words[..], finished, "band {i}'s step ran before its kernel");
+            }
+            assert!(lanes[i].busy_ns >= STEP_NS, "lane {i} was not charged for its step");
+        }
+        // The step only reads: the gathered plane is the step-free one.
+        let live = plan[1].rows.end * l;
+        assert_eq!(primary.outputs()[..live], want[..live]);
+    }
+
+    /// The degenerate call `cc-serve` makes at one shard: a one-band plan
+    /// finishes its rows on the calling thread (no scope, so nothing to
+    /// allocate), on the whole plane.
+    #[test]
+    fn one_band_step_runs_on_the_calling_thread_over_the_whole_plane() {
+        let qp = packed_fixture(40, 40, 0.3, 51);
+        for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
+            let sched = TiledScheduler::new(ArrayConfig::new(16, 16, acc));
+            let prepared = sched.prepare_packed(&qp);
+            let d = QuantMatrix::quantize(&sparse_matrix(40, 5, 1.0, 52));
+            let mut reference = RunScratch::new();
+            let ref_stats = sched.run_prepared_with(&prepared, &d, &mut reference);
+
+            let mut primary = RunScratch::new();
+            let mut lane = BandLane::new(sched.cfg.geometry());
+            let mut seen = Vec::new();
+            let mut step = |band: &RowBand, words: &[i32]| {
+                seen.push((std::thread::current().id(), band.rows(), words.to_vec()));
+            };
+            sched.run_bands_then(
+                &prepared,
+                &[prepared.full_band()],
+                &d,
+                &mut primary,
+                &mut [],
+                std::slice::from_mut(&mut lane),
+                std::slice::from_mut(&mut step),
+            );
+            let want = (std::thread::current().id(), 0..40, reference.outputs().to_vec());
+            assert_eq!(seen, [want], "{acc:?}");
+            assert_eq!(lane.stats, ref_stats);
+            assert_eq!(primary.outputs(), reference.outputs());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one finishing step per band")]
+    fn too_few_finishing_steps_are_rejected() {
+        let qp = packed_fixture(64, 40, 0.3, 53);
+        let sched = TiledScheduler::new(ArrayConfig::new(16, 16, AccumWidth::Bits32));
+        let prepared = sched.prepare_packed(&qp);
+        let d = QuantMatrix::quantize(&sparse_matrix(40, 3, 1.0, 54));
+        let plan = prepared.partition_row_bands(2);
+        let mut lanes = [BandLane::new(sched.cfg.geometry()); 2];
+        let mut aux = [RunScratch::new()];
+        let mut steps = [|_: &RowBand, _: &[i32]| {}];
+        sched.run_bands_then(
+            &prepared,
+            &plan,
+            &d,
+            &mut RunScratch::new(),
+            &mut aux,
+            &mut lanes,
+            &mut steps,
+        );
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl Shape {
     pub fn dims(&self) -> &[usize] {
         &self.dims[..self.rank()]
     }
-
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> [usize; 4] {
-        let r = self.rank();
-        let mut s = [1usize; 4];
-        for i in (0..r.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.dims[i + 1];
-        }
-        s
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -131,15 +121,6 @@ mod tests {
         assert_eq!(Shape::d3(2, 3, 4).len(), 24);
         assert_eq!(Shape::d4(2, 3, 4, 5).len(), 120);
         assert_eq!(Shape::d4(2, 3, 4, 5).rank(), 4);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::d4(2, 3, 4, 5);
-        assert_eq!(s.strides(), [60, 20, 5, 1]);
-        let m = Shape::d2(3, 7);
-        assert_eq!(m.strides()[0], 7);
-        assert_eq!(m.strides()[1], 1);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! correctness.
 
 use cc_dataset::{Dataset, SyntheticSpec};
-use cc_deploy::{identity_groups, BatchOutput, DeployedNetwork};
+use cc_deploy::engine::run_layer_batch_banded;
+use cc_deploy::{
+    identity_groups, ActivationScratch, BandSet, BatchOutput, DeployedNetwork, FaultInjector,
+    HealthEvent, ShardHealthConfig,
+};
 use cc_nn::layer::LayerKind;
 use cc_nn::layers::{Linear, PointwiseConv, Relu, Shift};
 use cc_nn::models::{lenet5_shift, ModelConfig};
@@ -18,8 +22,11 @@ use cc_serve::{
     CacheConfig, EventKind, FaultPlan, ModelRegistry, PipelineExecutor, ServeConfig, Server,
     StageEnv, Telemetry, TraceConfig, TraceRecorder, Track, WaitError,
 };
-use cc_systolic::array::ArrayConfig;
-use cc_tensor::quant::AccumWidth;
+use cc_packing::{group_columns, pack_columns, GroupingConfig};
+use cc_systolic::array::{ArrayConfig, QuantPacked};
+use cc_systolic::{BandAction, BandLane, BandOutcome, RowBand, RunScratch, TiledScheduler};
+use cc_tensor::init::sparse_matrix;
+use cc_tensor::quant::{AccumWidth, QuantMatrix};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -482,4 +489,153 @@ fn blown_deadline_stops_pipelined_retries() {
     assert_eq!(tag, 1);
     assert!(!patient.deadline_blown);
     assert!(patient.attempts > 1, "without a deadline the budget is spent");
+}
+
+/// Every shard lane finishes its own rows of every conv, so recovery has
+/// to hold for the *activations*, not only for the logits a batch ends
+/// in: under seeded plans that poison, stall and kill lanes mid-network —
+/// each faulted conv re-run, tripped lanes quarantined and the bands
+/// re-planned over the survivors, which moves every lane's row range —
+/// every layer's output digests equal the unsharded run's.
+/// A retry that skipped the finishing step, or carved the maps along the
+/// previous attempt's plan, would leave a stale or misplaced band here.
+#[test]
+fn recovered_convs_leave_every_intermediate_activation_bit_identical() {
+    let (train, test) =
+        SyntheticSpec::mnist_like().with_size(8, 8).with_samples(48, 6).generate(31);
+    let net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+    // A small array, so every conv spans several tile row-groups and all
+    // three lanes really execute bands.
+    let deployed = DeployedNetwork::build_with_array(
+        &net,
+        &identity_groups(&net),
+        &train,
+        ArrayConfig::new(4, 8, AccumWidth::Bits32),
+    );
+    let images: Vec<cc_tensor::Tensor> = (0..test.len()).map(|i| test.image(i).clone()).collect();
+    let sched = deployed.scheduler();
+
+    // Every layer's output, in order: map digests, then logit bits.
+    let walk = |mut bands: Option<&mut BandSet>| {
+        let mut scratch = ActivationScratch::new();
+        let mut seen: Vec<u64> = Vec::new();
+        let mut data = BatchOutput::Maps(deployed.quantize_batch_scratch(&images, &mut scratch));
+        for layer in deployed.layers() {
+            let BatchOutput::Maps(maps) = data else {
+                panic!("layers scheduled after the classifier head");
+            };
+            data = run_layer_batch_banded(layer, &maps, &sched, &mut scratch, bands.as_deref_mut());
+            match &data {
+                BatchOutput::Maps(out) => seen.extend(out.iter().map(|m| m.digest())),
+                BatchOutput::Logits(out) => {
+                    seen.extend(out.iter().flatten().map(|l| u64::from(l.to_bits())));
+                }
+            }
+            scratch.recycle_batch(maps);
+        }
+        seen
+    };
+    let want = walk(None);
+
+    let (mut faults, mut retries, mut quarantines) = (0u32, 0u32, 0u32);
+    for seed in 0..6u64 {
+        // One lane dies a few band executions in, roughly every fourth
+        // execution elsewhere is poisoned and every fifth stalls.
+        let plan = FaultPlan::seeded(0x19_0000 + seed)
+            .kill_lane_after((seed % 3) as usize, 1 + seed)
+            .poison_every(4)
+            .stall_every(5, 20);
+        let mut set = BandSet::new(3);
+        set.set_fault_injector(Some(Arc::new(plan)));
+        set.set_health_config(ShardHealthConfig {
+            retry_budget: 24,
+            backoff: Duration::ZERO,
+            probe_after: 3,
+            ..ShardHealthConfig::default()
+        });
+        // Several batches, so the kill, the quarantine re-plan and the
+        // half-open probes that readmit (and re-trip) the dead lane all
+        // land between one conv and the next.
+        for round in 0..4 {
+            assert_eq!(walk(Some(&mut set)), want, "seed {seed} round {round}: activations moved");
+        }
+        for event in set.take_health_events() {
+            match event {
+                HealthEvent::Fault { .. } => faults += 1,
+                HealthEvent::Retry { .. } => retries += 1,
+                HealthEvent::Quarantine { .. } => quarantines += 1,
+                HealthEvent::Readmit { .. } => {}
+            }
+        }
+    }
+    assert!(faults > 0 && retries > 0 && quarantines > 0, "the plans must exercise recovery");
+}
+
+/// The lane-side half of the same contract, on the scatter itself: under
+/// a seeded plan a `Dead` band's finishing step is never called (its rows
+/// were never produced), every other band's is called exactly once, and
+/// what it is handed is the lane's own rows — the unsharded plane's,
+/// bit-inverted when the lane was poisoned.
+#[test]
+fn finishing_steps_run_once_per_live_band_and_never_for_a_dead_one() {
+    let f = sparse_matrix(60, 30, 0.3, 37);
+    let qp = QuantPacked::quantize(&pack_columns(
+        &f,
+        &group_columns(&f, &GroupingConfig::paper_default()),
+    ));
+    let sched = TiledScheduler::new(ArrayConfig::new(4, 8, AccumWidth::Bits32));
+    let prepared = sched.prepare_packed(&qp);
+    let d = QuantMatrix::quantize(&sparse_matrix(30, 7, 1.0, 38));
+    let l = d.cols();
+    let mut reference = RunScratch::new();
+    sched.run_prepared_with(&prepared, &d, &mut reference);
+
+    let faults = FaultPlan::seeded(37).kill_lane_after(1, 3).poison_every(3).stall_every(4, 10);
+    let plan = prepared.partition_row_bands(4);
+    assert_eq!(plan.len(), 4);
+    let mut primary = RunScratch::new();
+    let mut aux = vec![RunScratch::new(); 3];
+    let mut seen = [0u32; 4]; // dead, poisoned, stalled, ran
+    for run in 0..24u64 {
+        let mut lanes: Vec<BandLane> = (0..4)
+            .map(|lane| BandLane {
+                action: faults.band_action(lane, run),
+                ..BandLane::new(sched.config().geometry())
+            })
+            .collect();
+        let mut calls: Vec<Vec<Vec<i32>>> = vec![Vec::new(); 4];
+        let mut steps: Vec<_> = calls
+            .iter_mut()
+            .zip(&plan)
+            .map(|(calls, mine)| {
+                move |band: &RowBand, words: &[i32]| {
+                    assert_eq!(band, mine, "a step was handed another band");
+                    calls.push(words.to_vec());
+                }
+            })
+            .collect();
+        sched.run_bands_then(&prepared, &plan, &d, &mut primary, &mut aux, &mut lanes, &mut steps);
+        drop(steps);
+
+        for ((band, lane), calls) in plan.iter().zip(&lanes).zip(&calls) {
+            let rows = &reference.outputs()[band.rows().start * l..band.rows().end * l];
+            match lane.outcome {
+                BandOutcome::Dead => {
+                    assert!(calls.is_empty(), "run {run}: a dead band's step was called");
+                    seen[0] += 1;
+                }
+                BandOutcome::Poisoned => {
+                    let garbage: Vec<i32> = rows.iter().map(|w| !w).collect();
+                    assert_eq!(calls[..], [garbage], "run {run}: poison is garbage in");
+                    seen[1] += 1;
+                }
+                BandOutcome::Stalled | BandOutcome::Ran => {
+                    assert_eq!(calls[..], [rows.to_vec()], "run {run}: unfinished rows");
+                    seen[2 + usize::from(lane.outcome == BandOutcome::Ran)] += 1;
+                }
+            }
+            assert_eq!(lane.action == BandAction::Dead, lane.outcome == BandOutcome::Dead);
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "the plan must produce every outcome: {seen:?}");
 }

@@ -1,8 +1,9 @@
 //! Multi-array sharding demo: one deployed network carved across N
 //! simulated systolic arrays — as layer shards (cost-balanced layer
 //! ranges) and as row-band shards (each conv's output rows split across
-//! arrays) — with bit-identical results, a simulated-cycle scaling table,
-//! and a sharded serving run through `cc-serve`.
+//! arrays) — with bit-identical results, a scaling table (simulated-cycle
+//! makespan beside host images per second), and a sharded serving run
+//! through `cc-serve`.
 //!
 //! ```text
 //! cargo run --release -p cc-examples --example shard_demo
@@ -16,7 +17,7 @@ use cc_serve::{ModelRegistry, ServeConfig, Server};
 use cc_systolic::array::ArrayConfig;
 use cc_tensor::quant::AccumWidth;
 use cc_tensor::Tensor;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     // 1. Train + column-combine a small network, deploy it once on a
@@ -43,10 +44,12 @@ fn main() {
     let images: Vec<Tensor> = (0..8).map(|i| test.image(i % test.len()).clone()).collect();
     let serial = deployed.run_batch(&images);
 
-    // 2. Shard it 1..4 ways in both geometries: bit-identity plus the
-    // simulated-cycle makespan each extra array buys.
+    // 2. Shard it 1..4 ways in both geometries: bit-identity, the
+    // simulated-cycle makespan each extra array buys, and what the host
+    // makes of it (printed, not asserted: it depends on the box — layer
+    // shards run one after another here, row bands on a thread per lane).
     println!("sharding one model across N simulated arrays (batch of {}):", images.len());
-    println!("  mode       shards  makespan_cycles  speedup");
+    println!("  mode       shards  makespan_cycles  speedup  host_img_per_s");
     for mode in [ShardMode::Layers, ShardMode::RowBands] {
         let mut base = 0u64;
         let mut base_mac_ops = 0u64;
@@ -63,12 +66,19 @@ fn main() {
                 stats.merged.mac_ops, base_mac_ops,
                 "the scatter must conserve total work"
             );
+            // Warm scratch, a fifth of a second of batches.
+            let (started, mut batches) = (Instant::now(), 0usize);
+            while started.elapsed() < Duration::from_millis(200) {
+                std::hint::black_box(plan.run_batch_stats(&images, &mut scratch));
+                batches += 1;
+            }
             println!(
-                "  {:<10} {:>6}  {:>15}  {:>6.2}x",
+                "  {:<10} {:>6}  {:>15}  {:>6.2}x  {:>14.0}",
                 format!("{mode:?}"),
                 plan.shards(),
                 stats.makespan_cycles,
                 base as f64 / stats.makespan_cycles.max(1) as f64,
+                (batches * images.len()) as f64 / started.elapsed().as_secs_f64(),
             );
         }
     }
