@@ -137,7 +137,7 @@ fn measure_case(case: &KernelCase, iters: u32, rounds: u32) -> KernelMeasurement
 }
 
 /// One scalar-vs-lane comparison point: the serving layer shape at a
-/// given image batch (stream length = 16 positions × batch).
+/// given image batch and stream length (positions per image × batch).
 struct LaneCase {
     batch: usize,
     l: usize,
@@ -146,6 +146,7 @@ struct LaneCase {
 struct LaneMeasurement {
     batch: usize,
     l: usize,
+    mac_ops: u64,
     scalar_ns: f64,
     lane_ns: f64,
 }
@@ -155,12 +156,20 @@ impl LaneMeasurement {
         self.scalar_ns / self.lane_ns.max(1e-9)
     }
 
+    /// Host nanoseconds per simulated MAC on the lane sweep — the figure
+    /// `cc-perf` reports as `systolic.ns_per_mac`; only comparable between
+    /// runs at the same `lane_isa`.
+    fn lane_ns_per_mac(&self) -> f64 {
+        self.lane_ns / self.mac_ops.max(1) as f64
+    }
+
     fn as_json(&self) -> JsonValue {
         JsonValue::obj([
             ("batch", JsonValue::from(self.batch)),
             ("stream_len", JsonValue::from(self.l)),
             ("scalar_ns", JsonValue::from(self.scalar_ns)),
             ("lane_ns", JsonValue::from(self.lane_ns)),
+            ("lane_ns_per_mac", JsonValue::from(self.lane_ns_per_mac())),
             ("speedup_lane", JsonValue::from(self.speedup())),
         ])
     }
@@ -185,6 +194,7 @@ fn measure_lane_case(case: &LaneCase, iters: u32, rounds: u32) -> LaneMeasuremen
     LaneMeasurement {
         batch: case.batch,
         l: case.l,
+        mac_ops: lane_stats.mac_ops,
         scalar_ns: best_ns(
             || {
                 black_box(sched.run_prepared_scalar_with(
@@ -210,13 +220,23 @@ fn measure_lane_case(case: &LaneCase, iters: u32, rounds: u32) -> LaneMeasuremen
     }
 }
 
+/// The stream length the lane gate and `speedup_lane_at_batch8` are pinned
+/// to: 16 positions per image at batch 8.
+const GATE_STREAM_LEN: usize = 128;
+
 fn lane_cases() -> Vec<LaneCase> {
-    // 16 stream positions per image: batch 1 barely fills a lane chunk,
-    // batch 8 is the shape the lane sweep is built for.
     vec![
+        // 16 stream positions per image: batch 1 is one short block,
+        // batch 3 three of them, batch 8 two wide blocks.
         LaneCase { batch: 1, l: 16 },
         LaneCase { batch: 3, l: 48 },
-        LaneCase { batch: 8, l: 128 },
+        LaneCase { batch: 8, l: GATE_STREAM_LEN },
+        // ResNet-20's three stage planes (8×8, 16×16, 32×32 positions) at
+        // batch 8 — the regime `cc-perf`'s `offline_resnet` runs in, where
+        // a row is 8 to 128 wide blocks and nothing else.
+        LaneCase { batch: 8, l: 512 },
+        LaneCase { batch: 8, l: 2048 },
+        LaneCase { batch: 8, l: 8192 },
     ]
 }
 
@@ -275,9 +295,15 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         measurements.iter().map(KernelMeasurement::speedup_scratch).fold(0.0f64, f64::max);
 
     // Scalar op-sweep vs batch-major lane sweep across image batch sizes.
+    // The scalar sweep is compiled for the build's baseline only; the lane
+    // sweep runs at the level named in the title.
+    let lane_isa = cc_systolic::tiled::lane_isa();
     let mut lanes = Table::new(
-        "Kernel: scalar op-sweep vs batch-major lane sweep (ns/run, best-of-2)",
-        &["batch", "stream_len", "scalar_ns", "lane_ns", "speedup"],
+        format!(
+            "Kernel: scalar op-sweep vs batch-major lane sweep at lane level `{lane_isa}` \
+             (ns/run, best-of-2)"
+        ),
+        &["batch", "stream_len", "scalar_ns", "lane_ns", "lane_ns_per_mac", "speedup"],
     );
     let mut lane_measurements = Vec::new();
     for case in lane_cases() {
@@ -287,15 +313,15 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             m.l.to_string(),
             fnum(m.scalar_ns, 0),
             fnum(m.lane_ns, 0),
+            fnum(m.lane_ns_per_mac(), 3),
             fnum(m.speedup(), 2),
         ]);
         lane_measurements.push(m);
     }
     let lane_at_batch8 = lane_measurements
         .iter()
-        .filter(|m| m.batch >= 8)
-        .map(LaneMeasurement::speedup)
-        .fold(0.0f64, f64::max);
+        .find(|m| m.l == GATE_STREAM_LEN)
+        .map_or(0.0, LaneMeasurement::speedup);
 
     // Whole model: allocating run_batch vs warm-scratch run_batch_scratch.
     let (deployed, images) = model_fixture(scale);
@@ -370,6 +396,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ("kernels", JsonValue::Arr(measurements.iter().map(KernelMeasurement::as_json).collect())),
         ("speedup_prepared_scratch_min", JsonValue::from(speedup_min)),
         ("speedup_prepared_scratch_best", JsonValue::from(speedup_best)),
+        ("lane_isa", JsonValue::from(lane_isa)),
         (
             "lane_kernels",
             JsonValue::Arr(lane_measurements.iter().map(LaneMeasurement::as_json).collect()),
@@ -446,7 +473,7 @@ mod tests {
             return;
         }
         let _exclusive = crate::perf_gate_lock();
-        let m = measure_lane_case(&LaneCase { batch: 8, l: 128 }, 200, 2);
+        let m = measure_lane_case(&LaneCase { batch: 8, l: GATE_STREAM_LEN }, 200, 2);
         assert!(
             m.speedup() >= 1.0,
             "lane sweep must not lose to the scalar op-sweep at batch 8: \

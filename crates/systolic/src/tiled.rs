@@ -33,15 +33,44 @@
 //! ## The batch-major lane sweep
 //!
 //! The kernel's innermost loop is **batch-major**: one `(channel, weight)`
-//! op applies across all `l` batch positions of its output row as an
-//! explicit chunked lane sweep (`LANE_CHUNK`-wide fixed-size chunks the
-//! autovectorizer turns into vector MACs, ops fused in pairs so each
-//! accumulator chunk is loaded and stored once per two MACs). The PR 4
-//! one-op-at-a-time loop survives as
+//! op applies across the `l` batch positions of its output row — the
+//! host's form of the paper's interleaved input streams (§4, Fig. 8c):
+//! independent positions side by side in a vector register. The row is
+//! walked in 64-position blocks, then 16-position blocks, then a scalar
+//! tail; a block's accumulators are loaded once, every op of the row MACs
+//! into them, and they are stored once.
+//!
+//! The block loop is one piece of safe, intrinsic-free Rust compiled
+//! twice (the private `sweep_lanes`), and what it becomes was read off
+//! the disassembly of the shipped `cc-perf`, not assumed:
+//!
+//! - **baseline** (what the build targets; x86-64 means SSE2): 128-bit
+//!   registers, four `i32` positions per instruction. SSE2 has no 32-bit
+//!   multiply, so each group of four is two unpacks and a shift to
+//!   sign-extend, then a `pmaddwd` against the broadcast weight whose odd
+//!   16-bit lanes are zero, then `paddd`. At the old 16-wide block that
+//!   was 38 instructions per op for 16 MACs.
+//! - **avx2**: 256-bit registers, eight positions per instruction —
+//!   `vpmovsxbd` straight from the data matrix, `vpmulld` by the broadcast
+//!   weight, `vpaddd` into one of the eight `ymm` accumulators that hold a
+//!   64-position block: the same 38 instructions per op, for 64 MACs.
+//!
+//! Which one runs is decided per band run from
+//! `is_x86_feature_detected!("avx2")` (a cached atomic load) and reported
+//! by [`lane_isa`]; there is no knob. Integer wrapping adds make
+//! bit-identity a matter of each lane's op order, which no level and no
+//! block width changes. An AVX-512 level was measured twice and left
+//! out: 4–10 % more on `offline_resnet`, but single-image LeNet latency
+//! 7–12 % *worse* than at the AVX2 level, where short 512-bit bursts
+//! between scalar epilogues pay the licence down-clock (CHANGES.md,
+//! PR 20).
+//!
+//! The PR 4 one-op-at-a-time loop survives as
 //! [`TiledScheduler::run_prepared_scalar_with`], the live baseline
 //! `kernel_bench`'s scalar-vs-lane rows and the CI lane gate measure
-//! against. All kernels and the stats model share one tile/row/op walk
-//! (`walk_band` + `BandVisitor`), so loop-structure changes land once.
+//! against (baseline level only: it is the reference). All kernels and
+//! the stats model share one tile/row/op walk (`walk_band` +
+//! `BandVisitor`), so loop-structure changes land once.
 //!
 //! ## One scatter: row bands, fleets, faults
 //!
@@ -86,6 +115,7 @@ use crate::cell::CellKind;
 use crate::mac::BitSerialMac;
 use crate::partition::{partition_min_max, partition_min_max_by};
 use cc_tensor::quant::{AccumWidth, QuantMatrix};
+use isa::LaneIsa;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -314,7 +344,9 @@ impl TiledScheduler {
     /// tiles: the overlap cycle model over the band's tile subsequence
     /// plus the band's share of the op counters (at the preparing config's
     /// geometry, op counters and `load_cycles` of a full partition sum
-    /// exactly to the unsharded run's).
+    /// exactly to the unsharded run's). `isa` is the level the batch-major
+    /// lane kernel runs at, `None` the scalar baseline; neither touches a
+    /// bit of the result.
     fn run_band_kernel(
         &self,
         p: &PreparedPacked,
@@ -323,7 +355,7 @@ impl TiledScheduler {
         d: &QuantMatrix,
         out: &mut [i32],
         scratch: &mut RunScratch,
-        scalar: bool,
+        isa: Option<LaneIsa>,
     ) -> SimStats {
         assert_eq!(p.cfg, self.cfg, "tiles prepared for a different array");
         assert!(d.rows() >= p.original_cols, "data matrix missing channels");
@@ -345,13 +377,13 @@ impl TiledScheduler {
             }
             (false, AccumWidth::Bits32) => {
                 out.fill(0);
-                sweep_lanes(tiles, row0, data, l, out, scalar);
+                sweep_lanes(tiles, row0, data, l, out, isa);
             }
             (false, AccumWidth::Bits16) => {
                 let plane = &mut scratch.lane16;
                 plane.clear();
                 plane.resize(out.len(), 0);
-                sweep_lanes(tiles, row0, data, l, plane, scalar);
+                sweep_lanes(tiles, row0, data, l, plane, isa);
                 for (o, &v) in out.iter_mut().zip(plane.iter()) {
                     *o = i32::from(v);
                 }
@@ -380,7 +412,7 @@ impl TiledScheduler {
         let mut out = std::mem::take(&mut scratch.out);
         out.resize(p.rows * l, 0);
         let stats =
-            self.run_band_kernel(p, &band, self.cfg.geometry(), d, &mut out, scratch, true);
+            self.run_band_kernel(p, &band, self.cfg.geometry(), d, &mut out, scratch, None);
         scratch.out = out;
         stats
     }
@@ -564,7 +596,7 @@ impl TiledScheduler {
         }
         lane.stats = match lane.action {
             BandAction::Dead => SimStats::default(),
-            _ => self.run_band_kernel(p, band, lane.geom, d, out, scratch, false),
+            _ => self.run_band_kernel(p, band, lane.geom, d, out, scratch, Some(LaneIsa::detect())),
         };
         lane.outcome = match lane.action {
             BandAction::Run => BandOutcome::Ran,
@@ -992,6 +1024,7 @@ trait BandVisitor {
     fn row(&mut self, _start: usize, _ops: &[TileOp]) {}
 }
 
+#[inline(always)]
 fn walk_band<V: BandVisitor>(tiles: &[PreparedTile], row0: usize, l: usize, v: &mut V) {
     for tile in tiles {
         v.tile(tile);
@@ -1006,52 +1039,76 @@ fn walk_band<V: BandVisitor>(tiles: &[PreparedTile], row0: usize, l: usize, v: &
     }
 }
 
-/// Width of the batch-major kernel's explicit lane chunks: fixed-size
-/// `i32`/`i16` blocks the autovectorizer maps onto vector registers
-/// (16 × i32 = one AVX-512 register, two AVX2, four NEON — small enough to
-/// stay register-resident everywhere, wide enough to amortize the loop).
-const LANE_CHUNK: usize = 16;
-
-/// The batch-major lane kernel: the output row is walked in
-/// `LANE_CHUNK`-wide fixed-size blocks, and each block is copied into a
-/// register-resident accumulator array that *every op of the row* MACs
-/// into before it is stored back — one plane load/store per row instead
-/// of one per op, with the fixed-size inner loop left to the
-/// autovectorizer. Column-band partial sums accumulate directly in the
-/// lanes — per-MAC wrapping commutes with the tile-boundary wrap of the
-/// reference path (modular addition is associative) and the op order per
-/// lane is unchanged, so the result is bit-identical to [`ScalarSweep`]
-/// and the seed indexed path.
+/// The batch-major lane kernel: the output row is walked in fixed-size
+/// blocks — [`LANE_BLOCK`]-wide first, then [`LANE_BLOCK_SHORT`]-wide over
+/// what is left, then position by position — and each block is copied
+/// into a register-resident accumulator array that *every op of the row*
+/// MACs into before it is stored back: one plane load/store per row
+/// instead of one per op. The fixed-size inner loop is plain indexed
+/// Rust; which vector instructions it becomes is decided by the function
+/// it is inlined into (see [`sweep_lanes`]), which is why everything from
+/// [`walk_band`] down to [`Lane::mac`] is `#[inline(always)]`.
+/// Column-band partial sums accumulate directly in the lanes — per-MAC
+/// wrapping commutes with the tile-boundary wrap of the reference path
+/// (modular addition is associative) and the op order per lane is the
+/// same at every block width, so the result is bit-identical to
+/// [`ScalarSweep`] and the seed indexed path.
 struct LaneSweep<'a, L: Lane> {
     data: &'a [i8],
     l: usize,
     plane: &'a mut [L],
 }
 
+/// The wide block: 64 positions are eight 256-bit registers of `i32`
+/// accumulators (four of `i16`), which is what it takes to spread an op's
+/// fixed cost — address, two bounds checks, the weight broadcast — thin.
+/// Measured on `offline_resnet`'s kernel share: 32 ties with 64 under
+/// AVX2, 16 alone gives back a quarter of the gain.
+const LANE_BLOCK: usize = 64;
+
+/// The short block, for the `l % 64` positions the wide block leaves
+/// (one LeNet image's 49-position plane is three of these and a tail).
+const LANE_BLOCK_SHORT: usize = 16;
+
+/// Sweeps `row[from..]` in `W`-wide blocks, every op of the row into each,
+/// and returns the first position no whole block covered. `data` is the
+/// data matrix, its rows as long as `row`.
+#[inline(always)]
+fn sweep_blocks<const W: usize, L: Lane>(
+    row: &mut [L],
+    data: &[i8],
+    ops: &[TileOp],
+    from: usize,
+) -> usize {
+    let l = row.len();
+    let mut base = from;
+    while base + W <= l {
+        let a: &mut [L; W] = (&mut row[base..base + W]).try_into().expect("exact block");
+        let mut acc = *a;
+        for op in ops {
+            let b: &[i8; W] =
+                data[op.channel as usize * l + base..][..W].try_into().expect("exact block");
+            let w = op.weight;
+            for i in 0..W {
+                acc[i] = acc[i].mac(w, b[i]);
+            }
+        }
+        *a = acc;
+        base += W;
+    }
+    base
+}
+
 impl<L: Lane> BandVisitor for LaneSweep<'_, L> {
+    #[inline(always)]
     fn row(&mut self, start: usize, ops: &[TileOp]) {
         let l = self.l;
         let row = &mut self.plane[start..start + l];
-        let chunks = l / LANE_CHUNK;
-        for c in 0..chunks {
-            let base = c * LANE_CHUNK;
-            let a: &mut [L; LANE_CHUNK] =
-                (&mut row[base..base + LANE_CHUNK]).try_into().expect("exact chunk");
-            let mut acc = *a;
-            for op in ops {
-                let b: &[i8; LANE_CHUNK] = self.data[op.channel as usize * l + base..]
-                    [..LANE_CHUNK]
-                    .try_into()
-                    .expect("exact chunk");
-                let w = op.weight;
-                for i in 0..LANE_CHUNK {
-                    acc[i] = acc[i].mac(w, b[i]);
-                }
-            }
-            *a = acc;
-        }
-        // Tail positions past the last full chunk: the scalar sweep.
-        let base = chunks * LANE_CHUNK;
+        let base = sweep_blocks::<LANE_BLOCK, L>(row, self.data, ops, 0);
+        let base = sweep_blocks::<LANE_BLOCK_SHORT, L>(row, self.data, ops, base);
+        // Positions past the last whole block: the scalar sweep. (A
+        // zero-padded block here was measured and is slower — at `l` = 49
+        // the tail is one position.)
         if base < l {
             let tail = &mut row[base..];
             for op in ops {
@@ -1110,20 +1167,98 @@ impl BandVisitor for ExactSweep<'_> {
     }
 }
 
-/// Runs one of the native-lane kernels over a band's zeroed plane:
-/// batch-major by default, the scalar baseline on demand.
+/// Runs one of the native-lane kernels over a band's zeroed plane: the
+/// batch-major kernel at level `isa`, or the scalar baseline for `None`.
+///
+/// The batch-major kernel is one body, `walk_band` over a [`LaneSweep`],
+/// compiled twice. It is inlined whole into each function that calls it,
+/// so it takes that function's target features: this one's (the build's
+/// baseline), and those of `sweep_avx2`, whose body is that one call —
+/// same safe Rust, same lane order, 256-bit instructions. No intrinsics,
+/// no build flag; a CPU without AVX2, or a target that is not x86-64,
+/// runs the baseline instantiation of the same source.
 fn sweep_lanes<L: Lane>(
     tiles: &[PreparedTile],
     row0: usize,
     data: &[i8],
     l: usize,
     plane: &mut [L],
-    scalar: bool,
+    isa: Option<LaneIsa>,
 ) {
-    if scalar {
-        walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane });
-    } else {
-        walk_band(tiles, row0, l, &mut LaneSweep { data, l, plane });
+    match isa {
+        None => walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane }),
+        Some(LaneIsa::Baseline) => walk_band(tiles, row0, l, &mut LaneSweep { data, l, plane }),
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Some(LaneIsa::Avx2(_)) => {
+            // SAFETY: `sweep_avx2` is safe Rust whose one requirement is a
+            // CPU with AVX2, and an `Avx2` value exists only because
+            // `LaneIsa::detect` saw `is_x86_feature_detected!("avx2")`
+            // (nothing outside `mod isa` can construct its `Detected`).
+            unsafe { sweep_avx2(tiles, row0, l, &mut LaneSweep { data, l, plane }) }
+        }
+    }
+}
+
+/// The lane kernel's AVX2 compilation: all of it is the inlined callee.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<L: Lane>(tiles: &[PreparedTile], row0: usize, l: usize, v: &mut LaneSweep<'_, L>) {
+    walk_band(tiles, row0, l, v);
+}
+
+/// The vector level the lane kernel runs at on this CPU: `"avx2"` or
+/// `"baseline"` (whatever the build targets — SSE2 on x86-64). A host
+/// ns/MAC figure means nothing across boxes without it.
+pub fn lane_isa() -> &'static str {
+    LaneIsa::detect().name()
+}
+
+/// The levels the lane kernel is compiled for, fenced in a module of
+/// their own because the workspace's one `unsafe` call (in
+/// [`sweep_lanes`]) rests on them: a [`LaneIsa::Avx2`] carries a
+/// [`Detected`], which nothing outside this module can construct and
+/// inside it only [`LaneIsa::detect`] does, after the CPU said yes.
+mod isa {
+    /// Proof that the CPU reported a feature.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Detected(());
+
+    /// A level of the lane kernel this CPU can run.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum LaneIsa {
+        Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Avx2(Detected),
+    }
+
+    impl LaneIsa {
+        /// The widest level the CPU has. `is_x86_feature_detected!` caches
+        /// its CPUID probe, so this is an atomic load.
+        pub(super) fn detect() -> Self {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return LaneIsa::Avx2(Detected(()));
+            }
+            LaneIsa::Baseline
+        }
+
+        /// Every level the CPU has, so tests cover each arm they can.
+        #[cfg(test)]
+        pub(super) fn available() -> Vec<Self> {
+            let mut levels = vec![LaneIsa::Baseline, Self::detect()];
+            levels.dedup();
+            levels
+        }
+
+        pub(super) fn name(self) -> &'static str {
+            match self {
+                LaneIsa::Baseline => "baseline",
+                #[cfg(target_arch = "x86_64")]
+                LaneIsa::Avx2(_) => "avx2",
+            }
+        }
     }
 }
 
@@ -1533,9 +1668,9 @@ mod tests {
         }
     }
 
-    /// The batch-major fused lane sweep must be bit-identical (outputs and
+    /// The batch-major lane sweep must be bit-identical (outputs and
     /// stats) to the scalar op-list baseline at every batch width,
-    /// including the chunk-remainder widths around [`LANE_CHUNK`].
+    /// including the remainder widths around both block sizes.
     #[test]
     fn lane_kernel_matches_scalar_baseline_at_every_width() {
         let qp = packed_fixture(70, 66, 0.2, 41);
@@ -1544,12 +1679,121 @@ mod tests {
             let prepared = sched.prepare_packed(&qp);
             let mut lane = RunScratch::new();
             let mut scalar = RunScratch::new();
-            for l in [1usize, 3, 8, 15, 16, 17, 33, 64] {
+            for l in [1usize, 3, 8, 15, 16, 17, 33, 63, 64, 65, 80, 129, 200] {
                 let d = QuantMatrix::quantize(&sparse_matrix(66, l, 1.0, 42 + l as u64));
                 let ls = sched.run_prepared_with(&prepared, &d, &mut lane);
                 let ss = sched.run_prepared_scalar_with(&prepared, &d, &mut scalar);
                 assert_eq!(lane.outputs(), scalar.outputs(), "outputs diverged at l={l}");
                 assert_eq!(ls, ss, "stats diverged at l={l}");
+            }
+        }
+    }
+
+    /// Runs `plan` band by band on the calling thread with the lane kernel
+    /// at `isa` (`None`: the scalar baseline) and returns the gathered
+    /// plane and each band's stats.
+    fn run_plan_at(
+        sched: &TiledScheduler,
+        prepared: &PreparedPacked,
+        plan: &[RowBand],
+        d: &QuantMatrix,
+        isa: Option<LaneIsa>,
+    ) -> (Vec<i32>, Vec<SimStats>) {
+        let l = d.cols();
+        let mut out = vec![0; prepared.rows * l];
+        let mut scratch = RunScratch::new();
+        let stats = plan
+            .iter()
+            .map(|band| {
+                let rows = &mut out[band.rows.start * l..band.rows.end * l];
+                let geom = sched.cfg.geometry();
+                sched.run_band_kernel(prepared, band, geom, d, rows, &mut scratch, isa)
+            })
+            .collect();
+        (out, stats)
+    }
+
+    #[test]
+    fn detected_level_is_available_and_baseline_always_is() {
+        let levels = LaneIsa::available();
+        assert_eq!(levels[0], LaneIsa::Baseline);
+        assert!(levels.contains(&LaneIsa::detect()));
+        assert_eq!(lane_isa(), LaneIsa::detect().name());
+        let names: Vec<_> = levels.iter().map(|isa| isa.name()).collect();
+        assert!(names == ["baseline"] || names == ["baseline", "avx2"], "{names:?}");
+    }
+
+    /// Every compilation of the lane kernel this CPU can run — not only
+    /// the one `detect` picks — against the scalar baseline and the `i64`
+    /// GEMM oracle, outputs and stats, at stream lengths on both sides of
+    /// both block widths and over one to three bands. A box with AVX2
+    /// checks both arms, a box without checks one.
+    #[test]
+    fn every_available_level_matches_scalar_and_the_gemm_oracle() {
+        let f = sparse_matrix(70, 66, 0.2, 55);
+        let packed = pack_columns(&f, &group_columns(&f, &GroupingConfig::paper_default()));
+        let params = QuantParams::calibrate(f.as_slice());
+        let qp = QuantPacked::quantize_with(&packed, params);
+        let pruned = QuantMatrix::quantize_with(&packed.unpack(), params);
+        for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
+            let sched = TiledScheduler::new(ArrayConfig::new(24, 24, acc));
+            let prepared = sched.prepare_packed(&qp);
+            for l in [1usize, 3, 15, 16, 17, 33, 63, 64, 65, 80, 129, 200] {
+                let d = QuantMatrix::quantize(&sparse_matrix(66, l, 1.0, 56 + l as u64));
+                let oracle: Vec<i32> =
+                    quant_matmul(&pruned, &d, acc).into_iter().map(|o| o as i32).collect();
+                let reference = sched.run_packed_reference(&qp, &d).stats;
+                for bands in 1..=3 {
+                    let plan = prepared.partition_row_bands(bands);
+                    assert_eq!(plan.len(), bands);
+                    let scalar = run_plan_at(&sched, &prepared, &plan, &d, None);
+                    assert_eq!(scalar.0, oracle, "scalar {acc:?} l={l} bands={bands}");
+                    if bands == 1 {
+                        assert_eq!(scalar.1, [reference], "scalar stats {acc:?} l={l}");
+                    }
+                    for isa in LaneIsa::available() {
+                        assert_eq!(
+                            run_plan_at(&sched, &prepared, &plan, &d, Some(isa)),
+                            scalar,
+                            "{} {acc:?} l={l} bands={bands}",
+                            isa.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// −128 × −128 = 2¹⁴ is the one product that needs all fifteen bits,
+    /// and two of them overflow a 16-bit lane: every level must wrap where
+    /// the `i64` oracle's per-MAC wrap does (42 of them land on `i16::MIN`).
+    #[test]
+    fn every_available_level_wraps_extreme_products_alike() {
+        let (rows, cols, l) = (3, 42, 64);
+        let params = QuantParams::from_max_abs(1.0);
+        let w = QuantMatrix::from_raw(rows, cols, vec![-128; rows * cols], params);
+        let qp = QuantPacked::from_raw(
+            rows,
+            cols,
+            cols,
+            vec![-128; rows * cols],
+            (0..rows).flat_map(|_| (0..cols).map(Some)).collect(),
+            params,
+            1,
+        );
+        let d = QuantMatrix::from_raw(cols, l, vec![-128; cols * l], params);
+        for (acc, want) in
+            [(AccumWidth::Bits16, i32::from(i16::MIN)), (AccumWidth::Bits32, 42 << 14)]
+        {
+            let sched = TiledScheduler::new(ArrayConfig::new(4, 16, acc));
+            let prepared = sched.prepare_packed(&qp);
+            let oracle: Vec<i32> =
+                quant_matmul(&w, &d, acc).into_iter().map(|o| o as i32).collect();
+            assert!(oracle.iter().all(|&o| o == want), "{acc:?}: oracle is not {want}");
+            for isa in LaneIsa::available() {
+                let (got, _) =
+                    run_plan_at(&sched, &prepared, &[prepared.full_band()], &d, Some(isa));
+                assert_eq!(got, oracle, "{} {acc:?}", isa.name());
             }
         }
     }

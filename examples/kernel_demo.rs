@@ -89,6 +89,9 @@ fn main() {
         model_iters,
     );
 
+    // The fast path's lane kernel is compiled for more than one vector
+    // level; timings only compare between runs that name the same one.
+    println!("lane kernel level on this CPU: {}\n", cc_systolic::tiled::lane_isa());
     let mut table = Table::new(
         "Fast kernels: seed path vs prepared op-list + scratch (ns, lower is better)",
         &["workload", "seed_ns", "fast_ns", "speedup"],
