@@ -138,6 +138,7 @@ impl Measurement {
             ("throughput_rps", JsonValue::from(self.stats.throughput_rps)),
             ("hits", JsonValue::from(self.stats.cache.hits)),
             ("misses", JsonValue::from(self.stats.cache.misses)),
+            ("deferred", JsonValue::from(self.stats.cache.deferred)),
             ("evictions", JsonValue::from(self.stats.cache.evictions)),
             (
                 "hit_rate",

@@ -10,14 +10,12 @@
 //!
 //! ## Peripheral blocks are row loops
 //!
-//! The blocks behind the array — shift, the residual add, the pools, the
-//! classifier head — are periphery in the paper and must be here: each
-//! walks whole rows as slices (`zip`ped iterators, `copy_from_slice` of a
-//! shifted row's in-range span) so the compiler drops the bounds checks and
-//! vectorises them on baseline x86-64. The ReLU + quantizer epilogue is the
-//! one still walked a word at a time (`epilogue_word` in an indexed
-//! loop): see ROADMAP item 2(a) and `Epilogue::rows` for why its row
-//! form waits on a benchmark change.
+//! The blocks behind the array — the ReLU + quantizer epilogue, shift, the
+//! residual add, the pools, the classifier head — are periphery in the
+//! paper and must be here: each walks whole rows as slices (`zip`ped
+//! iterators, `copy_from_slice` of a shifted row's in-range span) so the
+//! compiler drops the bounds checks and vectorises them on baseline
+//! x86-64.
 //!
 //! Their float arithmetic is pinned, because the last bit of an activation
 //! moves with it: the epilogue is `o as f32 * acc_scale`, then
@@ -402,26 +400,21 @@ pub(crate) struct Epilogue<'a> {
 impl Epilogue<'_> {
     /// Finishes `band`'s rows: `words` is those rows of the accumulator
     /// plane (`band.rows()` rows × batch · `l` words) and `dsts[bi]` the
-    /// same rows of image `bi`'s output map.
-    ///
-    /// The body stays one word at a time on purpose, destination lookup
-    /// included (`dsts[bi]` inside the loops, not a `dst` bound outside
-    /// them). Hoisting that lookup doubles this loop's speed and the `zip`
-    /// row form of ROADMAP item 2(a) takes it to ≈ 2.7×; either carries
-    /// the benchmark's `serve_cache` workload past the ≈ 28.6k img/s at
-    /// which its cache starts evicting, and that benchmark counts
-    /// evictions as failed operations. Once a `[benchmark]` change lifts
-    /// the guard, the row form is a change to this body and nothing else.
+    /// same rows of image `bi`'s output map. One plane row is one output
+    /// channel, so its scale and bias are read once and each image's
+    /// `l`-word run of it is finished as a `zip` of two slices — no index
+    /// arithmetic or bounds check per word, which is what lets the
+    /// compiler run [`epilogue_word`] several words to the instruction.
     pub(crate) fn rows<D: AsMut<[i8]>>(&self, band: &RowBand, words: &[i32], dsts: &mut [D]) {
         let l = self.l;
         let bl = dsts.len() * l;
-        for bi in 0..dsts.len() {
-            for (k, ni) in band.rows().enumerate() {
-                let (scale, bias) = (self.channel_scale[ni], self.channel_bias[ni]);
-                for p in 0..l {
-                    let word = words[k * bl + bi * l + p];
-                    dsts[bi].as_mut()[k * l + p] =
-                        epilogue_word(word, self.acc_scale, scale, bias, self.relu, self.out_scale);
+        for (k, ni) in band.rows().enumerate() {
+            let (scale, bias) = (self.channel_scale[ni], self.channel_bias[ni]);
+            let row = &words[k * bl..(k + 1) * bl];
+            for (bi, dst) in dsts.iter_mut().enumerate() {
+                let out = &mut dst.as_mut()[k * l..(k + 1) * l];
+                for (q, &o) in out.iter_mut().zip(&row[bi * l..(bi + 1) * l]) {
+                    *q = epilogue_word(o, self.acc_scale, scale, bias, self.relu, self.out_scale);
                 }
             }
         }
@@ -789,8 +782,12 @@ mod tests {
     }
 
     /// Plane shapes whose row and plane lengths straddle the vector widths:
-    /// 1, 7, 17 and 63 positions, as rows, columns and rectangles.
-    const PLANES: [(usize, usize); 7] = [(1, 1), (1, 7), (7, 1), (17, 1), (1, 17), (7, 9), (3, 21)];
+    /// 1, 3–5, 7–9, 15–17 and 63 positions, as rows, columns and
+    /// rectangles.
+    const PLANES: [(usize, usize); 14] = [
+        (1, 1), (1, 3), (2, 2), (5, 1), (1, 7), (7, 1), (2, 4), (3, 3), (3, 5), (4, 4), (17, 1),
+        (1, 17), (7, 9), (3, 21),
+    ];
 
     /// A packed conv layer (`out_ch × in_ch`, quarter dense) on a small
     /// array so the conv spans several tiles.
@@ -1023,14 +1020,14 @@ mod tests {
     /// Every lane finishing its own rows, against the loop that used to
     /// walk the gathered plane on one thread: 1–4 lanes, homogeneous and
     /// mixed fleets, both accumulator widths, ReLU on and off, batches of
-    /// 1, 3 and 8. Ten output rows on a four-row array are three tile
-    /// row-groups — the last two rows short — so four lanes find a plan
-    /// shorter than the active set.
+    /// 1, 3 and 8 of every shape in [`PLANES`]. Ten output rows on a
+    /// four-row array are three tile row-groups — the last two rows short
+    /// — so four lanes find a plan shorter than the active set.
     #[test]
     fn in_lane_epilogue_matches_post_gather_oracle() {
         let mut rng = Rng(8);
         let mut scratch = ActivationScratch::new();
-        let (h, w) = (3, 7);
+        let cases = || [1usize, 3, 8].into_iter().flat_map(|b| PLANES.map(|(h, w)| (b, h, w)));
         for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
             for relu_on in [false, true] {
                 let (sched, mut layer) = conv_fixture(10, 13, acc, &mut rng);
@@ -1049,7 +1046,7 @@ mod tests {
                             false => BandSet::new(shards),
                             true => BandSet::with_fleet(mixed_fleet(shards)),
                         };
-                        for b in [1usize, 3, 8] {
+                        for (b, h, w) in cases() {
                             let inputs = rng.batch(b, 13, h, w);
                             let bands = Some(&mut set);
                             let got = maps_of(run_layer_batch_banded(
@@ -1069,7 +1066,7 @@ mod tests {
                                 *out_scale,
                             );
                             let case = format!(
-                                "{acc:?} relu {relu_on} mixed {mixed} {shards} lanes batch {b}"
+                                "{acc:?} relu {relu_on} mixed {mixed} {shards} lanes {b} of {h}x{w}"
                             );
                             assert_eq!(got.len(), b, "{case}");
                             for (bi, (g, want)) in got.iter().zip(&want).enumerate() {

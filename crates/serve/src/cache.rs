@@ -18,6 +18,33 @@
 //! digest so concurrent submitters on different inputs do not serialize
 //! on one lock.
 //!
+//! ## Admission: second sighting, once a shard is past its first few entries
+//!
+//! An LRU that stores every miss is emptied by a scan: inputs nobody
+//! sends twice push out the ones that repeat, and the faster the array
+//! runs the faster they do it. So the server does not
+//! [`ResponseCache::insert`] a completed miss, it
+//! [`ResponseCache::offer`]s it. Each shard keeps a *doorkeeper* — a
+//! fixed, direct-mapped table of 64-bit key tags, sized once from the
+//! shard's entry budget — and an offer whose key is neither resident nor
+//! in that table only leaves its tag there (counted in
+//! [`CacheStats::deferred`]); the offer that finds its tag stores the
+//! entry. A never-repeated input costs eight bytes for as long as its
+//! slot is not overwritten, a repeated one misses twice instead of once,
+//! and residency tracks the re-referenced set at any request rate —
+//! [`CacheStats::evictions`] therefore counts what it should: entries
+//! dropped because the inputs that *do* repeat outgrew the budget. Two
+//! keys that share a tag only make the second one enter a sighting
+//! early; what a probe returns is still decided by the byte compare.
+//!
+//! The doorkeeper is not asked while a shard is *open*: it holds fewer
+//! than [`OPEN_ENTRIES`] entries and the store would evict nothing. A
+//! cold cache over a small working set therefore warms in one pass, as
+//! it did before there was a doorkeeper (a second cold miss is a second
+//! array pass and a second wait in the batcher, which on a short run
+//! costs more than the cache saves), and what a scan can park in a cache
+//! nobody is competing for is capped at that many entries a shard.
+//!
 //! The [`FlightTable`] extends the same dedup one step earlier in time:
 //! when N requests for the same `(identity, digest)` miss *concurrently*
 //! (the first hasn't finished computing, so the cache can't serve the
@@ -89,11 +116,16 @@ impl Entry {
     /// Resident cost: payload bytes plus a flat per-entry overhead for
     /// the map/queue bookkeeping.
     fn cost(&self) -> usize {
-        self.qdata.len() + self.logits.len() * 4 + 64
+        Self::cost_of(&self.qdata, &self.logits)
+    }
+
+    /// What an entry holding these payloads would cost, before it exists.
+    fn cost_of(qdata: &[i8], logits: &[f32]) -> usize {
+        qdata.len() + logits.len() * 4 + 64
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     map: HashMap<(usize, u64), Entry>,
     /// Lazy LRU: `(key, stamp)` nodes, oldest first. A node whose stamp
@@ -102,9 +134,53 @@ struct Shard {
     recency: VecDeque<((usize, u64), u64)>,
     tick: u64,
     bytes: usize,
+    /// The doorkeeper: [`door_tag`]s of keys offered but not stored,
+    /// direct-mapped by the tag's top bits. Never grows; a newer key
+    /// simply overwrites the slot's older one.
+    door: Box<[u64]>,
+}
+
+/// Fewest doorkeeper slots a shard gets: a one-entry cache must still
+/// tell two alternating keys apart.
+const MIN_DOOR_SLOTS: usize = 64;
+
+/// Entries a shard stores on first sighting before its doorkeeper is
+/// asked (see the module docs). Small on purpose: it is also the most
+/// one-time inputs a shard will ever hold without having evicted for
+/// them.
+pub const OPEN_ENTRIES: usize = 16;
+
+/// The doorkeeper's name for a key. For one identity the odd multiply is
+/// a bijection of the digest, so two inputs of one network share a tag
+/// only if they share a digest; its top bits — the table index — depend
+/// on every digest bit, the low ones that picked the shard included.
+fn door_tag(identity: usize, digest: u64) -> u64 {
+    (digest ^ (identity as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl Shard {
+    fn new(door_slots: usize) -> Self {
+        Shard {
+            map: HashMap::new(),
+            recency: VecDeque::new(),
+            tick: 0,
+            bytes: 0,
+            door: vec![0; door_slots].into_boxed_slice(),
+        }
+    }
+
+    /// Whether an offer of `key` may be stored: the shard is `open`, the
+    /// key is resident (a refresh), or the doorkeeper saw it before.
+    /// Otherwise the doorkeeper remembers it for next time.
+    fn admits(&mut self, key: (usize, u64), open: bool) -> bool {
+        if open || self.map.contains_key(&key) {
+            return true;
+        }
+        let tag = door_tag(key.0, key.1);
+        let shift = u64::BITS - self.door.len().trailing_zeros();
+        std::mem::replace(&mut self.door[(tag >> shift) as usize], tag) == tag
+    }
+
     fn touch(&mut self, key: (usize, u64)) {
         self.tick += 1;
         let stamp = self.tick;
@@ -149,6 +225,7 @@ pub struct ResponseCache {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced_hits: AtomicU64,
+    deferred: AtomicU64,
     evictions: AtomicU64,
     entries: AtomicU64,
     bytes: AtomicU64,
@@ -164,7 +241,11 @@ pub struct CacheStats {
     /// Concurrent misses that attached to an in-flight computation and
     /// were fanned its result instead of running the array again.
     pub coalesced_hits: u64,
-    /// Entries dropped by LRU eviction.
+    /// Offers the doorkeeper held back: first sightings, not stored.
+    pub deferred: u64,
+    /// Entries dropped by LRU eviction: the inputs that repeat no longer
+    /// fit the budget (past a shard's first [`OPEN_ENTRIES`], one-time
+    /// inputs are never stored, so never evict).
     pub evictions: u64,
     /// Resident entries.
     pub entries: u64,
@@ -260,14 +341,17 @@ impl ResponseCache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.enabled(), "ResponseCache requires max_entries > 0");
         let shards = cfg.shards.clamp(1, cfg.max_entries).next_power_of_two();
+        let entries_per_shard = cfg.max_entries.div_ceil(shards).max(1);
+        let door_slots = entries_per_shard.next_power_of_two().max(MIN_DOOR_SLOTS);
         ResponseCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new(door_slots))).collect(),
             mask: shards as u64 - 1,
-            entries_per_shard: cfg.max_entries.div_ceil(shards).max(1),
+            entries_per_shard,
             bytes_per_shard: cfg.max_bytes.div_ceil(shards),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced_hits: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -305,18 +389,44 @@ impl ResponseCache {
         }
     }
 
-    /// Inserts (or refreshes) the response for `(identity, digest)`,
+    /// Offers the response of a completed miss: stored (as by
+    /// [`ResponseCache::insert`]) if its shard is still open, the key is
+    /// resident, or this is the key's second sighting; otherwise only
+    /// remembered by the shard's doorkeeper — see the module docs.
+    /// Nothing is allocated for an offer that is held back.
+    pub fn offer(&self, identity: usize, digest: u64, qdata: &[i8], logits: &[f32]) {
+        self.store(identity, digest, qdata, logits, true);
+    }
+
+    /// Stores (or refreshes) the response for `(identity, digest)`
+    /// unconditionally — the raw store behind [`ResponseCache::offer`] —
     /// evicting LRU entries as needed to hold both budgets. An input too
     /// large for the byte budget is skipped outright rather than churning
     /// the whole cache through eviction.
     pub fn insert(&self, identity: usize, digest: u64, qdata: &[i8], logits: &[f32]) {
+        self.store(identity, digest, qdata, logits, false);
+    }
+
+    /// Both of the above in one critical section: the doorkeeper's
+    /// verdict (when `gated`) and the store it allows.
+    fn store(&self, identity: usize, digest: u64, qdata: &[i8], logits: &[f32], gated: bool) {
         let key = (identity, digest);
-        let entry = Entry { qdata: qdata.into(), logits: logits.into(), stamp: 0 };
-        let cost = entry.cost();
+        let cost = Entry::cost_of(qdata, logits);
         if self.bytes_per_shard > 0 && cost > self.bytes_per_shard {
             return;
         }
         let mut shard = self.shard(digest).lock().expect("cache shard poisoned");
+        if gated {
+            // Open: few entries yet, and room for this one in both budgets.
+            let open = shard.map.len() < self.entries_per_shard.min(OPEN_ENTRIES)
+                && (self.bytes_per_shard == 0 || shard.bytes + cost <= self.bytes_per_shard);
+            if !shard.admits(key, open) {
+                drop(shard);
+                self.deferred.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+        let entry = Entry { qdata: qdata.into(), logits: logits.into(), stamp: 0 };
         let replaced = match shard.map.insert(key, entry) {
             Some(old) => {
                 // Racing workers computed the same miss twice (or a
@@ -363,6 +473,7 @@ impl ResponseCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced_hits: self.coalesced_hits.load(Ordering::Relaxed),
+            deferred: self.deferred.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
@@ -508,5 +619,148 @@ mod tests {
         // One entry total still works with many requested shards.
         let tiny = ResponseCache::new(CacheConfig { max_entries: 1, max_bytes: 0, shards: 8 });
         assert_eq!(tiny.shards.len(), 1);
+    }
+
+    /// A cache none of whose shards is open any more: each already holds
+    /// [`OPEN_ENTRIES`] fillers (or its whole budget, if that is less),
+    /// so every offer of a new key meets the doorkeeper.
+    fn past_open(max_entries: usize, shards: usize) -> ResponseCache {
+        let cache = ResponseCache::new(CacheConfig { max_entries, max_bytes: 0, shards });
+        let fillers = cache.entries_per_shard.min(OPEN_ENTRIES) * cache.shards.len();
+        for d in 0..fillers as u64 {
+            // Consecutive digests visit the shards in turn.
+            cache.insert(0, 0xF111_0000 + d, &[], &[]);
+        }
+        assert_eq!(cache.stats().entries, fillers as u64);
+        cache
+    }
+
+    #[test]
+    fn an_open_shard_stores_on_first_sighting_and_then_closes() {
+        let cache = ResponseCache::new(CacheConfig { max_entries: 64, max_bytes: 0, shards: 1 });
+        for d in 0..OPEN_ENTRIES as u64 {
+            cache.offer(1, d, &qd(d as i8, 4), &[d as f32]);
+            assert_eq!(cache.lookup(1, d, &qd(d as i8, 4)), Some(vec![d as f32]), "key {d}");
+        }
+        cache.offer(1, 99, &qd(99, 4), &[99.0]);
+        assert!(cache.lookup(1, 99, &qd(99, 4)).is_none(), "the shard has closed");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.deferred, s.evictions), (OPEN_ENTRIES as u64, 1, 0));
+
+        // A shard with no room is not open however few entries it holds:
+        // 100-byte entries, a budget of two.
+        let cache = ResponseCache::new(CacheConfig { max_entries: 64, max_bytes: 250, shards: 1 });
+        for d in 0..4u64 {
+            cache.offer(1, d, &qd(d as i8, 32), &[d as f32]);
+        }
+        let s = cache.stats();
+        assert_eq!((s.entries, s.deferred, s.evictions), (2, 2, 0));
+    }
+
+    #[test]
+    fn second_offer_admits_and_third_probe_hits_with_exact_logits() {
+        let cache = past_open(64, 1);
+        let before = cache.stats();
+        let data = qd(3, 16);
+        assert!(cache.lookup(1, 42, &data).is_none());
+        cache.offer(1, 42, &data, &[1.0, -2.5]);
+        let s = cache.stats();
+        assert_eq!(
+            (s.entries, s.bytes, s.deferred),
+            (before.entries, before.bytes, 1),
+            "a first sighting stores nothing"
+        );
+        assert!(cache.lookup(1, 42, &data).is_none(), "and is not served");
+        cache.offer(1, 42, &data, &[1.0, -2.5]);
+        assert_eq!(cache.lookup(1, 42, &data), Some(vec![1.0, -2.5]));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.deferred), (1, 2, 1));
+        assert_eq!((s.entries, s.evictions), (before.entries + 1, 0));
+        // A resident key is refreshed, not deferred again.
+        cache.offer(1, 42, &data, &[1.0, -2.5]);
+        let again = cache.stats();
+        assert_eq!((again.entries, again.bytes, again.deferred), (s.entries, s.bytes, 1));
+    }
+
+    /// The scan an LRU cannot survive: one-time keys ten times the entry
+    /// budget, with the repeated set — one member of which turns up only
+    /// mid-scan — probed all the way through. Past the few that find a
+    /// shard open nothing one-time is stored, so nothing is ever evicted.
+    #[test]
+    fn one_time_flood_stores_next_to_nothing_and_evicts_nothing() {
+        let cache = ResponseCache::new(CacheConfig { max_entries: 256, max_bytes: 0, shards: 4 });
+        let hot = |k: u64| (k, qd(k as i8, 8), [k as f32]);
+        for k in 0..8 {
+            let (digest, data, logits) = hot(k);
+            cache.offer(1, digest, &data, &logits);
+        }
+        for i in 0..2560u64 {
+            let digest = 1000 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            cache.offer(1, digest, &qd(-1, 8), &[0.0]);
+            let (digest, data, logits) = hot(i % 8);
+            assert_eq!(cache.lookup(1, digest, &data), Some(logits.to_vec()), "hot key {digest}");
+            // The latecomer: held back once, stored on its second offer.
+            let (digest, data, logits) = hot(8);
+            if i >= 1280 {
+                let stored = (i > 1281).then(|| logits.to_vec());
+                assert_eq!(cache.lookup(1, digest, &data), stored, "late key at {i}");
+                cache.offer(1, digest, &data, &logits);
+            }
+        }
+        let s = cache.stats();
+        let parked = (4 * OPEN_ENTRIES - 8) as u64;
+        assert_eq!((s.entries, s.evictions), (8 + parked + 1, 0), "{s:?}");
+        assert_eq!(s.deferred, 2560 - parked + 1, "{s:?}");
+    }
+
+    #[test]
+    fn door_tags_differ_by_identity() {
+        let cache = past_open(64, 1);
+        let before = cache.stats().entries;
+        let data = qd(3, 16);
+        cache.offer(1, 42, &data, &[1.0]);
+        // The same digest under another network is another first sighting.
+        cache.offer(2, 42, &data, &[2.0]);
+        assert_eq!(cache.stats().entries, before);
+        cache.offer(2, 42, &data, &[2.0]);
+        assert_eq!(cache.lookup(2, 42, &data), Some(vec![2.0]));
+        assert!(cache.lookup(1, 42, &data).is_none());
+        assert_ne!(door_tag(1, 42), door_tag(2, 42));
+    }
+
+    #[test]
+    fn tag_collision_only_admits_early_never_wrong_logits() {
+        let cache = past_open(64, 1);
+        let before = cache.stats().entries;
+        // Two inputs with one (identity, digest): one tag.
+        cache.offer(1, 42, &qd(3, 16), &[1.0]);
+        cache.offer(1, 42, &qd(4, 16), &[2.0]);
+        assert_eq!(
+            cache.stats().entries,
+            before + 1,
+            "the second input rode in on the first one's tag"
+        );
+        assert_eq!(cache.lookup(1, 42, &qd(4, 16)), Some(vec![2.0]));
+        assert!(cache.lookup(1, 42, &qd(3, 16)).is_none(), "the byte compare still decides");
+    }
+
+    #[test]
+    fn tiny_caches_and_more_shards_than_entries_still_admit() {
+        for (max_entries, shards) in [(1, 1), (1, 8), (2, 1), (2, 8), (3, 16)] {
+            // Full from the start, so a new key has to displace one.
+            let cache = past_open(max_entries, shards);
+            for digest in [10u64, 11, 12, 13] {
+                let data = qd(digest as i8, 4);
+                cache.offer(1, digest, &data, &[digest as f32]);
+                assert!(cache.lookup(1, digest, &data).is_none(), "{max_entries}/{shards}");
+                cache.offer(1, digest, &data, &[digest as f32]);
+                assert_eq!(
+                    cache.lookup(1, digest, &data),
+                    Some(vec![digest as f32]),
+                    "{max_entries}/{shards}"
+                );
+                assert!(cache.stats().entries as usize <= cache.capacity_entries());
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 //!                                      pipeline of them
 //!
 //!  resolve (any ticket):       telemetry bucket → trace Resolve → the reply send
-//!  finish (an admitted one):   cache fill → followers through resolve, with the
+//!  finish (an admitted one):   cache offer → followers through resolve, with the
 //!                              leader's result → quota slot → in-flight count →
 //!                              open trace span closed → resolve
 //! ```

@@ -306,7 +306,7 @@ impl Shared {
     }
 
     /// Ends an admitted request with its logits and batch size, or with
-    /// why it has none: fills the cache, hands the same result to every
+    /// why it has none: offers the result to the cache, hands it to every
     /// follower that coalesced on its flight, gives back its quota slot
     /// and in-flight count, closes its open trace span, and resolves it.
     pub(super) fn finish(
@@ -319,7 +319,7 @@ impl Shared {
         let ending = result.map(|(logits, size)| Served::new(logits, size, Outcome::Ok));
         if let (Some(memo), Some((digest, qdata))) = (&self.memo, &cache_key) {
             if let Ok(served) = &ending {
-                memo.cache.insert(identity, *digest, qdata, &served.logits);
+                memo.cache.offer(identity, *digest, qdata, &served.logits);
             }
             // Followers ran in no batch (batch_size 0, like a cache hit);
             // on success the bytes are the very ones the leader's array

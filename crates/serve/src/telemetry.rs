@@ -622,7 +622,7 @@ impl TelemetrySnapshot {
                 "\"mean_latency_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},",
                 "\"stage_busy\":{},\"shard_busy\":{},\"shard_geometry_busy\":{},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"coalesced_hits\":{},",
-                "\"evictions\":{},\"entries\":{},\"bytes\":{}}}}}"
+                "\"deferred\":{},\"evictions\":{},\"entries\":{},\"bytes\":{}}}}}"
             ),
             us(self.elapsed),
             us(self.window),
@@ -664,6 +664,7 @@ impl TelemetrySnapshot {
             self.cache.hits,
             self.cache.misses,
             self.cache.coalesced_hits,
+            self.cache.deferred,
             self.cache.evictions,
             self.cache.entries,
             self.cache.bytes,
@@ -1095,7 +1096,7 @@ mod tests {
             "\"stage_busy\":[",
             "\"shard_busy\":[]",
             "\"shard_geometry_busy\":{}",
-            "\"cache\":{\"hits\":0,\"misses\":0,\"coalesced_hits\":0,\"evictions\":0,\"entries\":0,\"bytes\":0}",
+            "\"cache\":{\"hits\":0,\"misses\":0,\"coalesced_hits\":0,\"deferred\":0,\"evictions\":0,\"entries\":0,\"bytes\":0}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

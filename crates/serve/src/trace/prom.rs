@@ -192,6 +192,12 @@ pub fn prometheus_text(snapshot: &TelemetrySnapshot, trace: Option<TraceStats>) 
     sample(
         &mut out,
         "cc_serve_cache_events_total",
+        "event=\"deferred\"",
+        snapshot.cache.deferred as f64,
+    );
+    sample(
+        &mut out,
+        "cc_serve_cache_events_total",
         "event=\"eviction\"",
         snapshot.cache.evictions as f64,
     );
@@ -260,6 +266,7 @@ mod tests {
                 hits: 40,
                 misses: 60,
                 coalesced_hits: 12,
+                deferred: 7,
                 evictions: 5,
                 entries: 55,
                 bytes: 7040,
@@ -317,6 +324,7 @@ mod tests {
         assert!(text.contains("cc_serve_stage_busy_fraction{stage=\"1\"} 0.25"));
         assert!(text.contains("cc_serve_cache_events_total{event=\"hit\"} 40"));
         assert!(text.contains("cc_serve_cache_events_total{event=\"coalesced_hit\"} 12"));
+        assert!(text.contains("cc_serve_cache_events_total{event=\"deferred\"} 7"));
         assert!(text.contains("cc_serve_retunes_total 8"));
         assert!(text.contains("cc_serve_swaps_total 2"));
         assert!(text.contains("cc_serve_trace_enabled 1"));

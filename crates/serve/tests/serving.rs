@@ -7,6 +7,7 @@ use cc_deploy::{identity_groups, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_packing::{ColumnCombineConfig, ColumnCombiner};
 use cc_serve::batcher::Batcher;
+use cc_serve::cache::OPEN_ENTRIES;
 use cc_serve::{
     CacheConfig, ModelRegistry, QosClass, ResponseCache, ServeConfig, Server, SubmitError,
     SubmitOptions, WaitError,
@@ -483,6 +484,67 @@ fn memo_cache_serves_repeats_bit_identically() {
         stats.submitted + stats.cache.hits,
         total as u64,
         "hits never touch the admission queue"
+    );
+}
+
+/// Past a shard's first `OPEN_ENTRIES` entries the cache stores a response
+/// on its input's second sighting, so a scan of inputs nobody repeats —
+/// ten times the entry budget here — leaves the cache to the few it
+/// parked while the shard was open and to the one input that does repeat:
+/// held back at its first request, stored by its second, a hit from its
+/// third on, and nothing is ever evicted. (The second request comes
+/// straight after the first: the doorkeeper remembers about as many keys
+/// as the shard may hold entries, and which of them a scan overwrites
+/// first depends on the tags it happens to bring.)
+#[test]
+fn a_scan_of_one_time_inputs_neither_fills_nor_evicts_the_cache() {
+    let (deployed, test) = combined_lenet(37);
+    let hot = test.image(0).clone();
+    let hot_logits = deployed.logits(&hot);
+    // Scan input `k`: image 1 with `k` spelt in its first ten pixels,
+    // far enough apart to survive quantization.
+    let swing = deployed.quantize_input(&hot).scale() * 100.0;
+    let scan = |k: usize| {
+        let mut image = test.image(1).clone();
+        for (bit, pixel) in image.as_mut_slice()[..10].iter_mut().enumerate() {
+            *pixel = if (k >> bit) & 1 == 1 { swing } else { -swing };
+        }
+        image
+    };
+    const ENTRIES: usize = 4 * OPEN_ENTRIES;
+    let server = Server::start(
+        ModelRegistry::new().with_model("lenet", deployed),
+        ServeConfig::default()
+            .with_workers(2)
+            .with_cache(CacheConfig::bounded(ENTRIES, 1 << 20).with_shards(1)),
+    );
+    let serve =
+        |image: Tensor| server.submit("lenet", image).expect("admitted").wait().expect("served");
+
+    let mut scanned = 0;
+    let mut scan_some = |n: usize| {
+        for _ in 0..n {
+            assert_ne!(serve(scan(scanned)).batch_size, 0, "scan input {scanned} was never sent");
+            scanned += 1;
+        }
+    };
+    scan_some(OPEN_ENTRIES);
+    assert_eq!(server.telemetry().cache.entries, OPEN_ENTRIES as u64, "an open shard stores all");
+    for sighting in 1..=5 {
+        scan_some(if sighting == 2 { 0 } else { 5 * ENTRIES / 2 });
+        let response = serve(hot.clone());
+        assert_eq!(response.logits, hot_logits, "sighting {sighting}");
+        assert_eq!(response.batch_size == 0, sighting >= 3, "sighting {sighting} of the hot input");
+    }
+    let stats = server.shutdown();
+    assert!(scanned > 10 * ENTRIES);
+    assert_eq!(stats.cache.hits, 3);
+    assert_eq!(stats.cache.entries, OPEN_ENTRIES as u64 + 1, "the parked few and the repeated one");
+    assert_eq!(stats.cache.evictions, 0, "one-time inputs cannot evict what they never displace");
+    assert_eq!(
+        stats.cache.deferred,
+        (scanned - OPEN_ENTRIES) as u64 + 1,
+        "every first sighting past the open region was held back"
     );
 }
 
