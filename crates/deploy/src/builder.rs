@@ -348,14 +348,16 @@ impl DeployedNetwork {
         }
     }
 
-    /// Predicted class for one image.
+    /// Predicted class for one image: the arg-max logit, by the rule of
+    /// [`cc_nn::loss::predictions`] — NaN compares lowest, so a diverged
+    /// network still yields a class; among equal maxima the last wins.
     pub fn classify(&self, image: &Tensor) -> usize {
         let logits = self.logits(image);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
+        (0..logits.len())
+            .max_by(|&a, &b| {
+                let (x, y) = (logits[a], logits[b]);
+                x.partial_cmp(&y).unwrap_or_else(|| y.is_nan().cmp(&x.is_nan()))
+            })
             .unwrap_or(0)
     }
 
@@ -395,14 +397,15 @@ pub fn identity_groups(net: &Network) -> Vec<ColumnGroups> {
 
 /// Calibrated activation scale: the 99.9th percentile of magnitudes maps
 /// to ±127, which is robust to outliers (per-tensor max calibration can
-/// crush the useful resolution of an 8-bit code).
+/// crush the useful resolution of an 8-bit code). A NaN magnitude sorts
+/// last; should the percentile land on one, the floor absorbs it.
 fn scale_of(t: &Tensor) -> f32 {
     let mut mags: Vec<f32> = t.as_slice().iter().map(|v| v.abs()).collect();
     if mags.is_empty() {
         return 1e-6;
     }
     let idx = ((mags.len() as f64 * 0.999) as usize).min(mags.len() - 1);
-    mags.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap());
+    mags.select_nth_unstable_by(idx, f32::total_cmp);
     (mags[idx] / 127.0).max(1e-6)
 }
 
@@ -576,6 +579,52 @@ mod tests {
         };
         let (_, groups, _) = ColumnCombiner::new(cfg).run(&mut net, train, None);
         (net, groups)
+    }
+
+    /// A NaN logit (here a NaN classifier bias) must neither panic
+    /// `classify` / `accuracy` nor win the arg-max.
+    #[test]
+    fn nan_logit_never_wins_and_never_panics() {
+        let (train, test) =
+            SyntheticSpec::mnist_like().with_size(8, 8).with_samples(32, 8).generate(3);
+        let mut net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+        let mut params = 0;
+        net.visit_params(&mut |_| params += 1);
+        let mut seen = 0;
+        net.visit_params(&mut |p| {
+            seen += 1;
+            if seen == params {
+                assert_eq!(p.len(), 10, "the last parameter is the classifier bias");
+                p.value.as_mut_slice()[3] = f32::NAN;
+            }
+        });
+        let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &train);
+        for i in 0..test.len() {
+            let logits = deployed.logits(test.image(i));
+            assert!(logits[3].is_nan());
+            let want = cc_nn::loss::predictions(&Tensor::from_vec(Shape::d4(1, 10, 1, 1), logits));
+            assert_eq!(deployed.classify(test.image(i)), want[0]);
+            assert_ne!(want[0], 3, "NaN never wins");
+        }
+        assert!((0.0..=1.0).contains(&deployed.accuracy(&test)));
+    }
+
+    /// A NaN in the calibration activations must not panic `build`: NaN
+    /// magnitudes sort last and the scale floor absorbs a NaN percentile.
+    #[test]
+    fn nan_calibration_activation_does_not_panic_build() {
+        let mut t = Tensor::from_vec(Shape::d3(1, 2, 2), vec![0.5, f32::NAN, -2.54, 1.0]);
+        assert_eq!(scale_of(&t), 1e-6, "four magnitudes: the percentile is the NaN");
+        t.as_mut_slice()[1] = 0.0;
+        assert_eq!(scale_of(&t), 2.54 / 127.0);
+
+        let (train, _) = SyntheticSpec::mnist_like().with_size(8, 8).with_samples(16, 4).generate(5);
+        let mut images: Vec<Tensor> = (0..train.len()).map(|i| train.image(i).clone()).collect();
+        images[0].as_mut_slice()[7] = f32::NAN;
+        let poisoned = Dataset::new(images, train.labels().to_vec(), train.num_classes());
+        let net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+        let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &poisoned);
+        assert!(deployed.classify(train.image(1)) < 10);
     }
 
     #[test]

@@ -14,8 +14,20 @@
 //! residual add, the pools, the classifier head — are periphery in the
 //! paper and must be here: each walks whole rows as slices (`zip`ped
 //! iterators, `copy_from_slice` of a shifted row's in-range span) so the
-//! compiler drops the bounds checks and vectorises them on baseline
-//! x86-64.
+//! compiler drops the bounds checks and vectorises them.
+//!
+//! The arithmetic ones — the epilogue ([`EpilogueRows`]), the residual add
+//! ([`ResidualAdd`]), the pools, ReLU and the input quantizer — are each a
+//! [`cc_tensor::isa::Kernel`], dispatched once per call through the
+//! workspace's one ISA dispatch: the same safe Rust compiled for the
+//! build's baseline (SSE2 on x86-64, four words to the instruction) and
+//! for AVX2 (eight), picked from the CPU like the lane kernel they sit
+//! behind, with [`cc_systolic::tiled::lane_isa`] naming the level. Only
+//! `avx2` is enabled, never `fma`: a fused multiply-add rounds once where
+//! the pinned expressions below round twice, and with the feature off the
+//! compiler has no instruction to fuse them into — so an activation is the
+//! same bits at either level, which the tests here assert block by block
+//! at every level the CPU has.
 //!
 //! Their float arithmetic is pinned, because the last bit of an activation
 //! moves with it: the epilogue is `o as f32 * acc_scale`, then
@@ -30,7 +42,7 @@
 //! ## The epilogue is a per-array block
 //!
 //! Fig. 6 puts a ReLU + quantization block behind *each* systolic array,
-//! and so does a packed conv here: `Epilogue::rows` turns a run of the
+//! and so does a packed conv here: [`EpilogueRows`] turns a run of the
 //! accumulator plane's rows into the same rows of every image's output
 //! map, and it runs wherever those rows were produced. Under a
 //! [`BandSet`] that is each shard lane's own thread, right behind the
@@ -43,6 +55,7 @@ use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
 use crate::shard::BandSet;
 use cc_systolic::tiled::{PreparedPacked, RowBand, TiledScheduler};
+use cc_tensor::isa::{self, Kernel};
 use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
 use std::ops::Range;
 
@@ -385,36 +398,64 @@ fn run_packed_conv_batch(
 /// The ReLU + quantizer block behind one array (§4.4, Fig. 6) for one
 /// packed conv on one batch: folded batch norm, ReLU, rescale to the
 /// output step, round.
-pub(crate) struct Epilogue<'a> {
+pub struct Epilogue<'a> {
     /// Accumulator step: weight scale × input activation scale.
-    acc_scale: f32,
-    channel_scale: &'a [f32],
-    channel_bias: &'a [f32],
-    relu: bool,
-    out_scale: f32,
+    pub acc_scale: f32,
+    /// Folded per-output-channel scale, indexed by plane row.
+    pub channel_scale: &'a [f32],
+    /// Folded per-output-channel bias, indexed by plane row.
+    pub channel_bias: &'a [f32],
+    /// Apply ReLU before requantization.
+    pub relu: bool,
+    /// Output activation step.
+    pub out_scale: f32,
     /// Spatial positions per image: image `bi` owns columns
     /// `bi*l..(bi+1)*l` of the accumulator plane.
-    l: usize,
+    pub l: usize,
 }
 
 impl Epilogue<'_> {
-    /// Finishes `band`'s rows: `words` is those rows of the accumulator
-    /// plane (`band.rows()` rows × batch · `l` words) and `dsts[bi]` the
-    /// same rows of image `bi`'s output map. One plane row is one output
-    /// channel, so its scale and bias are read once and each image's
-    /// `l`-word run of it is finished as a `zip` of two slices — no index
-    /// arithmetic or bounds check per word, which is what lets the
-    /// compiler run [`epilogue_word`] several words to the instruction.
+    /// Finishes `band`'s rows — see [`EpilogueRows`] — at the widest
+    /// vector level the CPU has.
     pub(crate) fn rows<D: AsMut<[i8]>>(&self, band: &RowBand, words: &[i32], dsts: &mut [D]) {
-        let l = self.l;
-        let bl = dsts.len() * l;
-        for (k, ni) in band.rows().enumerate() {
-            let (scale, bias) = (self.channel_scale[ni], self.channel_bias[ni]);
-            let row = &words[k * bl..(k + 1) * bl];
-            for (bi, dst) in dsts.iter_mut().enumerate() {
+        isa::run(EpilogueRows { epilogue: self, rows: band.rows(), words, dsts });
+    }
+}
+
+/// An [`Epilogue`] over a run of plane rows, as the one body compiled per
+/// vector level: `words` is rows `rows` of the accumulator plane
+/// (`rows.len()` rows × batch · `l` words) and `dsts[bi]` the same rows of
+/// image `bi`'s output map — whole maps, or a shard lane's row slices.
+/// One plane row is one output channel, so its scale and bias are read
+/// once and each image's `l`-word run of it is finished as a `zip` of two
+/// slices — no index arithmetic or bounds check per word, which is what
+/// lets the compiler run the per-word expression several words to the
+/// instruction.
+pub struct EpilogueRows<'a, D> {
+    /// The conv's block parameters.
+    pub epilogue: &'a Epilogue<'a>,
+    /// Plane rows (output channels) to finish.
+    pub rows: Range<usize>,
+    /// Those rows of the accumulator plane.
+    pub words: &'a [i32],
+    /// Those rows of each image's output map.
+    pub dsts: &'a mut [D],
+}
+
+impl<D: AsMut<[i8]>> Kernel for EpilogueRows<'_, D> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Epilogue { acc_scale, channel_scale, channel_bias, relu, out_scale, l } = *self.epilogue;
+        let bl = self.dsts.len() * l;
+        for (k, ni) in self.rows.enumerate() {
+            let (scale, bias) = (channel_scale[ni], channel_bias[ni]);
+            let row = &self.words[k * bl..(k + 1) * bl];
+            for (bi, dst) in self.dsts.iter_mut().enumerate() {
                 let out = &mut dst.as_mut()[k * l..(k + 1) * l];
                 for (q, &o) in out.iter_mut().zip(&row[bi * l..(bi + 1) * l]) {
-                    *q = epilogue_word(o, self.acc_scale, scale, bias, self.relu, self.out_scale);
+                    *q = epilogue_word(o, acc_scale, scale, bias, relu, out_scale);
                 }
             }
         }
@@ -424,7 +465,7 @@ impl Epilogue<'_> {
 /// The ReLU + quantizer blocks behind the array (§4.4) on one accumulator
 /// word: folded batch norm, ReLU, rescale to the output step, round. The
 /// operation order is part of the result (see the module docs).
-#[inline]
+#[inline(always)]
 fn epilogue_word(
     word: i32,
     acc_scale: f32,
@@ -442,41 +483,95 @@ fn epilogue_word(
 fn run_avgpool(input: &QMap, pool: &mut BufPool) -> QMap {
     let (c, h, w) = (input.channels(), input.height(), input.width());
     let (oh, ow) = (h / 2, w / 2);
-    let src = input.as_slice();
     let mut out = pool.take_zeroed(c * oh * ow);
-    for ci in 0..c {
-        for y in 0..oh {
-            let top = &src[(ci * h + 2 * y) * w..][..w];
-            let bottom = &src[(ci * h + 2 * y + 1) * w..][..w];
-            let out_row = &mut out[(ci * oh + y) * ow..][..ow];
-            let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
-            for (q, (t, b)) in out_row.iter_mut().zip(pairs) {
-                let s = t[0] as i32 + t[1] as i32 + b[0] as i32 + b[1] as i32;
-                // round-half-away integer division by 4
-                let v = if s >= 0 { (s + 2) / 4 } else { (s - 2) / 4 };
-                *q = v.clamp(-127, 127) as i8;
-            }
-        }
-    }
+    isa::run(AvgPool { src: input.as_slice(), c, h, w, out: &mut out });
     QMap::from_raw(out, c, oh, ow, input.scale())
 }
 
-fn run_global_pool(input: &QMap, pool: &mut BufPool) -> QMap {
-    let (c, hw) = (input.channels(), input.plane());
-    let plane = hw as i32;
-    let mut out = pool.take_zeroed(c);
-    for (ci, q) in out.iter_mut().enumerate() {
-        let s: i32 = input.as_slice()[ci * hw..][..hw].iter().map(|&v| v as i32).sum();
-        let v = if s >= 0 { (s + plane / 2) / plane } else { (s - plane / 2) / plane };
-        *q = v.clamp(-127, 127) as i8;
+/// 2×2 stride-2 mean of a `c × h × w` map into `out`
+/// (`c × h/2 × w/2`, pre-sized).
+struct AvgPool<'a> {
+    src: &'a [i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    out: &'a mut [i8],
+}
+
+impl Kernel for AvgPool<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let AvgPool { src, c, h, w, out } = self;
+        let (oh, ow) = (h / 2, w / 2);
+        for ci in 0..c {
+            for y in 0..oh {
+                let top = &src[(ci * h + 2 * y) * w..][..w];
+                let bottom = &src[(ci * h + 2 * y + 1) * w..][..w];
+                let out_row = &mut out[(ci * oh + y) * ow..][..ow];
+                let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+                for (q, (t, b)) in out_row.iter_mut().zip(pairs) {
+                    let s = t[0] as i32 + t[1] as i32 + b[0] as i32 + b[1] as i32;
+                    // round-half-away integer division by 4
+                    let v = if s >= 0 { (s + 2) / 4 } else { (s - 2) / 4 };
+                    *q = v.clamp(-127, 127) as i8;
+                }
+            }
+        }
     }
+}
+
+fn run_global_pool(input: &QMap, pool: &mut BufPool) -> QMap {
+    let c = input.channels();
+    let mut out = pool.take_zeroed(c);
+    isa::run(GlobalPool { src: input.as_slice(), hw: input.plane(), out: &mut out });
     QMap::from_raw(out, c, 1, 1, input.scale())
 }
 
+/// Round-half-away mean of each `hw`-long channel of `src` into `out`.
+struct GlobalPool<'a> {
+    src: &'a [i8],
+    hw: usize,
+    out: &'a mut [i8],
+}
+
+impl Kernel for GlobalPool<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let plane = self.hw as i32;
+        for (q, channel) in self.out.iter_mut().zip(self.src.chunks_exact(self.hw)) {
+            let s: i32 = channel.iter().map(|&v| v as i32).sum();
+            let v = if s >= 0 { (s + plane / 2) / plane } else { (s - plane / 2) / plane };
+            *q = v.clamp(-127, 127) as i8;
+        }
+    }
+}
+
 fn run_relu(input: &QMap, pool: &mut BufPool) -> QMap {
-    let mut out = pool.take_with_capacity(input.as_slice().len());
-    out.extend(input.as_slice().iter().map(|&q| q.max(0)));
+    let mut out = pool.take_zeroed(input.as_slice().len());
+    isa::run(Relu { src: input.as_slice(), out: &mut out });
     QMap::from_raw(out, input.channels(), input.height(), input.width(), input.scale())
+}
+
+/// ReLU on quantized codes (the scale is positive, so the sign is the
+/// code's).
+struct Relu<'a> {
+    src: &'a [i8],
+    out: &'a mut [i8],
+}
+
+impl Kernel for Relu<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        for (o, &q) in self.out.iter_mut().zip(self.src) {
+            *o = q.max(0);
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -543,13 +638,39 @@ fn run_residual_batch(
     merged_batch
 }
 
-/// The residual merge: integer add with per-path rescale into the
-/// calibrated output scale. The operation order is part of the result (see
-/// the module docs).
+/// [`ResidualAdd`] at the widest vector level the CPU has.
 fn residual_add(body: &[i8], sb: f32, shortcut: &[i8], ss: f32, out_scale: f32, out: &mut [i8]) {
-    for ((q, &b), &s) in out.iter_mut().zip(body).zip(shortcut) {
-        let real = b as f32 * sb + s as f32 * ss;
-        *q = requantize(real / out_scale);
+    isa::run(ResidualAdd { body, body_scale: sb, shortcut, shortcut_scale: ss, out_scale, out });
+}
+
+/// The residual merge: integer add with per-path rescale into the
+/// calibrated output scale, as the one body compiled per vector level. The
+/// operation order is part of the result (see the module docs).
+pub struct ResidualAdd<'a> {
+    /// The body path's codes.
+    pub body: &'a [i8],
+    /// The body path's activation step.
+    pub body_scale: f32,
+    /// The shortcut path's codes, as many as `body`.
+    pub shortcut: &'a [i8],
+    /// The shortcut path's activation step.
+    pub shortcut_scale: f32,
+    /// Output activation step.
+    pub out_scale: f32,
+    /// The merged codes, as many as `body`.
+    pub out: &'a mut [i8],
+}
+
+impl Kernel for ResidualAdd<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (sb, ss, out_scale) = (self.body_scale, self.shortcut_scale, self.out_scale);
+        for ((q, &b), &s) in self.out.iter_mut().zip(self.body).zip(self.shortcut) {
+            let real = b as f32 * sb + s as f32 * ss;
+            *q = requantize(real / out_scale);
+        }
     }
 }
 
@@ -588,6 +709,7 @@ mod tests {
     use cc_systolic::array::{ArrayConfig, ArrayGeometry, QuantPacked};
     use cc_systolic::RunScratch;
     use cc_tensor::init::sparse_matrix;
+    use cc_tensor::isa::Level;
     use cc_tensor::{Shape, Tensor};
 
     /// The per-element blocks the row loops replaced, kept literally: the
@@ -983,6 +1105,198 @@ mod tests {
             }
         }
         assert!(reciprocal > 0 && fused > 0, "lattice lost its teeth");
+    }
+
+    /// The epilogue's body at every vector level this CPU has — not only
+    /// the one `Epilogue::rows` picks — against the per-element oracle:
+    /// both accumulator widths, ReLU on and off, every shape in [`PLANES`]
+    /// at batches of 1, 3 and 8, over whole maps and over a lane's row
+    /// slices (rows 3.., so a body that indexes scale and bias by slice
+    /// row instead of plane row fails).
+    #[test]
+    fn epilogue_matches_oracle_at_every_level() {
+        let mut rng = Rng(10);
+        let mut run = RunScratch::new();
+        for acc in [AccumWidth::Bits32, AccumWidth::Bits16] {
+            for relu in [false, true] {
+                let (sched, layer) = conv_fixture(10, 13, acc, &mut rng);
+                let DeployedLayer::PackedConv {
+                    tiles, weight_scale, channel_scale, channel_bias, out_scale, ..
+                } = &layer
+                else {
+                    panic!("conv fixture");
+                };
+                for (b, (h, w)) in [1usize, 3, 8].into_iter().flat_map(|b| PLANES.map(|p| (b, p))) {
+                    let inputs = rng.batch(b, 13, h, w);
+                    let (l, bl) = (h * w, b * h * w);
+                    sched.run_prepared_with(tiles, &data_matrix(&inputs), &mut run);
+                    let wide: Vec<i64> = run.outputs().iter().map(|&o| i64::from(o)).collect();
+                    let epilogue = Epilogue {
+                        acc_scale: weight_scale * inputs[0].scale(),
+                        channel_scale,
+                        channel_bias,
+                        relu,
+                        out_scale: *out_scale,
+                        l,
+                    };
+                    let want: Vec<Vec<i8>> = (0..b)
+                        .map(|bi| {
+                            oracle::epilogue(
+                                &wide,
+                                (10, l, b, bi),
+                                epilogue.acc_scale,
+                                channel_scale,
+                                channel_bias,
+                                relu,
+                                *out_scale,
+                            )
+                        })
+                        .collect();
+                    for level in Level::available() {
+                        let case = format!("{} {acc:?} relu {relu} {b} of {h}x{w}", level.name());
+                        let mut whole = vec![vec![0i8; 10 * l]; b];
+                        let (rows, words) = (0..10, run.outputs());
+                        isa::run_at(
+                            level,
+                            EpilogueRows { epilogue: &epilogue, rows, words, dsts: &mut whole },
+                        );
+                        assert_eq!(whole, want, "{case}");
+
+                        let mut maps = vec![vec![0i8; 10 * l]; b];
+                        let mut lane: Vec<&mut [i8]> =
+                            maps.iter_mut().map(|m| &mut m[3 * l..]).collect();
+                        let (rows, words) = (3..10, &run.outputs()[3 * bl..]);
+                        isa::run_at(
+                            level,
+                            EpilogueRows { epilogue: &epilogue, rows, words, dsts: &mut lane },
+                        );
+                        for (m, want) in maps.iter().zip(&want) {
+                            assert!(m[..3 * l].iter().all(|&q| q == 0), "{case}: wrote above its band");
+                            assert_eq!(m[3 * l..], want[3 * l..], "{case} rows 3..");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The residual add, both pools and ReLU at every vector level this
+    /// CPU has against their per-element oracles, on plane lengths either
+    /// side of the vector widths.
+    #[test]
+    fn residual_pools_and_relu_match_oracles_at_every_level() {
+        let mut rng = Rng(11);
+        for (h, w) in PLANES.into_iter().chain([(2, 2), (8, 63), (16, 16), (32, 32)]) {
+            let (body, shortcut) = (rng.map(5, h, w), rng.map(5, h, w));
+            let out_scale = rng.scale();
+            let (oh, ow) = (h / 2, w / 2);
+            for level in Level::available() {
+                let case = format!("{} {h}x{w}", level.name());
+                let mut out = vec![0i8; 5 * h * w];
+                isa::run_at(
+                    level,
+                    ResidualAdd {
+                        body: body.as_slice(),
+                        body_scale: body.scale(),
+                        shortcut: shortcut.as_slice(),
+                        shortcut_scale: shortcut.scale(),
+                        out_scale,
+                        out: &mut out,
+                    },
+                );
+                assert_eq!(out, oracle::residual_add(&body, &shortcut, out_scale), "add {case}");
+
+                let mut out = vec![0i8; 5 * oh * ow];
+                isa::run_at(level, AvgPool { src: body.as_slice(), c: 5, h, w, out: &mut out });
+                assert_eq!(out, oracle::avgpool(&body).as_slice(), "avgpool {case}");
+
+                let mut out = vec![0i8; 5];
+                isa::run_at(level, GlobalPool { src: body.as_slice(), hw: h * w, out: &mut out });
+                assert_eq!(out, oracle::global_pool(&body), "global pool {case}");
+
+                let mut out = vec![1i8; 5 * h * w];
+                isa::run_at(level, Relu { src: body.as_slice(), out: &mut out });
+                let want: Vec<i8> = body.as_slice().iter().map(|&q| q.max(0)).collect();
+                assert_eq!(out, want, "relu {case}");
+            }
+        }
+    }
+
+    /// Baseline against every other level where a last bit would show:
+    /// quotients within an ulp of `k + 0.5` (the tie lattices above, here
+    /// in rows long enough to reach the vector body), both saturation
+    /// ends, and scales that are zero, NaN or infinite — inputs no
+    /// deployment builds, where the levels must still agree word for word.
+    #[test]
+    fn levels_agree_on_ties_saturation_and_non_finite_scales() {
+        let mut rng = Rng(12);
+        let odd = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE, 1e30];
+        for round in 0..3000 {
+            let o = (rng.next() % 60_000) as i32 + 1;
+            let (acc_scale, cs, cb) = (rng.scale() * 1e-2, rng.scale() * 30.0, rng.scale() - 0.2);
+            let k = (rng.next() % 127) as f32;
+            let out_scale = (cs * (o as f32 * acc_scale) + cb).abs().max(1e-3) / (k + 0.5);
+            // Every 5th round swaps one parameter for a non-finite or zero one.
+            let pick = |v: f32, slot: u64| match (round % 5, round / 5 % 4) {
+                (0, s) if s == slot => odd[(round / 20) as usize % odd.len()],
+                _ => v,
+            };
+            let (acc_scale, cs, cb, out_scale) =
+                (pick(acc_scale, 0), pick(cs, 1), pick(cb, 2), pick(out_scale, 3));
+            let words: Vec<i32> = (0..37)
+                .map(|i| match i % 6 {
+                    0 => o - 1,
+                    1 | 4 => o,
+                    2 => o + 1,
+                    3 => -o,
+                    _ => [i32::MAX, i32::MIN][i / 6 % 2],
+                })
+                .collect();
+            let (sb, ss) = (pick(rng.scale(), 0), pick(rng.scale(), 1));
+            let body: Vec<i8> = (0..37).map(|i| [rng.code(), 127, -127, -128][i % 4]).collect();
+            let shortcut: Vec<i8> = (0..37).map(|i| [rng.code(), 127, -128][i % 3]).collect();
+            let res_scale =
+                pick((body[0] as f32 * sb + shortcut[0] as f32 * ss).abs().max(1e-3) / (k + 0.5), 3);
+
+            let run_at = |level: Level| {
+                let mut outs = Vec::new();
+                for relu in [false, true] {
+                    let (channel_scale, channel_bias) = (&[cs][..], &[cb][..]);
+                    let epilogue =
+                        Epilogue { acc_scale, channel_scale, channel_bias, relu, out_scale, l: 37 };
+                    let mut dsts = [[0i8; 37]];
+                    isa::run_at(
+                        level,
+                        EpilogueRows { epilogue: &epilogue, rows: 0..1, words: &words, dsts: &mut dsts },
+                    );
+                    outs.push(dsts[0]);
+                }
+                let mut out = [0i8; 37];
+                isa::run_at(
+                    level,
+                    ResidualAdd {
+                        body: &body,
+                        body_scale: sb,
+                        shortcut: &shortcut,
+                        shortcut_scale: ss,
+                        out_scale: res_scale,
+                        out: &mut out,
+                    },
+                );
+                outs.push(out);
+                outs
+            };
+            let baseline = run_at(Level::Baseline);
+            for level in Level::available() {
+                assert_eq!(
+                    run_at(level),
+                    baseline,
+                    "{}: acc_scale {acc_scale} cs {cs} cb {cb} out_scale {out_scale} sb {sb} ss {ss} \
+                     res_scale {res_scale} o {o}",
+                    level.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Quantized feature maps: the 8-bit activations that move between the
 //! accelerator's blocks.
 
+use cc_tensor::isa::{self, Kernel};
 use cc_tensor::quant::QuantParams;
 use cc_tensor::Tensor;
 
@@ -21,6 +22,25 @@ pub struct QMap {
 impl AsMut<[i8]> for QMap {
     fn as_mut(&mut self) -> &mut [i8] {
         &mut self.data
+    }
+}
+
+/// The input quantizer: every float of `src` to its 8-bit code in `out`
+/// (as long as `src`), as the one body compiled per vector level.
+struct Quantize<'a> {
+    src: &'a [f32],
+    params: QuantParams,
+    out: &'a mut [i8],
+}
+
+impl Kernel for Quantize<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        for (q, &v) in self.out.iter_mut().zip(self.src) {
+            *q = self.params.quantize(v);
+        }
     }
 }
 
@@ -46,7 +66,8 @@ impl QMap {
         assert!(scale > 0.0, "scale must be positive");
         let params = QuantParams::from_max_abs(scale * 127.0);
         storage.clear();
-        storage.extend(x.as_slice().iter().map(|&v| params.quantize(v)));
+        storage.resize(x.as_slice().len(), 0);
+        isa::run(Quantize { src: x.as_slice(), params, out: &mut storage });
         QMap {
             data: storage,
             channels: x.shape().dim(0),
@@ -164,6 +185,33 @@ mod tests {
         let back = q.dequantize();
         for (a, b) in x.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= scale / 2.0 + 1e-6);
+        }
+    }
+
+    /// The input quantizer at every vector level this CPU has against the
+    /// formula `requantize` replaced, on lengths either side of the vector
+    /// widths: ties, both saturation ends, zeros, NaN and infinities.
+    #[test]
+    fn quantizer_matches_round_clamp_cast_at_every_level() {
+        let params = QuantParams::from_max_abs(0.37 * 127.0);
+        let edge = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30];
+        for len in [0usize, 1, 3, 7, 8, 9, 31, 32, 33, 257] {
+            let src: Vec<f32> = (0..len)
+                .map(|i| match i % 4 {
+                    0 => (i as f32 - 128.0 + 0.5) * params.scale(), // a tie, or next to one
+                    1 => edge[i / 4 % edge.len()],
+                    _ => ((i * 2_654_435_761) % 1000) as f32 * 0.1 - 50.0,
+                })
+                .collect();
+            let want: Vec<i8> = src
+                .iter()
+                .map(|&v| (v / params.scale()).round().clamp(-127.0, 127.0) as i8)
+                .collect();
+            for level in isa::Level::available() {
+                let mut out = vec![1i8; len];
+                isa::run_at(level, Quantize { src: &src, params, out: &mut out });
+                assert_eq!(out, want, "{} len {len}", level.name());
+            }
         }
     }
 

@@ -41,8 +41,10 @@
 //! into them, and they are stored once.
 //!
 //! The block loop is one piece of safe, intrinsic-free Rust compiled
-//! twice (the private `sweep_lanes`), and what it becomes was read off
-//! the disassembly of the shipped `cc-perf`, not assumed:
+//! twice — a [`cc_tensor::isa::Kernel`], inlined into both callers of the
+//! workspace's one dispatch, [`cc_tensor::isa::run_at`], which also holds
+//! the soundness argument for the AVX2 call — and what it becomes was read
+//! off the disassembly of the shipped `cc-perf`, not assumed:
 //!
 //! - **baseline** (what the build targets; x86-64 means SSE2): 128-bit
 //!   registers, four `i32` positions per instruction. SSE2 has no 32-bit
@@ -55,9 +57,10 @@
 //!   weight, `vpaddd` into one of the eight `ymm` accumulators that hold a
 //!   64-position block: the same 38 instructions per op, for 64 MACs.
 //!
-//! Which one runs is decided per band run from
-//! `is_x86_feature_detected!("avx2")` (a cached atomic load) and reported
-//! by [`lane_isa`]; there is no knob. Integer wrapping adds make
+//! Which one runs is decided per band run by
+//! [`cc_tensor::isa::Level::detect`] (a cached atomic load) and reported
+//! by [`lane_isa`]; there is no knob. The deployed engine's peripheral
+//! blocks go through the same dispatch, so one name covers them all. Integer wrapping adds make
 //! bit-identity a matter of each lane's op order, which no level and no
 //! block width changes. An AVX-512 level was measured twice and left
 //! out: 4–10 % more on `offline_resnet`, but single-image LeNet latency
@@ -114,8 +117,8 @@ use crate::array::{ArrayConfig, ArrayGeometry, QuantPacked, SimStats, SystolicAr
 use crate::cell::CellKind;
 use crate::mac::BitSerialMac;
 use crate::partition::{partition_min_max, partition_min_max_by};
+use cc_tensor::isa::{self, Kernel, Level};
 use cc_tensor::quant::{AccumWidth, QuantMatrix};
-use isa::LaneIsa;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -344,7 +347,7 @@ impl TiledScheduler {
     /// tiles: the overlap cycle model over the band's tile subsequence
     /// plus the band's share of the op counters (at the preparing config's
     /// geometry, op counters and `load_cycles` of a full partition sum
-    /// exactly to the unsharded run's). `isa` is the level the batch-major
+    /// exactly to the unsharded run's). `level` is the one the batch-major
     /// lane kernel runs at, `None` the scalar baseline; neither touches a
     /// bit of the result.
     fn run_band_kernel(
@@ -355,7 +358,7 @@ impl TiledScheduler {
         d: &QuantMatrix,
         out: &mut [i32],
         scratch: &mut RunScratch,
-        isa: Option<LaneIsa>,
+        level: Option<Level>,
     ) -> SimStats {
         assert_eq!(p.cfg, self.cfg, "tiles prepared for a different array");
         assert!(d.rows() >= p.original_cols, "data matrix missing channels");
@@ -377,13 +380,13 @@ impl TiledScheduler {
             }
             (false, AccumWidth::Bits32) => {
                 out.fill(0);
-                sweep_lanes(tiles, row0, data, l, out, isa);
+                sweep_lanes(tiles, row0, data, l, out, level);
             }
             (false, AccumWidth::Bits16) => {
                 let plane = &mut scratch.lane16;
                 plane.clear();
                 plane.resize(out.len(), 0);
-                sweep_lanes(tiles, row0, data, l, plane, isa);
+                sweep_lanes(tiles, row0, data, l, plane, level);
                 for (o, &v) in out.iter_mut().zip(plane.iter()) {
                     *o = i32::from(v);
                 }
@@ -596,7 +599,7 @@ impl TiledScheduler {
         }
         lane.stats = match lane.action {
             BandAction::Dead => SimStats::default(),
-            _ => self.run_band_kernel(p, band, lane.geom, d, out, scratch, Some(LaneIsa::detect())),
+            _ => self.run_band_kernel(p, band, lane.geom, d, out, scratch, Some(Level::detect())),
         };
         lane.outcome = match lane.action {
             BandAction::Run => BandOutcome::Ran,
@@ -1046,7 +1049,7 @@ fn walk_band<V: BandVisitor>(tiles: &[PreparedTile], row0: usize, l: usize, v: &
 /// MACs into before it is stored back: one plane load/store per row
 /// instead of one per op. The fixed-size inner loop is plain indexed
 /// Rust; which vector instructions it becomes is decided by the function
-/// it is inlined into (see [`sweep_lanes`]), which is why everything from
+/// it is inlined into (see [`LaneKernel`]), which is why everything from
 /// [`walk_band`] down to [`Lane::mac`] is `#[inline(always)]`.
 /// Column-band partial sums accumulate directly in the lanes — per-MAC
 /// wrapping commutes with the tile-boundary wrap of the reference path
@@ -1168,98 +1171,48 @@ impl BandVisitor for ExactSweep<'_> {
 }
 
 /// Runs one of the native-lane kernels over a band's zeroed plane: the
-/// batch-major kernel at level `isa`, or the scalar baseline for `None`.
-///
-/// The batch-major kernel is one body, `walk_band` over a [`LaneSweep`],
-/// compiled twice. It is inlined whole into each function that calls it,
-/// so it takes that function's target features: this one's (the build's
-/// baseline), and those of `sweep_avx2`, whose body is that one call —
-/// same safe Rust, same lane order, 256-bit instructions. No intrinsics,
-/// no build flag; a CPU without AVX2, or a target that is not x86-64,
-/// runs the baseline instantiation of the same source.
+/// batch-major kernel at `level`, or the scalar baseline for `None`.
 fn sweep_lanes<L: Lane>(
     tiles: &[PreparedTile],
     row0: usize,
     data: &[i8],
     l: usize,
     plane: &mut [L],
-    isa: Option<LaneIsa>,
+    level: Option<Level>,
 ) {
-    match isa {
+    match level {
         None => walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane }),
-        Some(LaneIsa::Baseline) => walk_band(tiles, row0, l, &mut LaneSweep { data, l, plane }),
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        Some(LaneIsa::Avx2(_)) => {
-            // SAFETY: `sweep_avx2` is safe Rust whose one requirement is a
-            // CPU with AVX2, and an `Avx2` value exists only because
-            // `LaneIsa::detect` saw `is_x86_feature_detected!("avx2")`
-            // (nothing outside `mod isa` can construct its `Detected`).
-            unsafe { sweep_avx2(tiles, row0, l, &mut LaneSweep { data, l, plane }) }
+        Some(level) => {
+            isa::run_at(level, LaneKernel { tiles, row0, sweep: LaneSweep { data, l, plane } })
         }
     }
 }
 
-/// The lane kernel's AVX2 compilation: all of it is the inlined callee.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sweep_avx2<L: Lane>(tiles: &[PreparedTile], row0: usize, l: usize, v: &mut LaneSweep<'_, L>) {
-    walk_band(tiles, row0, l, v);
+/// The batch-major kernel as the one body [`cc_tensor::isa`] compiles per
+/// vector level: `walk_band` over a [`LaneSweep`], inlined whole into the
+/// dispatch's baseline and AVX2 callers — same safe Rust, same lane order,
+/// 128- or 256-bit instructions.
+struct LaneKernel<'a, L: Lane> {
+    tiles: &'a [PreparedTile],
+    row0: usize,
+    sweep: LaneSweep<'a, L>,
 }
 
-/// The vector level the lane kernel runs at on this CPU: `"avx2"` or
-/// `"baseline"` (whatever the build targets — SSE2 on x86-64). A host
-/// ns/MAC figure means nothing across boxes without it.
+impl<L: Lane> Kernel for LaneKernel<'_, L> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(mut self) {
+        walk_band(self.tiles, self.row0, self.sweep.l, &mut self.sweep);
+    }
+}
+
+/// The vector level every dispatched block — the lane kernel here, the
+/// deployed engine's quantizer, residual add and pools — runs at on this
+/// CPU: `"avx2"` or `"baseline"` (whatever the build targets — SSE2 on
+/// x86-64). A host ns/MAC figure means nothing across boxes without it.
 pub fn lane_isa() -> &'static str {
-    LaneIsa::detect().name()
-}
-
-/// The levels the lane kernel is compiled for, fenced in a module of
-/// their own because the workspace's one `unsafe` call (in
-/// [`sweep_lanes`]) rests on them: a [`LaneIsa::Avx2`] carries a
-/// [`Detected`], which nothing outside this module can construct and
-/// inside it only [`LaneIsa::detect`] does, after the CPU said yes.
-mod isa {
-    /// Proof that the CPU reported a feature.
-    #[cfg(target_arch = "x86_64")]
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) struct Detected(());
-
-    /// A level of the lane kernel this CPU can run.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) enum LaneIsa {
-        Baseline,
-        #[cfg(target_arch = "x86_64")]
-        Avx2(Detected),
-    }
-
-    impl LaneIsa {
-        /// The widest level the CPU has. `is_x86_feature_detected!` caches
-        /// its CPUID probe, so this is an atomic load.
-        pub(super) fn detect() -> Self {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return LaneIsa::Avx2(Detected(()));
-            }
-            LaneIsa::Baseline
-        }
-
-        /// Every level the CPU has, so tests cover each arm they can.
-        #[cfg(test)]
-        pub(super) fn available() -> Vec<Self> {
-            let mut levels = vec![LaneIsa::Baseline, Self::detect()];
-            levels.dedup();
-            levels
-        }
-
-        pub(super) fn name(self) -> &'static str {
-            match self {
-                LaneIsa::Baseline => "baseline",
-                #[cfg(target_arch = "x86_64")]
-                LaneIsa::Avx2(_) => "avx2",
-            }
-        }
-    }
+    Level::detect().name()
 }
 
 /// Streams the overlap cycle model over a band's tiles as re-tiled for an
@@ -1697,7 +1650,7 @@ mod tests {
         prepared: &PreparedPacked,
         plan: &[RowBand],
         d: &QuantMatrix,
-        isa: Option<LaneIsa>,
+        isa: Option<Level>,
     ) -> (Vec<i32>, Vec<SimStats>) {
         let l = d.cols();
         let mut out = vec![0; prepared.rows * l];
@@ -1713,14 +1666,11 @@ mod tests {
         (out, stats)
     }
 
+    /// `lane_isa` names the level the dispatch picks (the levels themselves
+    /// are tested in `cc_tensor::isa`).
     #[test]
     fn detected_level_is_available_and_baseline_always_is() {
-        let levels = LaneIsa::available();
-        assert_eq!(levels[0], LaneIsa::Baseline);
-        assert!(levels.contains(&LaneIsa::detect()));
-        assert_eq!(lane_isa(), LaneIsa::detect().name());
-        let names: Vec<_> = levels.iter().map(|isa| isa.name()).collect();
-        assert!(names == ["baseline"] || names == ["baseline", "avx2"], "{names:?}");
+        assert_eq!(lane_isa(), Level::detect().name());
     }
 
     /// Every compilation of the lane kernel this CPU can run — not only
@@ -1751,7 +1701,7 @@ mod tests {
                     if bands == 1 {
                         assert_eq!(scalar.1, [reference], "scalar stats {acc:?} l={l}");
                     }
-                    for isa in LaneIsa::available() {
+                    for isa in Level::available() {
                         assert_eq!(
                             run_plan_at(&sched, &prepared, &plan, &d, Some(isa)),
                             scalar,
@@ -1790,7 +1740,7 @@ mod tests {
             let oracle: Vec<i32> =
                 quant_matmul(&w, &d, acc).into_iter().map(|o| o as i32).collect();
             assert!(oracle.iter().all(|&o| o == want), "{acc:?}: oracle is not {want}");
-            for isa in LaneIsa::available() {
+            for isa in Level::available() {
                 let (got, _) =
                     run_plan_at(&sched, &prepared, &[prepared.full_band()], &d, Some(isa));
                 assert_eq!(got, oracle, "{} {acc:?}", isa.name());

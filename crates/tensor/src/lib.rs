@@ -11,6 +11,9 @@
 //! * [`quant`] — the paper's linear 8-bit fixed-point quantization (§2.5)
 //!   with 16/32-bit integer accumulation semantics that the bit-serial
 //!   systolic arrays implement exactly,
+//! * [`isa`] — the workspace's one vector-level dispatch (baseline / AVX2)
+//!   and its single audited `unsafe`, which the systolic lane kernel and
+//!   the deployed engine's peripheral blocks all run through,
 //! * [`init`] — deterministic weight initializers.
 //!
 //! # Examples
@@ -25,6 +28,7 @@
 //! ```
 
 pub mod init;
+pub mod isa;
 pub mod matrix;
 pub mod ops;
 pub mod quant;

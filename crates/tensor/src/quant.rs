@@ -14,7 +14,9 @@
 //! a slice loop over it autovectorises (the deployed engine's residual add
 //! is one) — and it is *exactly* the libcall formula on all 2³² bit
 //! patterns, which the tests below check (sampled by default, exhaustively
-//! under `--ignored`).
+//! under `--ignored`). It is `#[inline(always)]` because those loops are
+//! [`crate::isa::Kernel`]s: the rounding must be compiled inside the
+//! caller, at the caller's vector level.
 
 use crate::matrix::Matrix;
 
@@ -97,7 +99,7 @@ impl QuantParams {
     }
 
     /// Quantizes a real value to `i8`, saturating at ±127.
-    #[inline]
+    #[inline(always)] // as [`requantize`]
     pub fn quantize(&self, v: f32) -> i8 {
         requantize(v / self.scale)
     }
@@ -135,7 +137,7 @@ impl QuantParams {
 /// assert_eq!(requantize(1e9), 127);
 /// assert_eq!(requantize(f32::NAN), 0);
 /// ```
-#[inline]
+#[inline(always)] // a `cc_tensor::isa::Kernel` body: compiled at its caller's level
 pub fn requantize(x: f32) -> i8 {
     const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³: one ulp is 1.0
     let x = if x.is_nan() { 0.0 } else { x };

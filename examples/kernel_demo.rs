@@ -1,6 +1,9 @@
 //! Fast-kernel demo: one deployed model (and one representative packed
 //! layer) run through the seed indexed path and the prepared op-list +
-//! scratch kernel, asserting bit-identity and printing the speedups.
+//! scratch kernel, asserting bit-identity and printing the speedups — and
+//! the two float blocks behind the array (the ReLU + quantizer epilogue and
+//! the residual add) at the build's baseline against the vector level the
+//! CPU has, word for word.
 //!
 //! ```text
 //! cargo run --release -p cc-examples --example kernel_demo
@@ -9,15 +12,34 @@
 use cc_bench::experiments::kernel_bench::ns_per_call;
 use cc_bench::report::{fnum, Table};
 use cc_dataset::SyntheticSpec;
+use cc_deploy::engine::{Epilogue, EpilogueRows, ResidualAdd};
 use cc_deploy::{identity_groups, ActivationScratch, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked};
 use cc_systolic::{RunScratch, TiledScheduler};
 use cc_tensor::init::sparse_matrix;
+use cc_tensor::isa::{self, Level};
 use cc_tensor::quant::{AccumWidth, QuantMatrix, QuantParams};
 use cc_tensor::Tensor;
 use std::hint::black_box;
+
+/// Runs `block` into `out` at each of `levels`, asserts the outputs are
+/// identical, and returns each level's ns per call.
+fn at_both_levels<S: Clone + PartialEq>(
+    levels: [Level; 2],
+    out: &mut S,
+    mut block: impl FnMut(Level, &mut S),
+) -> [f64; 2] {
+    let blank = out.clone();
+    let outs = levels.map(|level| {
+        *out = blank.clone();
+        block(level, out);
+        out.clone()
+    });
+    assert!(outs[0] == outs[1] && outs[0] != blank, "levels must agree word for word");
+    levels.map(|level| ns_per_call(|| block(black_box(level), black_box(out)), 20))
+}
 
 fn main() {
     // 1. A representative packed layer: seed indexed path vs the prepared
@@ -109,6 +131,56 @@ fn main() {
         fnum(alloc_ns / warm_ns.max(1e-9), 2),
     ]);
     table.print();
+
+    // 3. The periphery goes through the same dispatch as the lane kernel:
+    //    one ResNet-sized plane (16 channels, batch 8 of 32x32) through the
+    //    epilogue and the residual add at each level, word for word.
+    let (n, l, b) = (16, 1024, 8);
+    let words: Vec<i32> = (0..n * b * l).map(|i| (i as i32).wrapping_mul(0x9e37) % 40_000).collect();
+    let (channel_scale, channel_bias) = (vec![0.031; n], vec![-0.2; n]);
+    let epilogue = Epilogue {
+        acc_scale: 2.5e-4,
+        channel_scale: &channel_scale,
+        channel_bias: &channel_bias,
+        relu: true,
+        out_scale: 0.043,
+        l,
+    };
+    let body: Vec<i8> = words.iter().map(|&o| (o % 255 - 127) as i8).collect();
+    let shortcut: Vec<i8> = body.iter().rev().copied().collect();
+    let levels = [Level::Baseline, Level::detect()];
+    let mut periphery = Table::new(
+        "Peripheral blocks: build baseline vs the level this CPU has (ns per word)",
+        &["block", levels[0].name(), levels[1].name(), "speedup"],
+    );
+    let mut row = |block: &str, ns: [f64; 2]| {
+        let ns = ns.map(|ns| ns / words.len() as f64);
+        periphery.push_row(vec![
+            block.into(),
+            fnum(ns[0], 2),
+            fnum(ns[1], 2),
+            fnum(ns[0] / ns[1].max(1e-9), 2),
+        ]);
+    };
+    let mut maps = vec![vec![0i8; n * l]; b];
+    let ns = at_both_levels(levels, &mut maps, |level, maps| {
+        isa::run_at(level, EpilogueRows { epilogue: &epilogue, rows: 0..n, words: &words, dsts: maps });
+    });
+    row("relu + quantizer epilogue", ns);
+    let mut merged = vec![0i8; body.len()];
+    let ns = at_both_levels(levels, &mut merged, |level, out| {
+        let kernel = ResidualAdd {
+            body: &body,
+            body_scale: 0.021,
+            shortcut: &shortcut,
+            shortcut_scale: 0.034,
+            out_scale: 0.043,
+            out,
+        };
+        isa::run_at(level, kernel);
+    });
+    row("residual add", ns);
+    periphery.print();
 
     println!(
         "scratch pool: {} allocations, {} reuses (steady state allocates nothing)",
