@@ -265,7 +265,7 @@ fn bench_control_config() -> ControlConfig {
 /// The knob tuples the calibration sweep measures: the static grid's
 /// own guesses plus the single-worker batched postures a static grid
 /// never tries (on a small host, batch amortization of the per-batch
-/// rendezvous is the real throughput lever).
+/// thread hand-offs is the real throughput lever).
 const CALIBRATION_GRID: [(usize, usize); 6] = [(1, 1), (1, 4), (1, 8), (2, 4), (2, 8), (4, 16)];
 
 /// Offline profiling on the box the controller will actually run on: a

@@ -8,10 +8,11 @@
 //!
 //! ```text
 //!                 ┌────────────────────────────────────────────────┐
-//!  clients ──▶ submit ──▶ bounded queue ──▶ dynamic batcher ──▶ worker pool
-//!                 │shed on full          (max size | deadline)   │ one tiled
-//!                 ▼                        per-model batches     │ scheduler each
-//!             telemetry ◀── latency/occupancy/depth ◀────────────┘
+//!  clients ──▶ submit ──▶ bounded queue ──▶ worker pool: an idle worker forms
+//!                 │shed on full             its own batch (max size | deadline,
+//!                 ▼                         per model), then runs it — one tiled
+//!                 │                         scheduler each               │
+//!             telemetry ◀── latency/occupancy/depth ◀────────────────────┘
 //!                 │                 ▲
 //!                 ▼                 │ Arc<DeployedNetwork>, shared immutably
 //!             snapshot          model registry (pack + quantize once)
@@ -25,12 +26,16 @@
 //!   passes; a batch runs as one wide matrix on the simulated array, so
 //!   the whole batch shares each layer's weight-tile loads — and stays
 //!   bit-identical to serial execution (the array is exact integer
-//!   arithmetic per output column).
+//!   arithmetic per output column). It has no thread of its own: it sits
+//!   behind one mutex and whichever worker is idle forms the next batch
+//!   under it, so a batch is handed from client to worker and back with
+//!   no hop in between.
 //! - **Worker pool**: each worker owns its tiled-scheduler instance and
-//!   pulls batches over a rendezvous channel. Serial workers and
-//!   pipeline stage threads run batches through the same stage step
-//!   ([`stage`]) — a serial worker is the one-stage pipeline without the
-//!   channel hop.
+//!   takes its turn at the batcher whenever it is idle; busy workers
+//!   leave the bounded queue to fill, which is the backpressure. Serial
+//!   workers and pipeline stage threads run batches through the same
+//!   stage step ([`stage`]) — a serial worker is the one-stage pipeline
+//!   without the channel hop.
 //! - **Stage pipelining** ([`PipelineExecutor`],
 //!   [`ServeConfig::pipeline_stages`]): at K ≥ 2 each worker splits the
 //!   deployed layers into K cost-balanced contiguous stages on their own

@@ -1,10 +1,10 @@
 //! Admission — the seam between [`Server::submit_with`] and a worker:
 //! the memo-cache probe that answers or parks a request without
 //! admitting it, the quota and queue checks that admit or shed it, and
-//! the batcher thread that turns the admitted queue into batches (or, for
-//! a blown deadline, ends the request where it sits).
+//! the batcher an idle worker runs to turn the admitted queue into its
+//! next batch (or, for a blown deadline, end the request where it sits).
 
-use super::pool::WorkItem;
+use super::pool::WorkerEnv;
 use super::request::{Admitted, CacheKey, Pending, Request, Served, Shared};
 use super::{Server, SubmitError, WaitError};
 use crate::batcher::{BatchKnobs, Batcher};
@@ -12,9 +12,8 @@ use crate::qos::SubmitOptions;
 use crate::trace::{EventKind, Outcome, Track};
 use cc_deploy::DeployedNetwork;
 use cc_tensor::Tensor;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc::{Receiver, TrySendError};
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 impl Server {
@@ -151,68 +150,73 @@ impl Server {
     }
 }
 
-/// Spawns the batcher thread: it forms batches from `ingress` under the
-/// live `knobs`, ends blown-deadline requests where they sit, stamps each
-/// batch for tracing, and hands it to a worker over `work_tx` — a
-/// rendezvous, so it blocks until a worker is free, which is what pushes
-/// overload back to admission control.
-pub(super) fn spawn_batcher(
+/// The one batcher every idle worker takes its turn at (fn-pointer
+/// hooks keep the type nameable in [`WorkerEnv`]).
+pub(super) type RequestBatcher =
+    Batcher<Request, usize, fn(&Request) -> usize, fn(&Request) -> Instant>;
+
+/// Builds the batcher over `ingress` under the live `knobs`; whichever
+/// worker is forming ends blown-deadline requests where they sit.
+pub(super) fn request_batcher(
     ingress: Receiver<Request>,
-    work_tx: SyncSender<WorkItem>,
     knobs: Arc<BatchKnobs>,
     shared: Arc<Shared>,
-) -> JoinHandle<()> {
-    let expired = Arc::clone(&shared);
-    let run = move || {
-        // Batches are keyed on *network identity*, not model name: a name
-        // can point at different pipelines over time (e.g. across a
-        // registry hot-swap), and requests that captured different
-        // networks must never share a batch — the worker runs the whole
-        // batch on one network. The coalescing window is anchored at the
-        // seed request's submit time so a request never pays stash wait
-        // plus a fresh deadline.
-        let mut batcher = Batcher::with_knobs(
-            ingress,
-            knobs,
-            |r: &Request| r.admitted.identity,
-            |r: &Request| r.admitted.pending.submitted,
-        )
-        .with_qos(
-            |r: &Request| r.admitted.pending.qos.index(),
-            |r: &Request| r.deadline,
-            move |r: Request| {
-                expired.telemetry.on_expire();
-                expired.finish(r.admitted, 0, Err(WaitError::DeadlineExceeded));
-            },
-        );
-        while let Some(mut batch) = batcher.next_batch() {
-            shared.telemetry.on_dispatch(batch.len());
-            // Stamp the batch for tracing: close each member's queue
-            // span, open its execute clock, and record how the batch
-            // formed — all on the batcher thread, off the submit path and
-            // outside worker kernel time. Each batch travels with its
-            // trace batch id (0 = untraced).
-            let mut bid = 0;
-            if let Some(rec) = shared.tracer() {
-                bid = rec.next_batch_id();
-                let now = Instant::now();
-                if let Some(f) = batcher.last_formation() {
-                    let (from, to, size) = (f.seeded_at, f.released_at, batch.len() as u32);
-                    rec.span(EventKind::BatchForm, Track::Batcher, 0, bid, from, to, size);
-                }
-                for r in &mut batch {
-                    r.admitted.dispatched_at = now;
-                    let Pending { id, submitted, .. } = r.admitted.pending;
-                    if id != 0 {
-                        rec.span(EventKind::Queue, Track::Requests, id, bid, submitted, now, 0);
-                        rec.instant(EventKind::BatchMember, Track::Batcher, id, bid, now, 0);
-                    }
-                }
-            }
-            if work_tx.send((bid, batch)).is_err() {
-                break;
+) -> RequestBatcher {
+    // Batches are keyed on *network identity*, not model name: a name can
+    // point at different pipelines over time (e.g. across a registry
+    // hot-swap), and requests that captured different networks must never
+    // share a batch — the worker runs the whole batch on one network. The
+    // coalescing window is anchored at the seed request's submit time so
+    // a request never pays stash wait plus a fresh deadline.
+    RequestBatcher::with_knobs(
+        ingress,
+        knobs,
+        |r| r.admitted.identity,
+        |r| r.admitted.pending.submitted,
+    )
+    .with_qos(
+        |r: &Request| r.admitted.pending.qos.index(),
+        |r: &Request| r.deadline,
+        move |r: Request| {
+            shared.telemetry.on_expire();
+            shared.finish(r.admitted, 0, Err(WaitError::DeadlineExceeded));
+        },
+    )
+}
+
+/// Blocks the calling worker for its next batch — formed on its own
+/// thread under the batcher's lock, other idle workers waiting on the
+/// mutex meanwhile — and the batch's trace id (0 = untraced); `None` once
+/// ingress is closed and the stash drained.
+pub(super) fn next_work(env: &WorkerEnv) -> Option<(u64, Vec<Request>)> {
+    let WorkerEnv { batcher, shared, .. } = env;
+    // A worker that panicked while forming poisons the lock; what it
+    // guards is still a queue, so the next worker recovers the guard.
+    let (mut batch, formation) = {
+        let mut batcher = batcher.lock().unwrap_or_else(PoisonError::into_inner);
+        let batch = batcher.next_batch()?;
+        (batch, batcher.last_formation())
+    };
+    // The lock is released: the next idle worker forms its batch while
+    // this one stamps its own for tracing — close each member's queue
+    // span, open its execute clock, record how the batch formed.
+    shared.telemetry.on_dispatch(batch.len());
+    let mut bid = 0;
+    if let Some(rec) = shared.tracer() {
+        bid = rec.next_batch_id();
+        let now = Instant::now();
+        if let Some(f) = formation {
+            let (from, to, size) = (f.seeded_at, f.released_at, batch.len() as u32);
+            rec.span(EventKind::BatchForm, Track::Batcher, 0, bid, from, to, size);
+        }
+        for r in &mut batch {
+            r.admitted.dispatched_at = now;
+            let Pending { id, submitted, .. } = r.admitted.pending;
+            if id != 0 {
+                rec.span(EventKind::Queue, Track::Requests, id, bid, submitted, now, 0);
+                rec.instant(EventKind::BatchMember, Track::Batcher, id, bid, now, 0);
             }
         }
-    };
-    std::thread::Builder::new().name("cc-serve-batcher".into()).spawn(run).expect("spawn batcher")
+    }
+    Some((bid, batch))
 }

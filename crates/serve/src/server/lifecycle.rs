@@ -259,14 +259,14 @@ impl Server {
     }
 
     /// Stops admission and returns the rest of the wind-down, which
-    /// blocks until it is over: with ingress closed the batcher drains its
-    /// stash and exits; it owns the work sender, so the workers then exit
-    /// too and the supervisor follows once the pool is empty.
+    /// blocks until it is over: with ingress closed the workers drain the
+    /// batcher's stash between them, each gets `None` from its next turn
+    /// and exits, and the supervisor follows once the pool is empty.
     fn wind_down(&mut self) -> impl FnOnce() + Send + 'static {
         self.ingress = None;
-        let threads = [self.batcher.take(), self.supervisor.take()];
+        let supervisor = self.supervisor.take();
         move || {
-            for handle in threads.into_iter().flatten() {
+            if let Some(handle) = supervisor {
                 let _ = handle.join();
             }
         }

@@ -1,6 +1,6 @@
-//! The serving runtime: admission control → dynamic batcher → worker
-//! pool, glued together with std threads and channels — and one place
-//! where a request ends.
+//! The serving runtime: admission control → batch formation and execution
+//! on the worker pool, glued together with std threads and one channel —
+//! and one place where a request ends.
 //!
 //! ```text
 //!  submit_with ─▶ lookup ─▶ probe ─── cache hit ──────────────────────────▶ resolve
@@ -9,11 +9,11 @@
 //!                           admit ─── quota / queue full: shed ───────────┼────┤
 //!                             │ try_send                                  ┆    │
 //!                             ▼ [bounded ingress]                         ▼    │
-//!                          batcher ─── deadline blown ───────────────▶ finish ─┘
-//!                             │ seed best (class, age),                   ▲
-//!                             ▼ coalesce per network [rendezvous]         │
-//!                        worker 0..W ─ one stage step, or a K-stage ──────┘
-//!                                      pipeline of them
+//!  worker 0..W, idle: lock the batcher ─── deadline blown ───────────▶ finish ─┘
+//!                             │ seed best (class, age), coalesce          ▲
+//!                             ▼ per network, unlock, stamp the trace      │
+//!            the same worker: one stage step, or a K-stage ───────────────┘
+//!                             pipeline of them
 //!
 //!  resolve (any ticket):       telemetry bucket → trace Resolve → the reply send
 //!  finish (an admitted one):   cache offer → followers through resolve, with the
@@ -26,13 +26,18 @@
 //! ticket [`Server::submit_with`] hands out resolves exactly once and
 //! lands in exactly one of `completed` / `failed` / `shed`.
 //!
-//! Backpressure is end-to-end: workers pull batches over a rendezvous
-//! channel, so when every worker is busy the batcher blocks, the bounded
-//! ingress queue fills, and [`Server::submit`] sheds with
-//! [`SubmitError::QueueFull`] instead of buffering without bound. With
-//! [`ServeConfig::pipeline_stages`] ≥ 2 a worker feeds a bounded
-//! [`crate::PipelineExecutor`] instead of executing inline; the bounded
-//! stage channels keep the same backpressure chain intact.
+//! There is no batcher thread: the [`crate::batcher::Batcher`] sits
+//! behind one mutex and an idle worker forms its own next batch under it
+//! (`admission::next_work`), so a batch crosses two thread hand-offs —
+//! client → worker → client — not three. One idle worker holds the lock,
+//! parked on the empty queue or keeping a coalescing window open; the
+//! others wait on the mutex for their turn. Backpressure is end-to-end:
+//! when every worker is busy nobody drains the bounded ingress queue, it
+//! fills, and [`Server::submit`] sheds with [`SubmitError::QueueFull`] —
+//! exactly [`ServeConfig::queue_capacity`] deep, since no thread holds a
+//! formed batch in its hand. With [`ServeConfig::pipeline_stages`] ≥ 2 a
+//! worker feeds a bounded [`crate::PipelineExecutor`] instead of executing
+//! inline; the bounded stage channels keep the same backpressure chain.
 //!
 //! [`Server::submit_with`] attaches per-request QoS: a
 //! [`crate::QosClass`] (strict priority at batch formation), a deadline
@@ -329,8 +334,8 @@ pub struct Server {
     /// recorder: what a request ends through, shared with every thread.
     shared: Arc<Shared>,
     /// The live batcher's size/deadline policy block, shared with the
-    /// batcher thread — retunes take effect at the next batch formation
-    /// without rebuilding anything.
+    /// batcher the workers run — retunes take effect at the next batch
+    /// formation without rebuilding anything.
     knobs: Arc<BatchKnobs>,
     /// The live executor geometry, shared with every worker.
     plan: Arc<ExecPlan>,
@@ -346,13 +351,12 @@ pub struct Server {
     tenant_quota: usize,
     queue_capacity: usize,
     ingress: Option<SyncSender<Request>>,
-    batcher: Option<JoinHandle<()>>,
     /// The worker pool's supervisor ([`pool::spawn_pool`]).
     supervisor: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the batcher and worker threads over a finished registry.
+    /// Starts the worker pool over a finished registry.
     ///
     /// # Panics
     ///
@@ -377,10 +381,8 @@ impl Server {
         });
         let pool_target = Arc::new(AtomicUsize::new(cfg.workers));
         let (ingress, ingress_rx) = mpsc::sync_channel(cfg.queue_capacity);
-        // Rendezvous hand-off: the batcher blocks until a worker is free.
-        let (work_tx, work_rx) = mpsc::sync_channel(0);
         let batcher =
-            admission::spawn_batcher(ingress_rx, work_tx, Arc::clone(&knobs), Arc::clone(&shared));
+            admission::request_batcher(ingress_rx, Arc::clone(&knobs), Arc::clone(&shared));
         let env = WorkerEnv {
             stage: StageEnv {
                 shards: cfg.shards,
@@ -392,7 +394,7 @@ impl Server {
             plan: Arc::clone(&plan),
             target: Arc::clone(&pool_target),
             shared: Arc::clone(&shared),
-            work_rx: Arc::new(Mutex::new(work_rx)),
+            batcher: Arc::new(Mutex::new(batcher)),
         };
         let (pool_tx, supervisor) = pool::spawn_pool(cfg.workers, env);
         Server {
@@ -407,7 +409,6 @@ impl Server {
             tenant_quota: cfg.tenant_quota,
             queue_capacity: cfg.queue_capacity,
             ingress: Some(ingress),
-            batcher: Some(batcher),
             supervisor: Some(supervisor),
         }
     }

@@ -3,15 +3,16 @@
 //! worker runs (adopt the live plan, pick the network's executor, step
 //! the batch, end every member through [`Shared::finish_batch`]).
 
-use super::request::{BatchMeta, Request, Shared};
+use super::admission::{next_work, RequestBatcher};
+use super::request::{BatchMeta, Shared};
 use super::WaitError;
 use crate::pipeline::{auto_stage_cap, auto_stages, PipelineExecutor};
 use crate::stage::{StageEnv, StageRunner};
 use crate::trace::Track;
 use cc_deploy::{BandFaultError, BatchOutput, DeployedNetwork};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// The live executor geometry workers run under. The control plane bumps
@@ -42,7 +43,7 @@ pub(super) enum PoolMsg {
 
 /// Why a worker's loop returned.
 pub(super) enum WorkerExit {
-    /// Work channel closed: the server is shutting down.
+    /// Ingress closed and drained: the server is shutting down.
     Closed,
     /// A batch panicked in a way that may have corrupted worker-local
     /// state; the supervisor respawns the slot with everything rebuilt.
@@ -52,9 +53,6 @@ pub(super) enum WorkerExit {
     /// the meantime (the shrink-then-grow race heals on this report).
     Retired,
 }
-
-/// A formed batch in flight to a worker: trace batch id + members.
-pub(super) type WorkItem = (u64, Vec<Request>);
 
 /// What every worker is (re)spawned from. The stage environment carries
 /// the start-time shard width and the full fleet — the live plan's width
@@ -68,12 +66,13 @@ pub(super) struct WorkerEnv {
     /// supervisor to bound respawns.
     pub(super) target: Arc<AtomicUsize>,
     pub(super) shared: Arc<Shared>,
-    pub(super) work_rx: Arc<Mutex<Receiver<WorkItem>>>,
+    /// Whichever idle worker holds this lock forms the next batch.
+    pub(super) batcher: Arc<Mutex<RequestBatcher>>,
 }
 
 /// Spawns `workers` workers and the supervisor that owns their join
 /// handles. Workers report their exit to it: a panic exit gets the slot
-/// respawned with fresh state, a clean exit (work channel closed) counts
+/// respawned with fresh state, a clean exit (ingress closed) counts
 /// the pool down, and a retirement (pool shrink) leaves the slot empty
 /// until a resize order — sent on the returned channel — covers it
 /// again. The supervisor returns once every worker has exited cleanly.
@@ -217,7 +216,7 @@ fn batch_result(
     }
 }
 
-/// Runs batches until the work channel closes ([`WorkerExit::Closed`]),
+/// Forms and runs batches until ingress closes ([`WorkerExit::Closed`]),
 /// the pool target drops below this worker's index
 /// ([`WorkerExit::Retired`]), or a batch panics in a way that may have
 /// corrupted worker-local state — scratch, band set — so the supervisor
@@ -225,7 +224,7 @@ fn batch_result(
 /// A batch that ends [`WaitError::Faulted`] is *not* such an abort: the
 /// worker keeps its warm state.
 fn worker_loop(env: &WorkerEnv, worker: u16) -> WorkerExit {
-    let WorkerEnv { stage, plan, target, shared, work_rx } = env;
+    let WorkerEnv { stage, plan, target, shared, .. } = env;
     let mut seen_epoch = plan.epoch.load(Ordering::Acquire);
     let mut stages = plan.stages.load(Ordering::Relaxed);
     // The worker's long-lived stage runner for serial execution: one
@@ -241,13 +240,7 @@ fn worker_loop(env: &WorkerEnv, worker: u16) -> WorkerExit {
     // Dropping this at loop exit drains every pipeline's in-flight
     // batches before the worker thread ends — shutdown resolves tickets.
     let mut slots: Vec<NetSlot> = Vec::new();
-    loop {
-        // A worker that panicked while holding the lock poisons it; the
-        // queue data itself is just a channel receiver, so the respawned
-        // worker recovers the guard and keeps serving.
-        let batch = work_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok((bid, batch)) = batch else { break };
-
+    while let Some((bid, batch)) = next_work(env) {
         // Adopt a retuned executor plan at the batch boundary: reshape
         // the runner's band set (see [`StageRunner::reshape`]) and drop
         // every slot — depths were resolved and pipelines built for the

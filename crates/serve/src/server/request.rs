@@ -64,9 +64,10 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(WaitError::Disconnected))
     }
 
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<Response> {
-        self.rx.try_recv().ok().and_then(Result::ok)
+    /// Non-blocking poll: [`Ticket::wait_timeout`] without the wait. A
+    /// failed request polls as `Some(Err(why))`, never as still pending.
+    pub fn try_wait(&self) -> Option<Result<Response, WaitError>> {
+        self.wait_timeout(Duration::ZERO)
     }
 
     /// Bounded wait: blocks at most `timeout`. `None` means the request
@@ -117,7 +118,7 @@ pub(super) struct Admitted {
     pub(super) identity: usize,
     pub(super) tenant: Option<Arc<str>>,
     pub(super) cache_key: Option<CacheKey>,
-    /// When the batcher handed this request to a worker; the boundary
+    /// When a worker took this request into its batch; the boundary
     /// between its queue span and its execute span. Initialized to the
     /// submit time and restamped at dispatch.
     pub(super) dispatched_at: Instant,
@@ -214,7 +215,7 @@ pub(super) struct Memo {
 }
 
 /// The state every request ends through; one `Arc` of it is shared by
-/// the submit path, the batcher, workers and pipeline sinks.
+/// the submit path, the workers and their pipeline sinks.
 pub(super) struct Shared {
     pub(super) telemetry: Arc<Telemetry>,
     pub(super) memo: Option<Memo>,

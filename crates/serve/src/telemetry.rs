@@ -171,8 +171,8 @@ struct Completion {
     batched_requests: u64,
 }
 
-/// Shared serving metrics, updated by the submit path, the batcher, and
-/// every worker.
+/// Shared serving metrics, updated by the submit path and every worker
+/// (forming its batch, then running it).
 #[derive(Debug)]
 pub struct Telemetry {
     started: Instant,
@@ -194,11 +194,13 @@ pub struct Telemetry {
     /// Requests shed specifically because their deadline passed while
     /// still queued.
     deadline_shed: AtomicU64,
-    /// Requests handed to workers. Queue depth is derived as
-    /// `submitted - dispatched` (saturating): the batcher can observe and
+    /// Requests a worker formed into a batch. Queue depth is derived as
+    /// `submitted - dispatched` (saturating): a worker can take and
     /// dispatch a request before the submitting thread bumps `submitted`,
     /// and a derived gauge turns that race into a transient under-count
-    /// instead of an unsigned wrap.
+    /// instead of an unsigned wrap. A batch exists only once a worker has
+    /// formed it, so with every worker busy the depth is all the waiting
+    /// work.
     dispatched: AtomicU64,
     /// Requests resolved with a failure (`WorkerPanicked` / `Faulted`):
     /// dispatched, not shed, but never completed — the third leaf of the
@@ -347,9 +349,9 @@ impl Telemetry {
         self.deadline_shed.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The batcher took a blown-deadline request out of the queue without
-    /// dispatching it. Counts toward `dispatched`: a depth gauge that
-    /// never saw it leave would creep toward permanent
+    /// A worker forming its batch took a blown-deadline request out of
+    /// the queue without dispatching it. Counts toward `dispatched`: a
+    /// depth gauge that never saw it leave would creep toward permanent
     /// [`crate::SubmitError::QueueFull`]. (Followers of that request took
     /// no queue slot, so they pass through [`Telemetry::on_deadline_shed`]
     /// only.)
@@ -403,7 +405,8 @@ impl Telemetry {
         }
     }
 
-    /// The batcher handed `n` coalesced requests to a worker.
+    /// A worker formed a batch of `n` coalesced requests and is about to
+    /// run it.
     pub(crate) fn on_dispatch(&self, n: usize) {
         {
             let mut c = self.completion.lock().expect("completion metrics poisoned");
@@ -547,7 +550,8 @@ pub struct TelemetrySnapshot {
     pub retunes: u64,
     /// Model hot-swaps completed while serving.
     pub swaps: u64,
-    /// Requests admitted but not yet handed to a worker.
+    /// Requests admitted but not yet in a worker's batch; with every
+    /// worker busy, all the waiting work (nothing holds a formed batch).
     pub queue_depth: usize,
     /// Batches dispatched to workers.
     pub batches: u64,
@@ -722,7 +726,7 @@ mod tests {
         }
     }
 
-    /// The batcher can dispatch a request before the submitting thread
+    /// A worker can dispatch a request before the submitting thread
     /// records the admit; the depth gauge must under-count transiently,
     /// not wrap.
     #[test]

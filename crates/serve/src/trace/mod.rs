@@ -245,7 +245,8 @@ impl Outcome {
 pub enum Track {
     /// Request lifecycle events (submit, probe, queue, execute, resolve).
     Requests,
-    /// Batch formation events from the batcher thread.
+    /// Batch formation events, from whichever worker formed the batch
+    /// (one row: formation is serialized by the batcher's lock).
     Batcher,
     /// A serial worker's execution slot.
     Worker(u16),
