@@ -21,8 +21,6 @@ fn main() {
         ("table3", Box::new(exp::table3::run)),
         ("sec72", Box::new(exp::sec72::run)),
         ("ablation", Box::new(exp::ablation::run)),
-        ("serve_load", Box::new(exp::serve_load::run)),
-        ("cache_bench", Box::new(exp::cache_bench::run)),
     ];
     for (name, run) in suite {
         eprintln!("[all] running {name} ...");

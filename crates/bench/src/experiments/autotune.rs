@@ -8,18 +8,16 @@
 //! phase, wrong for the others. The controller starts from the same
 //! middle-of-the-road posture, classifies each phase from live telemetry
 //! deltas, and retunes the running server (pool size, batch knobs,
-//! executor plan) guided by a [`ProfileStore`] seeded from this repo's
-//! own bench JSONs (`results/bench_serve.json`, `bench_shard.json`) when
-//! present and corrected by a short on-box calibration sweep before
-//! serving. The claim gated in release CI: across the whole schedule the
-//! controller's throughput is at least the best static config's, at a
-//! p99 no worse than 1.05× — adaptivity beats every fixed choice without
-//! buying throughput with tail latency.
-//!
-//! Results land in `results/bench_autotune.json`.
+//! executor plan) guided by a [`ProfileStore`] filled by a short on-box
+//! calibration sweep before serving. The claim gated in release CI
+//! (`autotune_gate`): across the whole schedule the controller's
+//! throughput is at least the best static config's, at a p99 no worse
+//! than 1.05×, with no request failed — adaptivity beats every fixed
+//! choice without buying throughput with tail latency.
 
-use crate::report::{fnum, JsonValue, Table};
+use crate::report::{fnum, Table};
 use crate::scale::Scale;
+use crate::setups;
 use cc_dataset::Dataset;
 use cc_deploy::DeployedNetwork;
 use cc_serve::{
@@ -61,8 +59,8 @@ pub(crate) fn schedule(n: usize) -> Vec<Phase> {
 /// What one phase measured, client side.
 pub(crate) struct PhaseStats {
     pub name: &'static str,
+    /// Requests issued.
     pub requests: usize,
-    pub secs: f64,
     pub throughput_rps: f64,
     pub p50_us: f64,
     pub p99_us: f64,
@@ -78,35 +76,9 @@ pub(crate) struct AutotuneRun {
     pub overall_p99_us: f64,
     /// Knob moves the server counted (0 for static configs).
     pub retunes: u64,
-}
-
-impl AutotuneRun {
-    fn as_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("label", JsonValue::from(self.label)),
-            ("overall_throughput_rps", JsonValue::from(self.overall_rps)),
-            ("overall_p99_us", JsonValue::from(self.overall_p99_us)),
-            ("retunes", JsonValue::from(self.retunes)),
-            (
-                "phases",
-                JsonValue::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            JsonValue::obj([
-                                ("phase", JsonValue::from(p.name)),
-                                ("requests", JsonValue::from(p.requests)),
-                                ("secs", JsonValue::from(p.secs)),
-                                ("throughput_rps", JsonValue::from(p.throughput_rps)),
-                                ("p50_us", JsonValue::from(p.p50_us)),
-                                ("p99_us", JsonValue::from(p.p99_us)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
+    /// Requests that resolved with an error, warm-up included. They add
+    /// neither to throughput nor to the latency percentiles.
+    pub failed: usize,
 }
 
 fn percentile_us(sorted: &[Duration], q: f64) -> f64 {
@@ -117,11 +89,21 @@ fn percentile_us(sorted: &[Duration], q: f64) -> f64 {
     sorted[idx].as_secs_f64() * 1e6
 }
 
-/// Drives one phase of closed-loop clients against `server`, returning
-/// every client-observed latency (submit attempt → resolved ticket, so
-/// admission retries are billed to the request that suffered them).
-fn drive_phase(server: &Server, test: &Dataset, phase: &Phase) -> (Vec<Duration>, Duration) {
+/// What one phase's clients saw.
+struct PhaseRun {
+    /// Client-observed latency of every request served `Ok` (submit
+    /// attempt → resolved ticket, so admission retries are billed to the
+    /// request that suffered them).
+    latencies: Vec<Duration>,
+    /// Requests whose ticket resolved with an error.
+    failed: usize,
+    elapsed: Duration,
+}
+
+/// Drives one phase of closed-loop clients against `server`.
+fn drive_phase(server: &Server, test: &Dataset, phase: &Phase) -> PhaseRun {
     let next = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(0);
     let latencies = Mutex::new(Vec::with_capacity(phase.total));
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -141,8 +123,12 @@ fn drive_phase(server: &Server, test: &Dataset, phase: &Phase) -> (Vec<Duration>
                     loop {
                         match server.submit("m", image.clone()) {
                             Ok(ticket) => {
-                                let _ = ticket.wait();
-                                local.push(issued.elapsed());
+                                match ticket.wait_result() {
+                                    Ok(_) => local.push(issued.elapsed()),
+                                    Err(_) => {
+                                        failed.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                }
                                 break;
                             }
                             Err(SubmitError::QueueFull) => {
@@ -156,7 +142,11 @@ fn drive_phase(server: &Server, test: &Dataset, phase: &Phase) -> (Vec<Duration>
             });
         }
     });
-    (latencies.into_inner().expect("latency sink"), started.elapsed())
+    PhaseRun {
+        latencies: latencies.into_inner().expect("latency sink"),
+        failed: failed.into_inner(),
+        elapsed: started.elapsed(),
+    }
 }
 
 /// Runs the whole schedule against `server`, labeling the result.
@@ -173,35 +163,34 @@ fn drive_schedule(
     // run's first phase would bill one-time startup to the schedule.
     let warmup =
         Phase { name: "warmup", clients: 2, total: 24, pace: Some(Duration::from_micros(300)) };
-    let _ = drive_phase(server, test, &warmup);
+    let mut failed = drive_phase(server, test, &warmup).failed;
 
     let mut phase_stats = Vec::new();
     let mut all = Vec::new();
-    let mut total_requests = 0usize;
     let mut total_secs = 0.0f64;
     for phase in phases {
-        let (mut lat, elapsed) = drive_phase(server, test, phase);
-        lat.sort_unstable();
-        let secs = elapsed.as_secs_f64().max(1e-9);
+        let mut run = drive_phase(server, test, phase);
+        run.latencies.sort_unstable();
+        let secs = run.elapsed.as_secs_f64().max(1e-9);
         phase_stats.push(PhaseStats {
             name: phase.name,
             requests: phase.total,
-            secs,
-            throughput_rps: phase.total as f64 / secs,
-            p50_us: percentile_us(&lat, 0.50),
-            p99_us: percentile_us(&lat, 0.99),
+            throughput_rps: run.latencies.len() as f64 / secs,
+            p50_us: percentile_us(&run.latencies, 0.50),
+            p99_us: percentile_us(&run.latencies, 0.99),
         });
-        total_requests += phase.total;
+        failed += run.failed;
         total_secs += secs;
-        all.extend(lat);
+        all.extend(run.latencies);
     }
     all.sort_unstable();
     AutotuneRun {
         label,
         phases: phase_stats,
-        overall_rps: total_requests as f64 / total_secs.max(1e-9),
+        overall_rps: all.len() as f64 / total_secs.max(1e-9),
         overall_p99_us: percentile_us(&all, 0.99),
         retunes: server.telemetry().retunes,
+        failed,
     }
 }
 
@@ -270,11 +259,9 @@ const CALIBRATION_GRID: [(usize, usize); 6] = [(1, 1), (1, 4), (1, 8), (2, 4), (
 
 /// Offline profiling on the box the controller will actually run on: a
 /// short saturating burst against each calibration config, measured
-/// client-side and recorded into the store (superseding any bench-JSON
-/// seed rows for the same knobs — local truth beats another machine's).
-/// This is the "profile first, then serve" step an operator of the
-/// static configs never gets.
-pub(crate) fn calibrate(net: &DeployedNetwork, test: &Dataset, store: &mut ProfileStore) -> usize {
+/// client-side and recorded into the store. This is the "profile first,
+/// then serve" step an operator of the static configs never gets.
+pub(crate) fn calibrate(net: &DeployedNetwork, test: &Dataset, store: &mut ProfileStore) {
     let phase = Phase { name: "calibrate", clients: 8, total: 96, pace: None };
     for (workers, max_batch) in CALIBRATION_GRID {
         let server = Server::start(
@@ -291,15 +278,16 @@ pub(crate) fn calibrate(net: &DeployedNetwork, test: &Dataset, store: &mut Profi
         // noise band (the first round doubles as the server's warm-up).
         let mut best: Option<Profile> = None;
         for _ in 0..3 {
-            let (mut lat, elapsed) = drive_phase(&server, test, &phase);
-            lat.sort_unstable();
+            let mut run = drive_phase(&server, test, &phase);
+            run.latencies.sort_unstable();
             let round = Profile {
                 workers,
                 max_batch,
                 stages,
                 shards,
-                throughput_rps: phase.total as f64 / elapsed.as_secs_f64().max(1e-9),
-                p99_us: percentile_us(&lat, 0.99),
+                throughput_rps: run.latencies.len() as f64
+                    / run.elapsed.as_secs_f64().max(1e-9),
+                p99_us: percentile_us(&run.latencies, 0.99),
             };
             if best.as_ref().is_none_or(|b| round.throughput_rps > b.throughput_rps) {
                 best = Some(round);
@@ -313,21 +301,6 @@ pub(crate) fn calibrate(net: &DeployedNetwork, test: &Dataset, store: &mut Profi
         store.record(profile);
         drop(server);
     }
-    CALIBRATION_GRID.len()
-}
-
-/// Offline seeding: this repo's own bench artifacts, when present.
-/// Returns (serve rows, shard rows) absorbed — zero of each is fine,
-/// the controller then learns everything online.
-pub(crate) fn seeded_store() -> (ProfileStore, usize, usize) {
-    let mut store = ProfileStore::new();
-    let serve_rows = std::fs::read_to_string("results/bench_serve.json")
-        .map(|text| store.seed_serve_json(&text))
-        .unwrap_or(0);
-    let shard_rows = std::fs::read_to_string("results/bench_shard.json")
-        .map(|text| store.seed_shard_json(&text))
-        .unwrap_or(0);
-    (store, serve_rows, shard_rows)
 }
 
 /// The same middle-of-the-road starting posture as the static-mid
@@ -372,8 +345,8 @@ impl Comparison {
 }
 
 /// Runs the full grid + controller over one schedule with a pre-built
-/// profile store (seed + calibrate once, then run the comparison as many
-/// rounds as needed). Static order ends on the usual winner so the
+/// profile store (calibrate once, then run the comparison as many rounds
+/// as needed). Static order ends on the usual winner so the
 /// controller's run is temporally adjacent to the config it is judged
 /// against — the fairest pairing a drifting box allows.
 pub(crate) fn compare(
@@ -399,12 +372,11 @@ pub(crate) fn compare(
     Comparison { runs, best_static, controller }
 }
 
-/// `--autotune` mode: the phased comparison at bench scale, printed and
-/// written to `results/bench_autotune.json`.
+/// The phased comparison at bench scale, as printed tables.
 pub fn run(scale: &Scale) -> Vec<Table> {
-    let (packed, _, test) = super::serve_load::build_networks(scale);
+    let (packed, _, test) = setups::serving_networks(scale);
     let n = (scale.train_samples / 2).max(256);
-    let (mut store, serve_rows, shard_rows) = seeded_store();
+    let mut store = ProfileStore::new();
     calibrate(&packed, &test, &mut store);
     let cmp = compare(&packed, &test, n, store);
 
@@ -450,43 +422,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     ]);
     verdict.push_row(vec!["controller retunes".into(), ctl.retunes.to_string()]);
     verdict.push_row(vec![
-        "profiles seeded (serve/shard rows)".into(),
-        format!("{serve_rows}/{shard_rows}"),
+        "failed requests (all runs)".into(),
+        cmp.runs.iter().map(|run| run.failed).sum::<usize>().to_string(),
     ]);
     verdict
         .push_row(vec!["calibration sweep configs".into(), CALIBRATION_GRID.len().to_string()]);
-
-    let json = JsonValue::obj([
-        ("experiment", JsonValue::from("serve_autotune")),
-        ("scale", JsonValue::from(if *scale == Scale::full() { "full" } else { "quick" })),
-        (
-            "schedule",
-            JsonValue::Arr(
-                phases
-                    .iter()
-                    .map(|p| {
-                        JsonValue::obj([
-                            ("phase", JsonValue::from(p.name)),
-                            ("clients", JsonValue::from(p.clients)),
-                            ("requests", JsonValue::from(p.total)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("seeded_serve_rows", JsonValue::from(serve_rows)),
-        ("seeded_shard_rows", JsonValue::from(shard_rows)),
-        ("runs", JsonValue::Arr(cmp.runs.iter().map(AutotuneRun::as_json).collect())),
-        ("best_static", JsonValue::from(best.label)),
-        (
-            "controller_throughput_ratio",
-            JsonValue::from(ctl.overall_rps / best.overall_rps.max(1e-9)),
-        ),
-        ("controller_p99_ratio", JsonValue::from(ctl.overall_p99_us / best.overall_p99_us.max(1e-9))),
-    ]);
-    if let Err(e) = crate::report::write_json("results/bench_autotune.json", &json) {
-        eprintln!("warning: could not write results/bench_autotune.json: {e}");
-    }
 
     vec![table, verdict]
 }
@@ -494,61 +434,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Release autotune gate: across the phased schedule the controller
-    /// must reach at least the best static config's throughput at a p99
-    /// no worse than 1.05× its p99 — the adaptive plan beats every fixed
-    /// guess without trading tail latency for it. Best-of-rounds on both
-    /// sides of the comparison damps single-box scheduler noise; the
-    /// bounds only have to hold on one round.
-    #[test]
-    fn autotune_gate() {
-        if cfg!(debug_assertions) {
-            eprintln!("skipping wall-clock autotune gate in debug build");
-            return;
-        }
-        let _exclusive = crate::perf_gate_lock();
-        let scale = Scale {
-            train_samples: 64,
-            test_samples: 16,
-            image_hw: 16,
-            width_mult: 1.0,
-            ..Scale::quick()
-        };
-        let (packed, _, test) = super::super::serve_load::build_networks(&scale);
-        let (mut store, _, _) = seeded_store();
-        calibrate(&packed, &test, &mut store);
-
-        let mut last = String::new();
-        for round in 0..6 {
-            let cmp = compare(&packed, &test, 384, store.clone());
-            let best = cmp.best_static_run();
-            let ctl = cmp.controller_run();
-            let tput_ratio = ctl.overall_rps / best.overall_rps.max(1e-9);
-            let p99_ratio = ctl.overall_p99_us / best.overall_p99_us.max(1e-9);
-            eprintln!(
-                "autotune_gate round {round}: controller {:.0} rps / p99 {:.0} us vs best static \
-                 ({}) {:.0} rps / p99 {:.0} us — ratios {:.3} / {:.3}, {} retunes",
-                ctl.overall_rps,
-                ctl.overall_p99_us,
-                best.label,
-                best.overall_rps,
-                best.overall_p99_us,
-                tput_ratio,
-                p99_ratio,
-                ctl.retunes
-            );
-            assert!(ctl.retunes > 0, "the controller must actually retune under a load shift");
-            if tput_ratio >= 1.0 && p99_ratio <= 1.05 {
-                return;
-            }
-            last = format!(
-                "controller {:.1} rps (p99 {:.0} us) vs best static {} {:.1} rps (p99 {:.0} us)",
-                ctl.overall_rps, ctl.overall_p99_us, best.label, best.overall_rps, best.overall_p99_us
-            );
-        }
-        panic!("autotune gate failed on every round: {last}");
-    }
+    use cc_deploy::identity_groups;
+    use cc_serve::FaultPlan;
 
     /// The schedule helper keeps its phases distinct — the bench's
     /// regimes must actually differ or the comparison measures noise.
@@ -560,5 +447,26 @@ mod tests {
         assert!(phases[1].clients > 4 * phases[0].clients);
         assert!(phases[1].total > phases[0].total);
     }
-}
 
+    /// A request whose ticket resolves with an error is a failure, not a
+    /// served request with a (fast) latency: otherwise a config that
+    /// fails requests would read as faster and lower-p99.
+    #[test]
+    fn drive_phase_counts_a_failed_request_as_a_failure() {
+        let scale = Scale { train_samples: 32, test_samples: 8, ..Scale::quick() };
+        let (train, test) = setups::mnist_setup(&scale, 5);
+        let net = setups::lenet(&scale, 5);
+        let server = Server::start(
+            ModelRegistry::new()
+                .with_model("m", DeployedNetwork::build(&net, &identity_groups(&net), &train)),
+            ServeConfig::default()
+                .with_workers(1)
+                .with_max_batch(1)
+                .with_faults(Arc::new(FaultPlan::seeded(3).panic_on_batch(0))),
+        );
+        let phase = Phase { name: "faulted", clients: 1, total: 4, pace: None };
+        let run = drive_phase(&server, &test, &phase);
+        assert_eq!(run.failed, 1, "the panicked batch's request must count as failed");
+        assert_eq!(run.latencies.len(), 3, "only served requests carry a latency");
+    }
+}

@@ -2,8 +2,11 @@
 //!
 //! One binary per paper artifact (see `src/bin/`): `fig13a`, `fig13b`,
 //! `fig13c`, `fig14b`, `fig15a`, `fig15b`, `fig16`, `table1`, `table2`,
-//! `table3`, `sec72`, plus `all` which runs the lot and writes CSVs under
-//! `results/`. Criterion micro-benchmarks live in `benches/`.
+//! `table3`, `sec72`, `ablation`, plus `all` which runs the lot and writes
+//! CSVs under `results/`; `autotune` pits the serving controller against
+//! static configs. Criterion micro-benchmarks live in `benches/`, and the
+//! serving and sharding gates in the test-only `gates` module. Host
+//! performance is measured by `cc-perf` (`benchmark/`), not here.
 //!
 //! Experiments run at a CPU-friendly **quick** scale by default (small
 //! synthetic datasets, width-scaled networks); set `CC_SCALE=full` for
@@ -18,12 +21,16 @@ pub mod workload;
 
 pub mod experiments;
 
+#[cfg(test)]
+mod gates;
+
 use report::Table;
 
-/// Serializes the wall-clock perf gates (`kernel_gate`, `packed_serving`):
-/// the test harness runs tests concurrently, and two timing loops sharing
-/// the machine's cores would skew each other's measurements into false
-/// failures. Each gate holds this lock while it measures.
+/// Serializes the wall-clock gates (`cache_gate_zipf_*`, `fault_gate`,
+/// `autotune_gate`): the test harness runs tests concurrently, and two
+/// timing loops sharing the machine's cores would skew each other's
+/// measurements into false failures. Each gate holds this lock while it
+/// measures.
 #[cfg(test)]
 pub(crate) fn perf_gate_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

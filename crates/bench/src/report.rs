@@ -92,151 +92,6 @@ impl Table {
     }
 }
 
-/// A minimal JSON value for machine-readable experiment output (the
-/// workspace builds offline, so no serde; this covers exactly what the
-/// bench artifacts need).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null` (also emitted for non-finite numbers).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, JsonValue)>),
-    /// Pre-rendered JSON spliced in verbatim — lets artifacts embed
-    /// output from other formatters (e.g. `TelemetrySnapshot::to_json`)
-    /// without re-modelling it. The caller guarantees validity.
-    Raw(String),
-}
-
-impl JsonValue {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, JsonValue)>) -> Self {
-        JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Renders pretty-printed JSON (2-space indent, trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_into(&self, out: &mut String, indent: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Str(s) => write_json_string(out, s),
-            JsonValue::Raw(s) => out.push_str(s),
-            JsonValue::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            JsonValue::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_json_string(out, key);
-                    out.push_str(": ");
-                    value.write_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Num(v)
-    }
-}
-
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_string())
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes pretty-printed JSON to `path` (creating parent directories).
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_json(path: impl AsRef<Path>, value: &JsonValue) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, value.render())
-}
-
 /// Formats a float with `digits` decimals.
 pub fn fnum(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
@@ -293,33 +148,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fnum(1.23456, 2), "1.23");
         assert_eq!(pct(0.934), "93.4%");
-    }
-
-    #[test]
-    fn json_renders_escaped_and_nested() {
-        let v = JsonValue::obj([
-            ("name", JsonValue::from("a\"b\\c\nd")),
-            ("count", JsonValue::from(3u64)),
-            ("ratio", JsonValue::from(0.5)),
-            ("bad", JsonValue::Num(f64::NAN)),
-            ("rows", JsonValue::Arr(vec![JsonValue::from(1u64), JsonValue::Bool(true)])),
-            ("empty", JsonValue::Arr(vec![])),
-        ]);
-        let s = v.render();
-        assert!(s.contains("\"a\\\"b\\\\c\\nd\""));
-        assert!(s.contains("\"count\": 3"));
-        assert!(s.contains("\"ratio\": 0.5"));
-        assert!(s.contains("\"bad\": null"));
-        assert!(s.contains("\"empty\": []"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn json_writes_file() {
-        let path = std::env::temp_dir().join("cc_bench_test.json");
-        write_json(&path, &JsonValue::obj([("ok", JsonValue::Bool(true))])).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "{\n  \"ok\": true\n}\n");
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -2,9 +2,10 @@
 
 use crate::scale::Scale;
 use cc_dataset::{Dataset, SyntheticSpec};
+use cc_deploy::{identity_groups, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, resnet20_shift, vgg16_shift, ModelConfig};
 use cc_nn::Network;
-use cc_packing::{ColumnCombineConfig, GroupingPolicy};
+use cc_packing::{ColumnCombineConfig, ColumnCombiner, GroupingPolicy};
 
 /// CIFAR-10-like synthetic dataset at the experiment scale.
 pub fn cifar_setup(scale: &Scale, seed: u64) -> (Dataset, Dataset) {
@@ -101,6 +102,35 @@ pub fn combine_config(scale: &Scale, net: &Network, keep: f64, alpha: usize, gam
         seed: 7,
         policy: GroupingPolicy::DenseColumnFirst,
     }
+}
+
+/// The serving experiments' network: one small LeNet trained and
+/// column-combined, then deployed twice — with its combined groups
+/// (packed) and with singleton groups (unpacked) — plus its test set.
+pub fn serving_networks(scale: &Scale) -> (DeployedNetwork, DeployedNetwork, Dataset) {
+    // Serve a conv-dominated network even at quick scale: on a tiny model
+    // the fixed per-request cost (quantize, shift, pools, channel
+    // hand-off) swamps the array time that packing actually saves.
+    let scale = &Scale {
+        image_hw: scale.image_hw.max(16),
+        width_mult: scale.width_mult.max(1.0),
+        ..*scale
+    };
+    let (train, test) = mnist_setup(scale, 31);
+    let mut net = lenet(scale, 31);
+    // Serving cares about the deployed artifact, not accuracy: a shortened
+    // combining run keeps setup time in check.
+    let cfg = ColumnCombineConfig {
+        epochs_per_iteration: 1,
+        final_epochs: 1,
+        max_iterations: 4,
+        rho: net.nonzero_conv_weights() / 2,
+        ..combine_config(scale, &net, 0.5, 8, 0.5)
+    };
+    let (_, groups, _) = ColumnCombiner::new(cfg).run(&mut net, &train, None);
+    let packed = DeployedNetwork::build(&net, &groups, &train);
+    let unpacked = DeployedNetwork::build(&net, &identity_groups(&net), &train);
+    (packed, unpacked, test)
 }
 
 #[cfg(test)]

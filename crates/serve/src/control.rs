@@ -2,7 +2,7 @@
 //! autoconfiguration of a live [`Server`].
 //!
 //! ```text
-//!   bench JSONs ──seed──▶ ProfileStore ◀──EMA refine── telemetry deltas
+//!   calibration ──record──▶ ProfileStore ◀──EMA refine── telemetry deltas
 //!                             │ best(regime)                 ▲
 //!                             ▼                              │ every tick
 //!   Engine ── classify regime (hysteresis) ── decide ──▶ Controller thread
@@ -27,19 +27,16 @@
 //! fire for [`ControlConfig::cooldown_ticks`] — oscillating load settles
 //! into the steady profile instead of dragging the knobs around.
 //!
-//! Profiles are **seeded offline** from the bench result JSONs
-//! ([`ProfileStore::seed_serve_json`] understands
-//! `results/bench_serve.json`'s closed-loop and pipeline rows,
-//! [`ProfileStore::seed_shard_json`] reduces `results/bench_shard.json`'s
-//! kernel makespans to a preferred shard width) and **refined online**:
-//! while saturated, each tick's measured (throughput, p99) folds into the
-//! store by exponential moving average, so the plan tracks the machine it
-//! is actually running on rather than the one it was benchmarked on.
-//! Every regime's posture consults the store — interactive load follows
-//! the lowest-p99 profile, steady and saturated load the
-//! highest-throughput one — and under *sustained* saturation the engine
-//! re-decides when refinement dethrones the running config by
-//! [`ControlConfig::refine_margin`], so a stale seeded profile gets
+//! Profiles are **measured on the box that serves**: an operator's
+//! calibration sweep [`ProfileStore::record`]s each configuration it
+//! tried before the controller attaches, and while saturated each
+//! window of ticks folds its measured (throughput, p99) into the store by
+//! exponential moving average ([`ProfileStore::observe`]), so the plan
+//! tracks the machine as it runs now. Every regime's posture consults
+//! the store — interactive load follows the lowest-p99 profile, steady
+//! and saturated load the highest-throughput one — and under *sustained*
+//! saturation the engine re-decides when refinement dethrones the running
+//! config by [`ControlConfig::refine_margin`], so a stale profile gets
 //! measured, corrected, and abandoned instead of anchoring the plan.
 
 use crate::server::Server;
@@ -48,255 +45,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (std-only; the workspace vendors no serde).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep insertion order; numbers are `f64`
-/// (every count this crate reads fits exactly).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Number(f64),
-    /// A string (escapes decoded).
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object, as ordered key/value pairs.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Member lookup on an object; `None` on other variants.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The number as a usize (must be a non-negative integer).
-    pub fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64).then_some(n as usize)
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Where and why a parse failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What the parser expected.
-    pub msg: &'static str,
-}
-
-/// Parses one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(JsonError { at: pos, msg: "trailing characters" });
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, what: u8, msg: &'static str) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&what) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonError { at: *pos, msg })
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, b"true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, b"false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, b"null", JsonValue::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        _ => Err(JsonError { at: *pos, msg: "expected a value" }),
-    }
-}
-
-fn parse_lit(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &'static [u8],
-    value: JsonValue,
-) -> Result<JsonValue, JsonError> {
-    if bytes.len() >= *pos + lit.len() && &bytes[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(JsonError { at: *pos, msg: "bad literal" })
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(JsonValue::Number)
-        .ok_or(JsonError { at: start, msg: "bad number" })
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"', "expected '\"'")?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError { at: *pos, msg: "unterminated string" }),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or(JsonError { at: *pos, msg: "bad \\u escape" })?;
-                        // Surrogate pairs are absent from the bench
-                        // emitters this reads; map lone surrogates to
-                        // U+FFFD rather than failing the whole document.
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonError { at: *pos, msg: "bad escape" }),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                // Multi-byte UTF-8 passes through verbatim.
-                let len = match b {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let chunk = bytes
-                    .get(*pos..*pos + len)
-                    .and_then(|c| std::str::from_utf8(c).ok())
-                    .ok_or(JsonError { at: *pos, msg: "bad utf-8" })?;
-                out.push_str(chunk);
-                *pos += len;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(bytes, pos, b'[', "expected '['")?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(JsonError { at: *pos, msg: "expected ',' or ']'" }),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    expect(bytes, pos, b'{', "expected '{'")?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(members));
-            }
-            _ => return Err(JsonError { at: *pos, msg: "expected ',' or '}'" }),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Profiles
@@ -328,7 +76,7 @@ impl Profile {
 /// Weight a fresh online observation carries against the stored value
 /// when the two merge (exponential moving average): high enough to track
 /// drift within a few ticks, low enough that one noisy tick cannot evict
-/// an offline-benchmarked truth.
+/// a calibrated truth.
 const EMA_ALPHA: f64 = 0.3;
 
 /// Profiles within this fraction of the best measured throughput are
@@ -337,14 +85,11 @@ const EMA_ALPHA: f64 = 0.3;
 /// without the band the engine would chase those coin flips.
 const THROUGHPUT_BAND: f64 = 0.95;
 
-/// Measured serving profiles: seeded offline from bench JSONs, refined
-/// online from telemetry deltas.
+/// Measured serving profiles: recorded by an on-box calibration sweep,
+/// refined online from telemetry deltas.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileStore {
     profiles: Vec<Profile>,
-    /// (shard width, summed kernel makespan) rows from the shard bench;
-    /// the preferred width is the argmin.
-    shard_makespans: Vec<(usize, u64)>,
 }
 
 impl ProfileStore {
@@ -363,75 +108,11 @@ impl ProfileStore {
         self.profiles.is_empty()
     }
 
-    /// Seeds from a `bench_serve.json` document: every closed-loop and
-    /// pipeline row becomes a profile keyed by its (workers, max batch,
-    /// stages, shards) tuple, throughput/p99 taken from its stats. Rows
-    /// labeled with a non-packed model are skipped — the controller
-    /// plans for packed serving. Returns how many rows were absorbed;
-    /// unparseable text absorbs zero rather than failing the server
-    /// that asked.
-    pub fn seed_serve_json(&mut self, text: &str) -> usize {
-        let Ok(doc) = parse_json(text) else { return 0 };
-        let mut absorbed = 0;
-        for section in ["closed_loop", "pipeline"] {
-            let Some(rows) = doc.get(section).and_then(JsonValue::as_array) else {
-                continue;
-            };
-            for row in rows {
-                if row.get("model").and_then(JsonValue::as_str).is_some_and(|m| m != "packed") {
-                    continue;
-                }
-                let stats = row.get("stats");
-                let profile = (|| {
-                    Some(Profile {
-                        workers: row.get("workers")?.as_usize()?,
-                        max_batch: row.get("max_batch")?.as_usize()?,
-                        stages: row.get("stages")?.as_usize()?,
-                        shards: row.get("shards").and_then(JsonValue::as_usize).unwrap_or(1),
-                        throughput_rps: stats?.get("throughput_rps")?.as_f64()?,
-                        p99_us: stats?.get("p99_us")?.as_f64()?,
-                    })
-                })();
-                if let Some(profile) = profile {
-                    self.observe(profile);
-                    absorbed += 1;
-                }
-            }
-        }
-        absorbed
-    }
-
-    /// Seeds from a `bench_shard.json` document: kernel rows' makespans
-    /// are summed per shard width, making [`ProfileStore::preferred_shards`]
-    /// the width that minimized total kernel makespan across the bench's
-    /// layer cases. Returns how many rows were absorbed.
-    pub fn seed_shard_json(&mut self, text: &str) -> usize {
-        let Ok(doc) = parse_json(text) else { return 0 };
-        let Some(rows) = doc.get("kernel").and_then(JsonValue::as_array) else { return 0 };
-        let mut absorbed = 0;
-        for row in rows {
-            let parsed = (|| {
-                let shards = row.get("shards")?.as_usize()?;
-                let makespan = row.get("makespan_cycles")?.as_f64()?;
-                Some((shards, makespan as u64))
-            })();
-            if let Some((shards, makespan)) = parsed {
-                match self.shard_makespans.iter_mut().find(|(s, _)| *s == shards) {
-                    Some((_, total)) => *total += makespan,
-                    None => self.shard_makespans.push((shards, makespan)),
-                }
-                absorbed += 1;
-            }
-        }
-        absorbed
-    }
-
     /// Records an authoritative measurement: the keyed entry is
-    /// replaced outright. This is for deliberate offline profiling
-    /// (e.g. an on-box calibration sweep) whose numbers should supersede
-    /// whatever a bench JSON from another machine claimed; incidental
-    /// per-tick measurements go through [`ProfileStore::observe`]'s EMA
-    /// instead.
+    /// replaced outright. This is for deliberate profiling (e.g. an
+    /// on-box calibration sweep) whose numbers should supersede whatever
+    /// the store held for those knobs; incidental per-tick measurements
+    /// go through [`ProfileStore::observe`]'s EMA instead.
     pub fn record(&mut self, profile: Profile) {
         match self.profiles.iter_mut().find(|p| p.key() == profile.key()) {
             Some(existing) => *existing = profile,
@@ -441,7 +122,7 @@ impl ProfileStore {
 
     /// Folds a measured profile in: a new configuration is stored as-is,
     /// a seen one merges by EMA so the store tracks the live machine
-    /// without a single noisy tick evicting benchmarked truth.
+    /// without a single noisy tick evicting measured truth.
     pub fn observe(&mut self, profile: Profile) {
         match self.profiles.iter_mut().find(|p| p.key() == profile.key()) {
             Some(existing) => {
@@ -489,16 +170,6 @@ impl ProfileStore {
                     .total_cmp(&b.p99_us)
                     .then(b.throughput_rps.total_cmp(&a.throughput_rps))
             })
-    }
-
-    /// The shard width that minimized total kernel makespan in the shard
-    /// bench, clamped to `max`. `None` when no shard bench was seeded.
-    pub fn preferred_shards(&self, max: usize) -> Option<usize> {
-        self.shard_makespans
-            .iter()
-            .filter(|(s, _)| *s <= max)
-            .min_by_key(|(_, makespan)| *makespan)
-            .map(|(s, _)| *s)
     }
 }
 
@@ -875,15 +546,6 @@ impl Engine {
                         actions.push(Action::ResizeWorkers(self.cfg.max_workers));
                         actions.push(Action::SetMaxBatch(self.cfg.saturated_batch));
                         actions.push(Action::SetBatchDeadline(self.cfg.saturated_deadline));
-                        // The simulated shard bench still has an opinion
-                        // when no real profile does.
-                        if let Some(shards) = self
-                            .store
-                            .preferred_shards(obs.shards.max(1))
-                            .filter(|&s| s != obs.shards)
-                        {
-                            actions.push(Action::RetuneExecutors(obs.stages, shards));
-                        }
                     }
                 }
             }
@@ -929,10 +591,9 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Attaches a control loop to `server`. The engine seeds from
-    /// `store` (see [`ProfileStore::seed_serve_json`] /
-    /// [`ProfileStore::seed_shard_json`] for offline seeding) and
-    /// refines it online while attached.
+    /// Attaches a control loop to `server`. The engine starts from
+    /// `store` (empty, or filled by a calibration sweep through
+    /// [`ProfileStore::record`]) and refines it online while attached.
     pub fn attach(server: Arc<Server>, cfg: ControlConfig, store: ProfileStore) -> Controller {
         let interval = cfg.interval;
         let mut engine = Engine::new(cfg, store);
@@ -1032,69 +693,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_parser_roundtrips_the_shapes_the_benches_emit() {
-        let doc = parse_json(
-            r#"{"experiment":"serve_load","rows":[{"workers":2,"p99_us":638.976,
-                "label":"8×8","ok":true,"none":null,"neg":-1.5e2}]}"#,
-        )
-        .expect("parse");
-        assert_eq!(doc.get("experiment").and_then(JsonValue::as_str), Some("serve_load"));
-        let row = &doc.get("rows").and_then(JsonValue::as_array).expect("rows")[0];
-        assert_eq!(row.get("workers").and_then(JsonValue::as_usize), Some(2));
-        assert_eq!(row.get("p99_us").and_then(JsonValue::as_f64), Some(638.976));
-        assert_eq!(row.get("label").and_then(JsonValue::as_str), Some("8×8"));
-        assert_eq!(row.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(row.get("none"), Some(&JsonValue::Null));
-        assert_eq!(row.get("neg").and_then(JsonValue::as_f64), Some(-150.0));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage_without_panicking() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
-            assert!(parse_json(bad).is_err(), "{bad:?} must not parse");
-        }
-    }
-
-    #[test]
     fn store_seeds_from_bench_serve_rows_and_prefers_best_throughput() {
         let mut store = ProfileStore::new();
-        let absorbed = store.seed_serve_json(
-            r#"{"experiment":"serve_load","closed_loop":[
-              {"workers":1,"max_batch":1,"stages":1,
-               "stats":{"throughput_rps":1000.0,"p99_us":200.0}},
-              {"workers":4,"max_batch":16,"stages":2,
-               "stats":{"throughput_rps":9000.0,"p99_us":900.0}},
-              {"workers":2,"max_batch":8,"stages":1,
-               "stats":{"throughput_rps":5000.0,"p99_us":400.0}}
-            ]}"#,
-        );
-        assert_eq!(absorbed, 3);
+        for (workers, max_batch, stages, throughput_rps, p99_us) in
+            [(1, 1, 1, 1000.0, 200.0), (4, 16, 2, 9000.0, 900.0), (2, 8, 1, 5000.0, 400.0)]
+        {
+            store.observe(Profile { workers, max_batch, stages, shards: 1, throughput_rps, p99_us });
+        }
         assert_eq!(store.len(), 3);
         let best = store.best_throughput(4, 4).expect("profiles");
         assert_eq!((best.workers, best.max_batch), (4, 16));
         // A worker bound excludes the big config.
         let bounded = store.best_throughput(2, 4).expect("profiles");
         assert_eq!(bounded.workers, 2);
-    }
-
-    #[test]
-    fn store_seeds_shard_makespans_and_picks_the_argmin_width() {
-        let mut store = ProfileStore::new();
-        let absorbed = store.seed_shard_json(
-            r#"{"kernel":[
-              {"case":"a","shards":1,"makespan_cycles":4608},
-              {"case":"a","shards":2,"makespan_cycles":2496},
-              {"case":"a","shards":4,"makespan_cycles":1440},
-              {"case":"b","shards":1,"makespan_cycles":7648},
-              {"case":"b","shards":2,"makespan_cycles":4100},
-              {"case":"b","shards":4,"makespan_cycles":2300}
-            ]}"#,
-        );
-        assert_eq!(absorbed, 6);
-        assert_eq!(store.preferred_shards(4), Some(4));
-        // Clamped below the best width, the next-best wins.
-        assert_eq!(store.preferred_shards(2), Some(2));
-        assert_eq!(ProfileStore::new().preferred_shards(4), None);
     }
 
     #[test]
@@ -1183,25 +794,6 @@ mod tests {
         assert!(actions.contains(&Action::ResizeWorkers(3)), "{actions:?}");
         assert!(actions.contains(&Action::SetMaxBatch(12)), "{actions:?}");
         assert!(actions.contains(&Action::RetuneExecutors(2, 2)), "{actions:?}");
-    }
-
-    #[test]
-    fn store_absorbs_pipeline_rows_and_skips_non_packed_models() {
-        let mut store = ProfileStore::new();
-        let absorbed = store.seed_serve_json(
-            r#"{"closed_loop":[
-              {"model":"unpacked","workers":1,"max_batch":1,"stages":1,
-               "stats":{"throughput_rps":99000.0,"p99_us":10.0}},
-              {"model":"packed","workers":1,"max_batch":1,"stages":1,
-               "stats":{"throughput_rps":1000.0,"p99_us":200.0}}
-            ],"pipeline":[
-              {"model":"packed","workers":1,"max_batch":4,"stages":1,
-               "stats":{"throughput_rps":1400.0,"p99_us":400.0}}
-            ]}"#,
-        );
-        assert_eq!(absorbed, 2, "the unpacked row must be skipped");
-        let best = store.best_throughput(4, 4).expect("profiles");
-        assert_eq!((best.workers, best.max_batch), (1, 4), "pipeline row must win");
     }
 
     #[test]

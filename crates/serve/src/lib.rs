@@ -87,8 +87,8 @@
 //!   retunes the running knobs — worker-pool size, batch cap and
 //!   deadline (live through [`batcher::BatchKnobs`]), pipeline depth and
 //!   shard width ([`Server::retune_executors`], executors rebuild their
-//!   band sets at the next batch boundary) — guided by a [`ProfileStore`] seeded from bench JSONs and
-//!   refined online by EMA. Hysteresis plus cooldown guarantee it never
+//!   band sets at the next batch boundary) — guided by a [`ProfileStore`]
+//!   filled by an on-box calibration sweep and refined online by EMA. Hysteresis plus cooldown guarantee it never
 //!   flaps; every decision lands as a control-track
 //!   [`EventKind::Retune`] instant and a `retunes` counter. Model
 //!   **hot-swap** ([`Server::swap_model`]) atomically replaces a

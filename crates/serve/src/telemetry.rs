@@ -583,11 +583,8 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as one compact JSON object (no serde): the
-    /// single formatter shared by bench reports
-    /// (`results/bench_serve.json` et al.) and the metrics exposition,
-    /// so the two can never drift apart field by field. Durations are
-    /// emitted in microseconds; busy fractions as arrays.
+    /// Renders the snapshot as one compact JSON object (no serde).
+    /// Durations are emitted in microseconds; busy fractions as arrays.
     pub fn to_json(&self) -> String {
         fn f(v: f64) -> String {
             if v.is_finite() {

@@ -21,7 +21,9 @@ use cc_deploy::{identity_groups, DeployedNetwork};
 use cc_nn::layer::LayerKind;
 use cc_nn::layers::{Linear, PointwiseConv, Relu, Shift};
 use cc_nn::Network;
-use cc_serve::{ControlConfig, Controller, ModelRegistry, ProfileStore, ServeConfig, Server};
+use cc_serve::{
+    ControlConfig, Controller, ModelRegistry, Profile, ProfileStore, ServeConfig, Server,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -192,12 +194,14 @@ fn controller_drives_a_live_server_without_breaking_identity() {
     ));
 
     let mut store = ProfileStore::new();
-    store.seed_serve_json(
-        r#"{"closed_loop":[
-          {"workers":2,"max_batch":8,"stages":1,
-           "stats":{"throughput_rps":8000.0,"p99_us":700.0}}
-        ]}"#,
-    );
+    store.observe(Profile {
+        workers: 2,
+        max_batch: 8,
+        stages: 1,
+        shards: 1,
+        throughput_rps: 8000.0,
+        p99_us: 700.0,
+    });
     let cfg = ControlConfig {
         interval: Duration::from_millis(2),
         hysteresis_ticks: 1,

@@ -9,9 +9,8 @@
 //! The controller classifies each tick's load from telemetry deltas
 //! (idle / interactive / steady / saturated) and moves the live knobs —
 //! worker-pool size, batch cap and coalescing deadline, the stage ×
-//! shard executor grid — guided by a profile store that can be seeded
-//! from this repo's own bench JSONs and is refined online while
-//! saturated. Hysteresis + cooldown keep it from flapping. The swap at
+//! shard executor grid — guided by a profile store it fills and refines
+//! online while saturated. Hysteresis + cooldown keep it from flapping. The swap at
 //! the end replaces the registry entry mid-traffic: old-network batches
 //! drain, new requests ride the warmed-up replacement, and the two never
 //! share a batch.
@@ -53,17 +52,12 @@ fn main() {
             .with_trace(TraceConfig::on()),
     ));
 
-    // 3. Attach the control plane. Seeding from the bench JSONs is
-    //    optional — without them the controller learns online.
-    let mut store = ProfileStore::new();
-    let seeded = std::fs::read_to_string("results/bench_serve.json")
-        .map(|text| store.seed_serve_json(&text))
-        .unwrap_or(0);
-    println!("profile store seeded with {seeded} offline bench rows");
+    // 3. Attach the control plane with an empty profile store: the
+    //    controller learns every profile online.
     let controller = Controller::attach(
         Arc::clone(&server),
         ControlConfig { interval: Duration::from_millis(2), ..ControlConfig::default() },
-        store,
+        ProfileStore::new(),
     );
 
     // 4. Shift the load: a latency-sensitive trickle, then a flood.
