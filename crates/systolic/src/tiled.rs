@@ -40,33 +40,49 @@
 //! tail; a block's accumulators are loaded once, every op of the row MACs
 //! into them, and they are stored once.
 //!
-//! The block loop is one piece of safe, intrinsic-free Rust compiled
-//! twice — a [`cc_tensor::isa::Kernel`], inlined into both callers of the
-//! workspace's one dispatch, [`cc_tensor::isa::run_at`], which also holds
-//! the soundness argument for the AVX2 call — and what it becomes was read
-//! off the disassembly of the shipped `cc-perf`, not assumed:
+//! The kernel is a [`cc_tensor::isa::Kernel`], dispatched through the
+//! workspace's one ISA dispatch, [`cc_tensor::isa::run_at`], which also
+//! holds the soundness argument for the AVX2 call and for the intrinsic
+//! wrappers. What each level runs was read off the disassembly of the
+//! shipped `cc-perf`, not assumed:
 //!
-//! - **baseline** (what the build targets; x86-64 means SSE2): 128-bit
-//!   registers, four `i32` positions per instruction. SSE2 has no 32-bit
-//!   multiply, so each group of four is two unpacks and a shift to
-//!   sign-extend, then a `pmaddwd` against the broadcast weight whose odd
-//!   16-bit lanes are zero, then `paddd`. At the old 16-wide block that
-//!   was 38 instructions per op for 16 MACs.
-//! - **avx2**: 256-bit registers, eight positions per instruction —
-//!   `vpmovsxbd` straight from the data matrix, `vpmulld` by the broadcast
-//!   weight, `vpaddd` into one of the eight `ymm` accumulators that hold a
-//!   64-position block: the same 38 instructions per op, for 64 MACs.
+//! - **baseline** (what the build targets; x86-64 means SSE2): the block
+//!   loop as safe, intrinsic-free Rust. 128-bit registers, four `i32`
+//!   positions per instruction. SSE2 has no 32-bit multiply, so each group
+//!   of four is two unpacks and a shift to sign-extend, then a `pmaddwd`
+//!   against the broadcast weight whose odd 16-bit lanes are zero, then
+//!   `paddd`. At the old 16-wide block that was 38 instructions per op for
+//!   16 MACs.
+//! - **avx2**, 32-bit lanes: the same 64-wide blocks and tail, with the
+//!   16-wide blocks between them swept as one block of one to three
+//!   groups, all in **even/odd form** and written in
+//!   [`cc_tensor::isa::avx2`]'s token-taking intrinsics (`MaddSweep`).
+//!   Per op, one `vpbroadcastd` loads the op's weight, stored pre-widened
+//!   as the word `[w, 0]`, and one `vpslld` makes `[0, w]`. Per 16
+//!   positions, `vpmovsxbw` widens the data bytes, and two `vpmaddwd` give
+//!   `w·x` at the even and at the odd positions as `i32`. Two `vpaddd` add
+//!   them into the block's register accumulators. That is 33 instructions
+//!   per op for 64 MACs, bounds checks included, with eight one-µop
+//!   `vpmaddwd` where the safe loop had eight two-µop `vpmulld` (38
+//!   instructions: `vpmovsxbd`, `vpmulld`, `vpaddd`; LLVM emits no
+//!   `vpmaddwd` for it, hence the intrinsics). Once per block,
+//!   `vpunpck{l,h}dq` + `vperm2i128` put the positions back in order, and
+//!   the block is stored into the plane — over whatever it held, in a row
+//!   group's first tile, so this arm skips the zeroing pass over the plane
+//!   — or added to it, in the column bands after.
+//! - **avx2**, 16-bit lanes: the safe block loop compiled for AVX2, 16
+//!   positions per `vpmullw`.
 //!
 //! Which one runs is decided per band run by
 //! [`cc_tensor::isa::Level::detect`] (a cached atomic load) and reported
 //! by [`lane_isa`]; there is no knob. The deployed engine's peripheral
-//! blocks go through the same dispatch, so one name covers them all. Integer wrapping adds make
-//! bit-identity a matter of each lane's op order, which no level and no
-//! block width changes. An AVX-512 level was measured twice and left
-//! out: 4–10 % more on `offline_resnet`, but single-image LeNet latency
-//! 7–12 % *worse* than at the AVX2 level, where short 512-bit bursts
-//! between scalar epilogues pay the licence down-clock (CHANGES.md,
-//! PR 20).
+//! blocks go through the same dispatch, so one name covers them all.
+//! Integer wrapping adds are associative and commutative, so no level, no
+//! block width and no order of a lane's products changes a bit. An
+//! AVX-512 level was measured twice and left out: 4–10 % more on
+//! `offline_resnet`, but single-image LeNet latency 7–12 % *worse* than
+//! at the AVX2 level, where short 512-bit bursts between scalar epilogues
+//! pay the licence down-clock (CHANGES.md has the runs).
 //!
 //! The PR 4 one-op-at-a-time loop survives as
 //! [`TiledScheduler::run_prepared_scalar_with`], the reference the lane
@@ -116,6 +132,8 @@ use crate::array::{ArrayConfig, ArrayGeometry, QuantPacked, SimStats, SystolicAr
 use crate::cell::CellKind;
 use crate::mac::BitSerialMac;
 use crate::partition::{partition_min_max, partition_min_max_by};
+#[cfg(target_arch = "x86_64")]
+use cc_tensor::isa::{avx2, Avx2};
 use cc_tensor::isa::{self, Kernel, Level};
 use cc_tensor::quant::{AccumWidth, QuantMatrix};
 use std::ops::Range;
@@ -370,20 +388,16 @@ impl TiledScheduler {
         // MAC; the fast paths further specialize to the accumulator's
         // native lane width so per-MAC wrapping is free. 32-bit lanes are
         // the output plane itself; 16-bit lanes sweep their own plane and
-        // sign-extend into it.
+        // sign-extend into it. Each lane kernel zeroes its own plane.
         let row0 = band.rows.start;
         match (self.cfg.exact_bitserial, self.cfg.acc) {
             (true, acc) => {
                 out.fill(0);
                 walk_band(tiles, row0, l, &mut ExactSweep { data, l, acc, out });
             }
-            (false, AccumWidth::Bits32) => {
-                out.fill(0);
-                sweep_lanes(tiles, row0, data, l, out, level);
-            }
+            (false, AccumWidth::Bits32) => sweep_lanes(tiles, row0, data, l, out, level),
             (false, AccumWidth::Bits16) => {
                 let plane = &mut scratch.lane16;
-                plane.clear();
                 plane.resize(out.len(), 0);
                 sweep_lanes(tiles, row0, data, l, plane, level);
                 for (o, &v) in out.iter_mut().zip(plane.iter()) {
@@ -695,12 +709,29 @@ impl BandOutcome {
 }
 
 /// One MX cell's work in the prepared op list: the original input channel
-/// it multiplexes and its stationary weight. Cells with zero weights (or
-/// no assigned channel) are dropped at prepare time.
+/// it multiplexes and its stationary weight. The weight is stored widened
+/// to the 32-bit word `[w, 0]` — two `i16` lanes, `w` in the low one — so
+/// the AVX2 lane kernel broadcasts `vpmaddwd`'s multiplier straight from
+/// memory; [`TileOp::weight`] gives the `i8` back. Cells with zero weights
+/// (or no assigned channel) are dropped at prepare time.
 #[derive(Clone, Copy, Debug)]
 struct TileOp {
     channel: u32,
-    weight: i8,
+    word: i32,
+}
+
+const _: () = assert!(std::mem::size_of::<TileOp>() == 8);
+
+impl TileOp {
+    fn new(channel: u32, weight: i8) -> Self {
+        TileOp { channel, word: i32::from(i16::from(weight) as u16) }
+    }
+
+    /// The stationary `i8` weight: the low byte of the word.
+    #[inline(always)]
+    fn weight(self) -> i8 {
+        self.word as i8
+    }
 }
 
 /// Counters derivable from the weights alone, summed over all tiles; the
@@ -764,7 +795,7 @@ impl PreparedTile {
                 if let Some(ch) = p.channel_at(r, g) {
                     let weight = p.weight_at(r, g);
                     if weight != 0 {
-                        ops.push(TileOp { channel: ch as u32, weight });
+                        ops.push(TileOp::new(ch as u32, weight));
                     }
                 }
             }
@@ -996,14 +1027,35 @@ impl RunScratch {
 /// bit-identical to the simulator's per-MAC `AccumWidth::wrap` because the
 /// running value always fits the lane and the product never wraps
 /// (|w·x| ≤ 2¹⁴ < 2¹⁵ − 1).
-trait Lane: Copy {
+trait Lane: Copy + Default {
     fn mac(self, w: i8, x: i8) -> Self;
+
+    /// The lane kernel's AVX2 compilation: by default the safe block loop
+    /// of [`LaneSweep`], compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2(kernel: LaneKernel<'_, Self>, _avx2: Avx2) {
+        kernel.run()
+    }
 }
 
 impl Lane for i32 {
     #[inline(always)]
     fn mac(self, w: i8, x: i8) -> Self {
         self.wrapping_add(w as i32 * x as i32)
+    }
+
+    /// 32-bit lanes at AVX2 take the even/odd `vpmaddwd` form,
+    /// [`MaddSweep`].
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2(kernel: LaneKernel<'_, i32>, avx2: Avx2) {
+        let LaneKernel { tiles, row0, sweep: LaneSweep { data, l, plane } } = kernel;
+        if tiles.is_empty() {
+            plane.fill(0);
+        }
+        let mut sweep = MaddSweep { data, l, plane, avx2, row0, group: None, fresh: false };
+        walk_band(tiles, row0, l, &mut sweep);
     }
 }
 
@@ -1090,7 +1142,7 @@ fn sweep_blocks<const W: usize, L: Lane>(
         for op in ops {
             let b: &[i8; W] =
                 data[op.channel as usize * l + base..][..W].try_into().expect("exact block");
-            let w = op.weight;
+            let w = op.weight();
             for i in 0..W {
                 acc[i] = acc[i].mac(w, b[i]);
             }
@@ -1101,25 +1153,148 @@ fn sweep_blocks<const W: usize, L: Lane>(
     base
 }
 
+/// Positions `from..` of `row` that no whole block covered, op by op: the
+/// scalar sweep. (A zero-padded block here was measured and is slower — at
+/// `l` = 49 the tail is one position.)
+#[inline(always)]
+fn sweep_tail<L: Lane>(row: &mut [L], data: &[i8], ops: &[TileOp], from: usize) {
+    let l = row.len();
+    if from < l {
+        let tail = &mut row[from..];
+        for op in ops {
+            let stream = &data[op.channel as usize * l + from..op.channel as usize * l + l];
+            for (a, &x) in tail.iter_mut().zip(stream) {
+                *a = a.mac(op.weight(), x);
+            }
+        }
+    }
+}
+
 impl<L: Lane> BandVisitor for LaneSweep<'_, L> {
     #[inline(always)]
     fn row(&mut self, start: usize, ops: &[TileOp]) {
-        let l = self.l;
-        let row = &mut self.plane[start..start + l];
+        let row = &mut self.plane[start..start + self.l];
         let base = sweep_blocks::<LANE_BLOCK, L>(row, self.data, ops, 0);
         let base = sweep_blocks::<LANE_BLOCK_SHORT, L>(row, self.data, ops, base);
-        // Positions past the last whole block: the scalar sweep. (A
-        // zero-padded block here was measured and is slower — at `l` = 49
-        // the tail is one position.)
-        if base < l {
-            let tail = &mut row[base..];
-            for op in ops {
-                let stream = &self.data[op.channel as usize * l + base..op.channel as usize * l + l];
-                for (a, &x) in tail.iter_mut().zip(stream) {
-                    *a = a.mac(op.weight, x);
+        sweep_tail(row, self.data, ops, base);
+    }
+}
+
+/// The 32-bit lane kernel's AVX2 body: [`LaneSweep`]'s 64-wide blocks and
+/// scalar tail, with the 16-wide blocks between them swept as one block of
+/// one to three groups (one LeNet image's 49 positions is one 48-wide
+/// block and a tail), and each block in **even/odd form**. Per op and per
+/// 16 positions, one `vpmovsxbw` widens the data bytes to `i16`;
+/// `vpmaddwd` against the broadcast word `[w, 0]` ([`TileOp`]'s stored
+/// form) gives `w·x` at the eight even positions as `i32`, and against
+/// `[0, w]` (one `vpslld` of it) at the eight odd ones; two `vpaddd` add
+/// them into register accumulators that start at zero. Once per block,
+/// `vpunpck{l,h}dq` + `vperm2i128` put the positions back in order and the
+/// block goes into the plane: stored in a row group's first tile, added
+/// after (see `fresh`), so the plane is never zeroed first. Bit-identical
+/// to [`LaneSweep`] for every `i8`, −128 included: each multiply-add has
+/// one zero term, `|w·x| ≤ 2¹⁴`, and `i32` adds wrap mod 2³² in any
+/// order. Pairing two ops per `vpmaddwd` (their data rows interleaved as
+/// `i16`) was measured and is slower.
+#[cfg(target_arch = "x86_64")]
+struct MaddSweep<'a> {
+    data: &'a [i8],
+    l: usize,
+    plane: &'a mut [i32],
+    avx2: Avx2,
+    /// The band's first output row: row `r`'s words start at
+    /// `(r - row0) * l`.
+    row0: usize,
+    /// First output row of the tile being swept.
+    group: Option<usize>,
+    /// The tile is the first of its row group (its column band 0): its
+    /// rows' blocks are stored over whatever the plane held instead of
+    /// added to it, so the plane needs no zeroing pass.
+    fresh: bool,
+}
+
+/// Sweeps `row[from..]` in blocks of `G` sixteen-position groups, every op
+/// of the row into each, and returns the first position no whole block
+/// covered — [`sweep_blocks`] in even/odd form.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn madd_blocks<const G: usize>(
+    t: Avx2,
+    row: &mut [i32],
+    data: &[i8],
+    ops: &[TileOp],
+    from: usize,
+    fresh: bool,
+) -> usize {
+    let l = row.len();
+    let width = 16 * G;
+    let mut base = from;
+    while base + width <= l {
+        let mut even = [avx2::zero(t); G];
+        let mut odd = [avx2::zero(t); G];
+        for op in ops {
+            let w_even = avx2::broadcast_i32(t, &op.word);
+            let w_odd = avx2::shl_i32::<16>(t, w_even);
+            let b = &data[op.channel as usize * l + base..][..width];
+            for g in 0..G {
+                let x = avx2::widen_i8x16(t, &b[16 * g..]);
+                even[g] = avx2::add_i32(t, even[g], avx2::madd_i16(t, x, w_even));
+                odd[g] = avx2::add_i32(t, odd[g], avx2::madd_i16(t, x, w_odd));
+            }
+        }
+        for g in 0..G {
+            // Per 128-bit half: positions [0..4 | 8..12] and [4..8 | 12..16].
+            let lo = avx2::unpack_lo_i32(t, even[g], odd[g]);
+            let hi = avx2::unpack_hi_i32(t, even[g], odd[g]);
+            let halves =
+                [avx2::permute2x128::<0x20>(t, lo, hi), avx2::permute2x128::<0x31>(t, lo, hi)];
+            for (out, half) in row[base + 16 * g..][..16].chunks_exact_mut(8).zip(halves) {
+                let sum =
+                    if fresh { half } else { avx2::add_i32(t, avx2::load_i32x8(t, out), half) };
+                avx2::store_i32x8(t, out, sum);
+            }
+        }
+        base += width;
+    }
+    base
+}
+
+#[cfg(target_arch = "x86_64")]
+impl BandVisitor for MaddSweep<'_> {
+    #[inline(always)]
+    fn tile(&mut self, tile: &PreparedTile) {
+        self.fresh = self.group != Some(tile.r0);
+        if self.fresh {
+            self.group = Some(tile.r0);
+            // A row the group's first tile has no op for gets no store.
+            for local in 0..tile.rows {
+                if tile.row_starts[local] == tile.row_starts[local + 1] {
+                    let start = (tile.r0 - self.row0 + local) * self.l;
+                    self.plane[start..start + self.l].fill(0);
                 }
             }
         }
+    }
+
+    #[inline(always)]
+    fn row(&mut self, start: usize, ops: &[TileOp]) {
+        let (t, fresh) = (self.avx2, self.fresh);
+        let row = &mut self.plane[start..start + self.l];
+        let base =
+            madd_blocks::<{ LANE_BLOCK / LANE_BLOCK_SHORT }>(t, row, self.data, ops, 0, fresh);
+        // What the wide blocks leave is under 64 positions: its whole
+        // 16-groups go in one pass, so each op is broadcast once, not once
+        // per group.
+        let base = match (row.len() - base) / LANE_BLOCK_SHORT {
+            3 => madd_blocks::<3>(t, row, self.data, ops, base, fresh),
+            2 => madd_blocks::<2>(t, row, self.data, ops, base, fresh),
+            1 => madd_blocks::<1>(t, row, self.data, ops, base, fresh),
+            _ => base,
+        };
+        if fresh {
+            row[base..].fill(0);
+        }
+        sweep_tail(row, self.data, ops, base);
     }
 }
 
@@ -1139,7 +1314,7 @@ impl<L: Lane> BandVisitor for ScalarSweep<'_, L> {
         for op in ops {
             let stream = &self.data[op.channel as usize * l..op.channel as usize * l + l];
             for (acc, &x) in row.iter_mut().zip(stream) {
-                *acc = acc.mac(op.weight, x);
+                *acc = acc.mac(op.weight(), x);
             }
         }
     }
@@ -1160,7 +1335,7 @@ impl BandVisitor for ExactSweep<'_> {
         let l = self.l;
         let row = &mut self.out[start..start + l];
         for op in ops {
-            let mac = BitSerialMac::new(op.weight, self.acc);
+            let mac = BitSerialMac::new(op.weight(), self.acc);
             let stream = &self.data[op.channel as usize * l..op.channel as usize * l + l];
             for (y, &x) in row.iter_mut().zip(stream) {
                 *y = mac.run(x, i64::from(*y)).0 as i32;
@@ -1169,8 +1344,9 @@ impl BandVisitor for ExactSweep<'_> {
     }
 }
 
-/// Runs one of the native-lane kernels over a band's zeroed plane: the
-/// batch-major kernel at `level`, or the scalar baseline for `None`.
+/// Runs one of the native-lane kernels over a band's plane, whatever it
+/// held before: the batch-major kernel at `level`, or the scalar baseline
+/// for `None`.
 fn sweep_lanes<L: Lane>(
     tiles: &[PreparedTile],
     row0: usize,
@@ -1180,7 +1356,10 @@ fn sweep_lanes<L: Lane>(
     level: Option<Level>,
 ) {
     match level {
-        None => walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane }),
+        None => {
+            plane.fill(L::default());
+            walk_band(tiles, row0, l, &mut ScalarSweep { data, l, plane });
+        }
         Some(level) => {
             isa::run_at(level, LaneKernel { tiles, row0, sweep: LaneSweep { data, l, plane } })
         }
@@ -1202,7 +1381,14 @@ impl<L: Lane> Kernel for LaneKernel<'_, L> {
 
     #[inline(always)]
     fn run(mut self) {
+        self.sweep.plane.fill(L::default());
         walk_band(self.tiles, self.row0, self.sweep.l, &mut self.sweep);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2(self, avx2: Avx2) {
+        L::run_avx2(self, avx2)
     }
 }
 
@@ -1631,7 +1817,7 @@ mod tests {
             let prepared = sched.prepare_packed(&qp);
             let mut lane = RunScratch::new();
             let mut scalar = RunScratch::new();
-            for l in [1usize, 3, 8, 15, 16, 17, 33, 63, 64, 65, 80, 129, 200] {
+            for l in [1usize, 3, 8, 15, 16, 17, 33, 49, 63, 64, 65, 80, 129, 200, 392] {
                 let d = QuantMatrix::quantize(&sparse_matrix(66, l, 1.0, 42 + l as u64));
                 let ls = sched.run_prepared_with(&prepared, &d, &mut lane);
                 let ss = sched.run_prepared_scalar_with(&prepared, &d, &mut scalar);
@@ -1652,7 +1838,8 @@ mod tests {
         isa: Option<Level>,
     ) -> (Vec<i32>, Vec<SimStats>) {
         let l = d.cols();
-        let mut out = vec![0; prepared.rows * l];
+        // Not zeros: a kernel must write every word of its band's rows.
+        let mut out = vec![0x5a5a_5a5a; prepared.rows * l];
         let mut scratch = RunScratch::new();
         let stats = plan
             .iter()
@@ -1687,7 +1874,7 @@ mod tests {
         for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
             let sched = TiledScheduler::new(ArrayConfig::new(24, 24, acc));
             let prepared = sched.prepare_packed(&qp);
-            for l in [1usize, 3, 15, 16, 17, 33, 63, 64, 65, 80, 129, 200] {
+            for l in [1usize, 3, 15, 16, 17, 33, 49, 63, 64, 65, 80, 129, 200, 392] {
                 let d = QuantMatrix::quantize(&sparse_matrix(66, l, 1.0, 56 + l as u64));
                 let oracle: Vec<i32> =
                     quant_matmul(&pruned, &d, acc).into_iter().map(|o| o as i32).collect();
@@ -1744,6 +1931,68 @@ mod tests {
                     run_plan_at(&sched, &prepared, &[prepared.full_band()], &d, Some(isa));
                 assert_eq!(got, oracle, "{} {acc:?}", isa.name());
             }
+        }
+    }
+
+    /// Uniform data hides a position permutation, so here the data
+    /// alternates −128 / 127 by position and the weights alternate sign by
+    /// channel (−128 and 127 among them): an even/odd swap or a misplaced
+    /// half in the AVX2 kernel's reordering changes every word. The widths
+    /// cover one 16-block, one LeNet image (49: three blocks and a tail),
+    /// one wide block, a wide block and a tail, and a LeNet batch of 8.
+    /// The array's 16 columns split the 42 channels into three column
+    /// tiles.
+    #[test]
+    fn every_available_level_keeps_alternating_positions_in_order() {
+        let (rows, cols) = (5, 42);
+        let params = QuantParams::from_max_abs(1.0);
+        // Row 1 has no op in the first column tile and row 3 none at all:
+        // their words must still come out zero, not what the plane held.
+        let weight = |r: usize, c: usize| match (r, c) {
+            (1, 0..16) | (3, _) => 0,
+            _ if c.is_multiple_of(2) => 127 - r as i8,
+            _ => -128 + r as i8,
+        };
+        let weights: Vec<i8> =
+            (0..rows).flat_map(|r| (0..cols).map(move |c| weight(r, c))).collect();
+        let w = QuantMatrix::from_raw(rows, cols, weights.clone(), params);
+        let qp = QuantPacked::from_raw(
+            rows,
+            cols,
+            cols,
+            weights,
+            (0..rows).flat_map(|_| (0..cols).map(Some)).collect(),
+            params,
+            1,
+        );
+        let sched = TiledScheduler::new(ArrayConfig::new(4, 16, AccumWidth::Bits32));
+        let prepared = sched.prepare_packed(&qp);
+        for l in [16usize, 49, 64, 65, 392] {
+            let data = (0..cols).flat_map(|_| (0..l).map(|p| if p.is_multiple_of(2) { -128 } else { 127 }));
+            let d = QuantMatrix::from_raw(cols, l, data.collect(), params);
+            let oracle: Vec<i32> =
+                quant_matmul(&w, &d, AccumWidth::Bits32).into_iter().map(|o| o as i32).collect();
+            for isa in Level::available() {
+                let (got, _) =
+                    run_plan_at(&sched, &prepared, &[prepared.full_band()], &d, Some(isa));
+                assert_eq!(got, oracle, "{} l={l}", isa.name());
+            }
+        }
+    }
+
+    /// A matrix whose columns all pruned away has no tiles at all: every
+    /// level must still hand back zeros, not what the plane held.
+    #[test]
+    fn every_available_level_zeroes_a_matrix_without_tiles() {
+        let params = QuantParams::from_max_abs(1.0);
+        let qp = QuantPacked::from_raw(3, 0, 4, vec![], vec![], params, 1);
+        let sched = TiledScheduler::new(cfg32());
+        let prepared = sched.prepare_packed(&qp);
+        assert_eq!(prepared.num_tiles(), 0);
+        let d = QuantMatrix::from_raw(4, 49, vec![7; 4 * 49], params);
+        for isa in [None].into_iter().chain(Level::available().into_iter().map(Some)) {
+            let (got, _) = run_plan_at(&sched, &prepared, &[prepared.full_band()], &d, isa);
+            assert_eq!(got, vec![0; 3 * 49], "{isa:?}");
         }
     }
 
