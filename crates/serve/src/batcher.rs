@@ -14,7 +14,18 @@
 //!    priority across QoS classes, FIFO within a class — then every
 //!    same-key item already waiting is absorbed (one stable partition
 //!    pass over the stash), and the ingress window stays open until the
-//!    batch fills or the window closes.
+//!    batch fills, the window closes, or a peer is idle (below).
+//!
+//! The window waits for company only while nobody else could run a batch
+//! ([`Batcher::with_idle_peer`]): the batch is released as soon as a peer
+//! is idle, asked right after absorption and at each straggler's arrival.
+//! A batch released to an idle pool runs no later than a fuller one
+//! would have — the peer forms the next batch from what arrives
+//! meanwhile — so holding it only adds the window to its latency. While
+//! every peer is busy, a batch held open costs nothing the peers could
+//! have used, and fuller batches share each layer's weight-tile loads:
+//! at saturation, or with a single worker, formation is exactly the
+//! size/window rule, whose two bounds stay upper bounds throughout.
 //!
 //! The coalescing deadline is anchored at the *seed item's enqueue time*,
 //! not at window-open: the seed is the oldest member of its batch, so no
@@ -101,6 +112,9 @@ where
     deadline_of: DeadlineFn<T>,
     /// Receives items shed for blowing their deadline while queued.
     on_expired: Box<dyn FnMut(T) + Send>,
+    /// Whether another consumer sits idle, releasing a forming batch
+    /// early; constant `false` without [`Batcher::with_idle_peer`].
+    idle_peer: Box<dyn Fn() -> bool + Send>,
     /// Formation record of the most recent [`Batcher::next_batch`].
     last_formation: Option<BatchFormation>,
 }
@@ -176,6 +190,7 @@ where
             class_of: Box::new(|_| 0),
             deadline_of: Box::new(|_| None),
             on_expired: Box::new(drop),
+            idle_peer: Box::new(|| false),
             last_formation: None,
         }
     }
@@ -206,6 +221,20 @@ where
         self.class_of = Box::new(class_of);
         self.deadline_of = Box::new(deadline_of);
         self.on_expired = Box::new(on_expired);
+        self
+    }
+
+    /// Makes batch formation work-conserving: `idle_peer` reports whether
+    /// another consumer could run a batch right now, and while it does a
+    /// forming batch is released as soon as the already-waiting same-key
+    /// items are absorbed, instead of holding its window open for
+    /// stragglers. It is asked after absorption and after each arrival
+    /// inside the window — never polled — so a peer turning idle
+    /// mid-window releases the batch at the next arrival or when the
+    /// window closes.
+    #[must_use]
+    pub fn with_idle_peer(mut self, idle_peer: impl Fn() -> bool + Send + 'static) -> Self {
+        self.idle_peer = Box::new(idle_peer);
         self
     }
 
@@ -241,10 +270,6 @@ where
     /// Blocks for the next batch of same-key items, or `None` once the
     /// ingress channel is closed and the stash is drained.
     pub fn next_batch(&mut self) -> Option<Vec<T>> {
-        // Sample the knob block once per formation: a controller update
-        // mid-formation must not mix policies within one batch.
-        let max_batch = self.knobs.max_batch();
-        let deadline = self.knobs.deadline();
         // Gather all pending work, shedding blown-deadline items first:
         // they must neither seed nor ride in a batch.
         let open = loop {
@@ -261,6 +286,13 @@ where
                 Err(_) => return None,
             }
         };
+
+        // Sample the knob block once per formation, once there is work to
+        // form a batch from: a controller update mid-formation must not
+        // mix policies within one batch, and one made while this consumer
+        // waited on an empty queue applies to the batch it then forms.
+        let max_batch = self.knobs.max_batch();
+        let deadline = self.knobs.deadline();
 
         // Seed with the best (class, enqueue) pending item: strict
         // priority across classes, oldest first within one.
@@ -300,19 +332,11 @@ where
         }
         std::mem::swap(&mut self.stash, &mut self.scratch);
 
-        if !open {
-            self.last_formation = Some(BatchFormation {
-                seeded_at,
-                released_at: Instant::now(),
-                size: batch.len(),
-                seed_class,
-            });
-            return Some(batch);
-        }
-
-        // Keep the window open for stragglers until the batch fills or the
-        // window closes (possibly already past).
-        while batch.len() < max_batch {
+        // Keep the window open for stragglers until the batch fills, the
+        // window closes (possibly already past), or a peer is idle to run
+        // the next batch.
+        let mut open = open;
+        while open && batch.len() < max_batch && !(self.idle_peer)() {
             let now = Instant::now();
             if now >= window_closes {
                 break;
@@ -323,7 +347,7 @@ where
                 // A timeout may fire marginally early; loop back and let
                 // the clock check decide whether the window really closed.
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Disconnected) => open = false,
             }
         }
         self.last_formation = Some(BatchFormation {
@@ -617,6 +641,65 @@ mod tests {
             assert_eq!(b.next_batch().unwrap().len(), 1);
         }
         assert!(b.next_batch().is_none());
+    }
+
+    /// With a peer idle, a seed does not wait out its window: the batch
+    /// leaves with every same-key item already waiting (up to
+    /// `max_batch`), at once, however long the window.
+    #[test]
+    fn an_idle_peer_releases_the_batch_once_waiting_work_is_absorbed() {
+        let (tx, rx) = mpsc::channel();
+        for (k, i) in [(1, 0), (2, 1), (1, 2), (1, 3), (1, 4)] {
+            tx.send(item(k, i)).unwrap();
+        }
+        let mut b = batcher(rx, 3, Duration::from_secs(600)).with_idle_peer(|| true);
+        assert_eq!(ids(&b.next_batch().unwrap()), vec![0, 2, 3], "absorbed up to max_batch");
+        assert_eq!(ids(&b.next_batch().unwrap()), vec![1], "a lone seed leaves alone");
+        assert_eq!(ids(&b.next_batch().unwrap()), vec![4]);
+        // The channel is still open: only the hook released those windows.
+        drop(tx);
+        assert!(b.next_batch().is_none());
+    }
+
+    /// With every peer busy the window holds: the batch leaves only once
+    /// it fills, here from an arrival after the formation began.
+    #[test]
+    fn busy_peers_hold_the_window_until_the_batch_fills() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(item(1, 0)).unwrap();
+        let (asked_tx, asked) = mpsc::channel();
+        let mut b = batcher(rx, 2, Duration::from_secs(600)).with_idle_peer(move || {
+            let _ = asked_tx.send(());
+            false
+        });
+        let former = std::thread::spawn(move || b.next_batch().map(|batch| ids(&batch)));
+        // The hook is asked right after absorption: the window is open.
+        asked.recv().unwrap();
+        tx.send(item(1, 1)).unwrap();
+        assert_eq!(former.join().unwrap(), Some(vec![0, 1]), "released full, not early");
+    }
+
+    /// A peer turning idle mid-window releases the batch at the next
+    /// arrival, with that arrival in it.
+    #[test]
+    fn a_peer_turning_idle_mid_window_releases_at_the_next_arrival() {
+        use std::sync::atomic::AtomicBool;
+        let (tx, rx) = mpsc::channel();
+        tx.send(item(1, 0)).unwrap();
+        let idle = Arc::new(AtomicBool::new(false));
+        let (asked_tx, asked) = mpsc::channel();
+        let hook = Arc::clone(&idle);
+        // Read, then report the read: the flip lands after the first answer.
+        let mut b = batcher(rx, 8, Duration::from_secs(600)).with_idle_peer(move || {
+            let idle = hook.load(Ordering::SeqCst);
+            let _ = asked_tx.send(());
+            idle
+        });
+        let former = std::thread::spawn(move || b.next_batch().map(|batch| ids(&batch)));
+        asked.recv().unwrap();
+        idle.store(true, Ordering::SeqCst);
+        tx.send(item(1, 1)).unwrap();
+        assert_eq!(former.join().unwrap(), Some(vec![0, 1]), "a batch of two, long before 600 s");
     }
 
     /// A seed whose request deadline is tighter than the coalescing window

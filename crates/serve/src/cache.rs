@@ -41,9 +41,10 @@
 //! than [`OPEN_ENTRIES`] entries and the store would evict nothing. A
 //! cold cache over a small working set therefore warms in one pass, as
 //! it did before there was a doorkeeper (a second cold miss is a second
-//! array pass and a second wait in the batcher, which on a short run
-//! costs more than the cache saves), and what a scan can park in a cache
-//! nobody is competing for is capped at that many entries a shard.
+//! array pass, which on a short run costs more than the cache saves
+//! even when an idle worker runs it at once), and what a scan can park
+//! in a cache nobody is competing for is capped at that many entries a
+//! shard.
 //!
 //! The [`FlightTable`] extends the same dedup one step earlier in time:
 //! when N requests for the same `(identity, digest)` miss *concurrently*

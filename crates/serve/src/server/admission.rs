@@ -12,6 +12,7 @@ use crate::qos::SubmitOptions;
 use crate::trace::{EventKind, Outcome, Track};
 use cc_deploy::DeployedNetwork;
 use cc_tensor::Tensor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
@@ -156,11 +157,14 @@ pub(super) type RequestBatcher =
     Batcher<Request, usize, fn(&Request) -> usize, fn(&Request) -> Instant>;
 
 /// Builds the batcher over `ingress` under the live `knobs`; whichever
-/// worker is forming ends blown-deadline requests where they sit.
+/// worker is forming ends blown-deadline requests where they sit, and
+/// releases its batch without waiting out the window while `idle` — the
+/// workers inside [`next_work`], itself included — counts another.
 pub(super) fn request_batcher(
     ingress: Receiver<Request>,
     knobs: Arc<BatchKnobs>,
     shared: Arc<Shared>,
+    idle: Arc<AtomicUsize>,
 ) -> RequestBatcher {
     // Batches are keyed on *network identity*, not model name: a name can
     // point at different pipelines over time (e.g. across a registry
@@ -182,20 +186,44 @@ pub(super) fn request_batcher(
             shared.finish(r.admitted, 0, Err(WaitError::DeadlineExceeded));
         },
     )
+    .with_idle_peer(move || idle.load(Ordering::Relaxed) > 1)
+}
+
+/// Counts its worker idle from [`Idle::enter`] until it drops — with a
+/// batch, with `None`, or while unwinding out of a panicked formation, so
+/// a dead former never stays counted as a peer ready to run a batch.
+struct Idle<'a>(&'a AtomicUsize);
+
+impl<'a> Idle<'a> {
+    fn enter(idle: &'a AtomicUsize) -> Self {
+        idle.fetch_add(1, Ordering::Relaxed);
+        Idle(idle)
+    }
+}
+
+impl Drop for Idle<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Blocks the calling worker for its next batch — formed on its own
 /// thread under the batcher's lock, other idle workers waiting on the
 /// mutex meanwhile — and the batch's trace id (0 = untraced); `None` once
-/// ingress is closed and the stash drained.
+/// ingress is closed and the stash drained. The worker counts as idle
+/// from entry until its batch is formed.
 pub(super) fn next_work(env: &WorkerEnv) -> Option<(u64, Vec<Request>)> {
-    let WorkerEnv { batcher, shared, .. } = env;
+    let WorkerEnv { batcher, shared, idle, .. } = env;
     // A worker that panicked while forming poisons the lock; what it
     // guards is still a queue, so the next worker recovers the guard.
     let (mut batch, formation) = {
+        let idle = Idle::enter(idle);
         let mut batcher = batcher.lock().unwrap_or_else(PoisonError::into_inner);
-        let batch = batcher.next_batch()?;
-        (batch, batcher.last_formation())
+        let batch = batcher.next_batch();
+        // Busy again before the lock passes on: the next former must not
+        // count this worker as a peer ready to run its batch.
+        drop(idle);
+        (batch?, batcher.last_formation())
     };
     // The lock is released: the next idle worker forms its batch while
     // this one stamps its own for tracing — close each member's queue

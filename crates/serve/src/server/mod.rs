@@ -30,8 +30,13 @@
 //! behind one mutex and an idle worker forms its own next batch under it
 //! (`admission::next_work`), so a batch crosses two thread hand-offs —
 //! client → worker → client — not three. One idle worker holds the lock,
-//! parked on the empty queue or keeping a coalescing window open; the
-//! others wait on the mutex for their turn. Backpressure is end-to-end:
+//! parked on the empty queue or forming a batch; the others wait on the
+//! mutex for their turn. Formation is work-conserving
+//! ([`crate::batcher`]): the former holds a coalescing window open only
+//! while no other worker is idle (`WorkerEnv::idle` counts the workers
+//! inside `next_work`), so at light load a request waits for the array,
+//! not for the window, and at saturation batches fill as before.
+//! Backpressure is end-to-end:
 //! when every worker is busy nobody drains the bounded ingress queue, it
 //! fills, and [`Server::submit`] sheds with [`SubmitError::QueueFull`] —
 //! exactly [`ServeConfig::queue_capacity`] deep, since no thread holds a
@@ -85,7 +90,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Largest batch the dynamic batcher will coalesce.
     pub max_batch: usize,
-    /// How long the batcher holds an unfilled batch open for stragglers.
+    /// Longest the batcher holds an unfilled batch open for stragglers,
+    /// counted from its oldest request's submit. An upper bound: the
+    /// window is held only while every other worker is busy.
     pub batch_deadline: Duration,
     /// Admitted-but-undispatched requests allowed before shedding.
     pub queue_capacity: usize,
@@ -167,7 +174,9 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the batching deadline.
+    /// Overrides the batching deadline: the longest an unfilled batch is
+    /// held open for company, and only while every other worker is busy —
+    /// with a peer idle a batch leaves at once with what was queued.
     #[must_use]
     pub fn with_batch_deadline(mut self, deadline: Duration) -> Self {
         self.batch_deadline = deadline;
@@ -356,7 +365,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the worker pool over a finished registry.
+    /// Starts the worker pool over a finished registry, returning once
+    /// every worker waits for work.
     ///
     /// # Panics
     ///
@@ -381,8 +391,13 @@ impl Server {
         });
         let pool_target = Arc::new(AtomicUsize::new(cfg.workers));
         let (ingress, ingress_rx) = mpsc::sync_channel(cfg.queue_capacity);
-        let batcher =
-            admission::request_batcher(ingress_rx, Arc::clone(&knobs), Arc::clone(&shared));
+        let idle = Arc::new(AtomicUsize::new(0));
+        let batcher = admission::request_batcher(
+            ingress_rx,
+            Arc::clone(&knobs),
+            Arc::clone(&shared),
+            Arc::clone(&idle),
+        );
         let env = WorkerEnv {
             stage: StageEnv {
                 shards: cfg.shards,
@@ -395,8 +410,15 @@ impl Server {
             target: Arc::clone(&pool_target),
             shared: Arc::clone(&shared),
             batcher: Arc::new(Mutex::new(batcher)),
+            idle: Arc::clone(&idle),
         };
         let (pool_tx, supervisor) = pool::spawn_pool(cfg.workers, env);
+        // Return once every worker waits for work: the first request then
+        // finds its idle peers counted, not still spawning — a former
+        // that saw none would hold it for the whole window.
+        while idle.load(Ordering::Relaxed) < cfg.workers {
+            std::thread::yield_now();
+        }
         Server {
             registry: RwLock::new(Arc::new(registry)),
             shared,

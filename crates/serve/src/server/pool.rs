@@ -68,6 +68,10 @@ pub(super) struct WorkerEnv {
     pub(super) shared: Arc<Shared>,
     /// Whichever idle worker holds this lock forms the next batch.
     pub(super) batcher: Arc<Mutex<RequestBatcher>>,
+    /// Workers inside `admission::next_work`, queued on the batcher's
+    /// lock or forming under it; the batcher holds a window open only
+    /// while this counts no one but the former.
+    pub(super) idle: Arc<AtomicUsize>,
 }
 
 /// Spawns `workers` workers and the supervisor that owns their join

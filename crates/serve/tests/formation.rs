@@ -79,10 +79,11 @@ fn shutdown_reaches_idle_workers_parked_on_the_queue_and_on_the_lock() {
 fn shutdown_releases_an_open_batch_window_and_resolves_its_ticket() {
     for bounded in [false, true] {
         let window = Duration::from_secs(600);
+        // One worker: no idle peer releases the window early.
         let (server, test) =
-            start(ServeConfig::default().with_workers(4).with_batch_deadline(window));
+            start(ServeConfig::default().with_workers(1).with_batch_deadline(window));
         let ticket = server.submit("m", test.image(0).clone()).expect("admitted");
-        // A worker seeds a batch with it and keeps the window open for
+        // The worker seeds a batch with it and keeps the window open for
         // seven more requests that never come.
         std::thread::sleep(Duration::from_millis(20));
         assert!(ticket.try_wait().is_none(), "the window is still open");
@@ -91,6 +92,44 @@ fn shutdown_releases_an_open_batch_window_and_resolves_its_ticket() {
         let response = ticket.try_wait().expect("resolved before shutdown returned");
         assert_eq!(response.expect("served, not dropped").batch_size, 1);
     }
+}
+
+#[test]
+fn a_lone_request_with_an_idle_peer_is_dispatched_at_once() {
+    let (server, test) = start(
+        ServeConfig::default().with_workers(2).with_batch_deadline(Duration::from_secs(600)),
+    );
+    let ticket = server.submit("m", test.image(0).clone()).expect("admitted");
+    let response = ticket.wait_timeout(HUNG).expect("the window was waited out");
+    assert_eq!(response.expect("served").batch_size, 1);
+    let stats = shut_down(server, true);
+    assert_eq!((stats.completed, stats.batches), (1, 1));
+}
+
+#[test]
+fn a_seed_holds_its_window_while_every_peer_is_busy() {
+    let (server, test) = start(
+        ServeConfig::default()
+            .with_workers(2)
+            .with_batch_deadline(Duration::from_secs(600))
+            .with_faults(held(200_000)),
+    );
+    let image = test.image(0).clone();
+    let busy = server.submit("m", image.clone()).expect("idle pool");
+    // Its former saw the other worker idle and released it at once; the
+    // batch is now held in the array.
+    await_stats(&server, |s| s.batches == 1);
+    let seed = server.submit("m", image).expect("queue has room");
+    // The other worker seeds a batch with it while its only peer is
+    // busy, so it keeps the window open for company.
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(seed.try_wait().is_none(), "the window is still open");
+    assert_eq!(server.telemetry().batches, 1, "the seed was not dispatched");
+    let stats = shut_down(server, true);
+    assert_eq!((stats.completed, stats.batches), (2, 2));
+    assert!(matches!(busy.try_wait(), Some(Ok(_))));
+    let response = seed.try_wait().expect("resolved before shutdown returned");
+    assert_eq!(response.expect("served, not dropped").batch_size, 1);
 }
 
 #[test]

@@ -30,8 +30,8 @@ fn main() {
     let (_, groups, _) = ColumnCombiner::new(cfg).run(&mut net, &train, None);
     let deployed = DeployedNetwork::build(&net, &groups, &train);
 
-    // 2. Registry + server: 4 workers, batches of up to 8 coalesced
-    //    within a 1 ms window, shedding beyond 256 queued requests.
+    // 2. Registry + server: 4 workers, batches of up to 8 held open at
+    //    most 1 ms for company, shedding beyond 256 queued requests.
     let registry = ModelRegistry::new().with_model("lenet", deployed);
     let server = Server::start(
         registry,
@@ -56,8 +56,8 @@ fn main() {
         classes[response.class] += 1;
     }
 
-    // 4. Telemetry.
-    let stats = server.shutdown();
+    // 4. Telemetry of the burst.
+    let stats = server.telemetry();
     println!("served {} requests in {:.2?}", stats.completed, stats.elapsed);
     println!("  throughput:        {:.0} req/s", stats.throughput_rps);
     println!(
@@ -73,4 +73,18 @@ fn main() {
 
     assert_eq!(stats.completed, 256, "demo must serve the whole burst");
     assert!(stats.p50 <= stats.p95 && stats.p95 <= stats.p99);
+
+    // 5. The window is an upper bound: widened to 5 s, it still does not
+    //    hold a lone request while the rest of the pool sits idle.
+    let window = Duration::from_secs(5);
+    server.set_batch_deadline(window);
+    let response = server
+        .submit("lenet", test.image(0).clone())
+        .expect("idle pool")
+        .wait()
+        .expect("request served");
+    println!("  lone request:      {:?} with a {window:?} window", response.latency);
+    assert_eq!(response.batch_size, 1, "dispatched alone");
+    assert!(response.latency < window / 10, "an idle peer must not wait out the window");
+    server.shutdown();
 }
