@@ -643,6 +643,25 @@ mod tests {
         assert!(b.next_batch().is_none());
     }
 
+    /// A retune made while the consumer waits on an empty queue applies
+    /// to the batch it then forms, not the one after: the knob block is
+    /// sampled once there is work to form from.
+    #[test]
+    fn a_knob_update_reaches_a_consumer_parked_on_an_empty_queue() {
+        let (tx, rx) = mpsc::channel();
+        let knobs = Arc::new(BatchKnobs::new(1, Duration::from_secs(600)));
+        let mut b: TestBatcher = Batcher::with_knobs(rx, Arc::clone(&knobs), |i| i.key, |i| i.at);
+        let former = std::thread::spawn(move || b.next_batch().map(|batch| ids(&batch)));
+        // Let the former park on the empty queue; the assertion below
+        // holds however the two threads interleave.
+        std::thread::sleep(Duration::from_millis(50));
+        knobs.set_max_batch(3);
+        for i in 0..3 {
+            tx.send(item(1, i)).unwrap();
+        }
+        assert_eq!(former.join().unwrap(), Some(vec![0, 1, 2]), "the widened cap applies");
+    }
+
     /// With a peer idle, a seed does not wait out its window: the batch
     /// leaves with every same-key item already waiting (up to
     /// `max_batch`), at once, however long the window.

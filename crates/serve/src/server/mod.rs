@@ -83,6 +83,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Longest [`Server::start`] waits for its workers to reach the batcher:
+/// far beyond a thread spawn, and a worker lost before its first batch
+/// then delays a start instead of hanging it.
+const POOL_READY_WAIT: Duration = Duration::from_secs(1);
+
 /// Tuning knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -366,7 +371,8 @@ pub struct Server {
 
 impl Server {
     /// Starts the worker pool over a finished registry, returning once
-    /// every worker waits for work.
+    /// every worker waits for work — or after a second at most, should one
+    /// die before it first asks for work.
     ///
     /// # Panics
     ///
@@ -416,7 +422,8 @@ impl Server {
         // Return once every worker waits for work: the first request then
         // finds its idle peers counted, not still spawning — a former
         // that saw none would hold it for the whole window.
-        while idle.load(Ordering::Relaxed) < cfg.workers {
+        let ready_by = Instant::now() + POOL_READY_WAIT;
+        while idle.load(Ordering::Relaxed) < cfg.workers && Instant::now() < ready_by {
             std::thread::yield_now();
         }
         Server {

@@ -132,6 +132,33 @@ fn a_seed_holds_its_window_while_every_peer_is_busy() {
     assert_eq!(response.expect("served, not dropped").batch_size, 1);
 }
 
+/// The worker that just took a batch stops counting as idle before the
+/// batcher's lock passes on: the next former, forming at once from work
+/// already queued, sees its only peer busy and holds its window.
+#[test]
+fn a_former_never_counts_the_worker_that_just_took_a_batch_as_idle() {
+    let ((a, test), (b, _)) = (tiny(), tiny());
+    let server = Server::start(
+        ModelRegistry::new().with_model("a", a).with_model("b", b),
+        ServeConfig::default()
+            .with_workers(2)
+            .with_batch_deadline(Duration::from_secs(600))
+            .with_faults(held(200_000)),
+    );
+    // Two keys, submitted back to back: one worker takes the first
+    // (its peer idle) and stays in it; the other seeds the second the
+    // moment the lock passes on.
+    let first = server.submit("a", test.image(0).clone()).expect("idle pool");
+    let second = server.submit("b", test.image(1).clone()).expect("queue has room");
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(second.try_wait().is_none(), "the window is still open");
+    assert_eq!(server.telemetry().batches, 1, "the second seed was not dispatched");
+    let stats = shut_down(server, true);
+    assert_eq!((stats.completed, stats.batches), (2, 2));
+    assert!(matches!(first.try_wait(), Some(Ok(_))));
+    assert_eq!(second.try_wait().expect("resolved").expect("served").batch_size, 1);
+}
+
 #[test]
 fn busy_workers_admit_exactly_queue_capacity_then_shed() {
     const WORKERS: usize = 2;
