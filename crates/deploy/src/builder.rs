@@ -136,7 +136,8 @@ impl DeployedNetwork {
     }
 
     /// Quantizes a batch of images into the pipeline's input activations —
-    /// the entry point of staged execution ([`DeployedNetwork::run_stage`]).
+    /// the entry point of staged execution
+    /// ([`DeployedNetwork::run_stage_banded`]).
     pub fn quantize_batch(&self, images: &[Tensor]) -> Vec<QMap> {
         images.iter().map(|im| QMap::quantize(im, self.inner.input_scale)).collect()
     }
@@ -170,57 +171,24 @@ impl DeployedNetwork {
     /// Executes the contiguous layer range `range` on a batch of
     /// activations, returning the activations flowing into layer
     /// `range.end` (or logits if the range covers the classifier head).
+    /// Every packed conv in the range scatters across `bands`' simulated
+    /// arrays and gathers by row concatenation. Every layer's output
+    /// buffers come from `scratch`'s pool and each layer's inputs are
+    /// recycled into it the moment the layer has consumed them
+    /// (ping-pong), so a warm scratch makes staged execution
+    /// allocation-free.
     ///
     /// Running `0..num_layers()` over [`DeployedNetwork::quantize_batch`]
-    /// output is exactly [`DeployedNetwork::run_batch_with`] — the serial
-    /// path is implemented on top of this, so pipelined execution that
+    /// output is exactly [`DeployedNetwork::run_batch_banded`] — the
+    /// serial path runs the same layer loop, so pipelined execution that
     /// splits the range across stages is bit-identical by construction.
+    /// Pipelined serving composes stages × shards by giving each stage its
+    /// own set.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds or starts after the classifier
     /// head already produced logits (`data` is `Logits` with layers left).
-    pub fn run_stage(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-    ) -> BatchOutput {
-        self.run_stage_scratch(range, data, sched, &mut ActivationScratch::new())
-    }
-
-    /// [`DeployedNetwork::run_stage`] with a caller-owned
-    /// [`ActivationScratch`]: every layer's output buffers come from the
-    /// scratch pool and each layer's inputs are recycled into it the
-    /// moment the layer has consumed them (ping-pong), so a warm scratch
-    /// makes staged execution allocation-free. Bit-identical to
-    /// [`DeployedNetwork::run_stage`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or starts after the classifier
-    /// head already produced logits (`data` is `Logits` with layers left).
-    pub fn run_stage_scratch(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-        scratch: &mut ActivationScratch,
-    ) -> BatchOutput {
-        self.run_stage_inner(range, data, sched, scratch, None)
-    }
-
-    /// [`DeployedNetwork::run_stage_scratch`] over a row-band shard set:
-    /// every packed conv in the range scatters across `bands`' simulated
-    /// arrays and gathers by row concatenation — bit-identical to the
-    /// serial path (see [`crate::ShardedNetwork`] for the planned API on
-    /// top of this). Pipelined serving composes stages × shards by giving
-    /// each stage its own set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or starts after the classifier
-    /// head already produced logits.
     pub fn run_stage_banded(
         &self,
         range: std::ops::Range<usize>,
@@ -259,7 +227,7 @@ impl DeployedNetwork {
     }
 
     /// The tiled scheduler this network was prepared for. Serving workers
-    /// copy it once and pass it to [`DeployedNetwork::run_batch_with`]
+    /// copy it once and pass it to [`DeployedNetwork::run_batch_banded`]
     /// instead of constructing a scheduler per call.
     pub fn scheduler(&self) -> TiledScheduler {
         self.inner.sched
@@ -280,21 +248,10 @@ impl DeployedNetwork {
     /// calling [`DeployedNetwork::logits`] per image.
     pub fn run_batch(&self, images: &[Tensor]) -> Vec<Vec<f32>> {
         let sched = self.inner.sched;
-        self.run_batch_with(&sched, images)
+        self.run_batch_scratch(&sched, images, &mut ActivationScratch::new())
     }
 
-    /// [`DeployedNetwork::run_batch`] with a caller-owned scheduler (one
-    /// per serving worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler's array configuration differs from the one
-    /// the network was built for, or the pipeline lacks a classifier head.
-    pub fn run_batch_with(&self, sched: &TiledScheduler, images: &[Tensor]) -> Vec<Vec<f32>> {
-        self.run_batch_scratch(sched, images, &mut ActivationScratch::new())
-    }
-
-    /// [`DeployedNetwork::run_batch_with`] with a caller-owned
+    /// [`DeployedNetwork::run_batch`] with a caller-owned scheduler and
     /// [`ActivationScratch`] — the serving hot path. Quantization, every
     /// layer's activations, and the systolic output planes all draw from
     /// the scratch, so a warm scratch makes whole-network inference free
@@ -315,7 +272,7 @@ impl DeployedNetwork {
             return Vec::new();
         }
         let input = BatchOutput::Maps(self.quantize_batch_scratch(images, scratch));
-        match self.run_stage_scratch(0..self.inner.layers.len(), input, sched, scratch) {
+        match self.run_stage_inner(0..self.inner.layers.len(), input, sched, scratch, None) {
             BatchOutput::Logits(l) => l,
             BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
         }
@@ -761,13 +718,16 @@ mod tests {
 
         // Every contiguous two-way split must reproduce the serial logits
         // bit for bit.
+        let (mut scratch, mut bands) = (ActivationScratch::new(), BandSet::new(1));
         for split in 0..=n {
-            let mid = deployed.run_stage(
+            let mid = deployed.run_stage_banded(
                 0..split,
                 BatchOutput::Maps(deployed.quantize_batch(&images)),
                 &sched,
+                &mut scratch,
+                &mut bands,
             );
-            let out = deployed.run_stage(split..n, mid, &sched);
+            let out = deployed.run_stage_banded(split..n, mid, &sched, &mut scratch, &mut bands);
             match out {
                 BatchOutput::Logits(l) => assert_eq!(l, serial, "split at {split} diverged"),
                 BatchOutput::Maps(_) => panic!("full range must end in logits"),

@@ -1,8 +1,8 @@
 //! The deployed integer inference engine: one enum variant per hardware
 //! block of the paper's Fig. 6 system.
 //!
-//! Every stage executes either on one image or on a whole batch
-//! ([`run_layer_batch`]). Batching concatenates the images' spatial
+//! Every stage executes on a whole batch ([`run_layer_batch_scratch`]);
+//! one image is a batch of one. Batching concatenates the images' spatial
 //! positions into one wide data matrix for the systolic array, so a batch
 //! of `B` maps shares each layer's weight loads — and because the array is
 //! exact integer arithmetic per output column, batched results are
@@ -115,36 +115,13 @@ pub enum DeployedLayer {
     },
 }
 
-/// Executes one stage on one image. `PackedConv` runs on the tiled
-/// systolic simulator; everything else is the corresponding peripheral
-/// block.
-pub fn run_layer(layer: &DeployedLayer, input: &QMap, sched: &TiledScheduler) -> StageOutput {
-    match run_layer_batch(layer, std::slice::from_ref(input), sched) {
-        BatchOutput::Maps(mut m) => StageOutput::Map(m.pop().expect("batch of one")),
-        BatchOutput::Logits(mut l) => StageOutput::Logits(l.pop().expect("batch of one")),
-    }
-}
-
-/// Executes one stage on a batch of same-shape images. `PackedConv`
+/// Executes one stage on a batch of same-shape images, drawing every
+/// output buffer (and the systolic output plane) from a caller-owned
+/// [`ActivationScratch`] — the serving hot path, which performs no
+/// steady-state allocation once the scratch is warm. `PackedConv`
 /// concatenates all images' positions into one data matrix so the batch
 /// shares each weight tile load; results are bit-identical to running the
 /// images individually.
-///
-/// # Panics
-///
-/// Panics on an empty batch or if the maps disagree in shape or scale.
-pub fn run_layer_batch(
-    layer: &DeployedLayer,
-    inputs: &[QMap],
-    sched: &TiledScheduler,
-) -> BatchOutput {
-    run_layer_batch_scratch(layer, inputs, sched, &mut ActivationScratch::new())
-}
-
-/// [`run_layer_batch`] drawing every output buffer (and the systolic
-/// output plane) from a caller-owned [`ActivationScratch`] — the serving
-/// hot path, which performs no steady-state allocation once the scratch
-/// is warm. Bit-identical to [`run_layer_batch`].
 ///
 /// # Panics
 ///
@@ -276,15 +253,6 @@ pub fn layer_cost(
             ((weights.rows() * weights.cols()) as u64, (weights.rows(), 1, 1))
         }
     }
-}
-
-/// Result of a stage: another feature map, or the final logits.
-#[derive(Clone, Debug)]
-pub enum StageOutput {
-    /// Intermediate quantized feature map.
-    Map(QMap),
-    /// Real-valued class logits.
-    Logits(Vec<f32>),
 }
 
 /// Result of a batched stage: per-image maps or per-image logits.

@@ -52,6 +52,5 @@ pub use engine::{layer_cost, BatchOutput, DeployedLayer};
 pub use qmap::QMap;
 pub use scratch::ActivationScratch;
 pub use shard::{
-    BandFaultError, BandSet, ConvTrace, FaultInjector, HealthEvent, ShardHealthConfig, ShardMode,
-    ShardScratch, ShardStats, ShardedNetwork,
+    BandFaultError, BandSet, ConvTrace, FaultInjector, HealthEvent, ShardHealthConfig,
 };

@@ -1,36 +1,29 @@
-//! Multi-array sharding: carving one [`DeployedNetwork`] across several
-//! simulated systolic arrays and serving the pieces concurrently.
+//! Multi-array sharding: carving one [`crate::DeployedNetwork`] across
+//! several simulated systolic arrays and serving the pieces concurrently.
 //!
-//! Two shard geometries, mirroring how real multi-array accelerators
-//! scale out:
+//! A shard is a row band: every packed conv layer's output rows split
+//! across arrays, each array owning a contiguous band of the layer's
+//! prepared tiles ([`cc_systolic::RowBand`]). The bands of one layer run
+//! concurrently (scoped threads, one kernel scratch each) and every lane
+//! hands back *finished* rows: as in the paper's Fig. 6, each array is
+//! followed by its own ReLU + quantization block, so a lane runs its
+//! band's kernel and then the conv's epilogue over that band's rows,
+//! writing its row range of every image's output map. Per-channel
+//! quantization stats are precomputed, so the maps are bit-identical to
+//! the unsharded engine's by construction and nothing of a conv is left
+//! to one thread behind the gather. The `i32` accumulator plane is still
+//! gathered, by pure row concatenation, for stats, oracles and
+//! [`cc_systolic::RunScratch::outputs`].
 //!
-//! * **Layer shards** ([`ShardMode::Layers`]): contiguous layer ranges on
-//!   different arrays (the min-max DP over the layer cost model —
-//!   generalizing `cc-serve`'s stage partitioning). One batch flows
-//!   through the shards in sequence; throughput comes from pipelining
-//!   successive batches, so the steady-state makespan is the bottleneck
-//!   shard.
-//! * **Row-band shards** ([`ShardMode::RowBands`]): every packed conv
-//!   layer's output rows split across arrays, each array owning a
-//!   contiguous band of the layer's prepared tiles
-//!   ([`cc_systolic::RowBand`]). The bands of one layer run concurrently
-//!   (scoped threads, one kernel scratch each) and every lane hands back
-//!   *finished* rows: as in the paper's Fig. 6, each array is followed by
-//!   its own ReLU + quantization block, so a lane runs its band's kernel
-//!   and then the conv's epilogue over that band's rows, writing its row
-//!   range of every image's output map. Per-channel quantization stats
-//!   are precomputed, so the maps are bit-identical to the unsharded
-//!   engine's by construction and nothing of a conv is left to one thread
-//!   behind the gather. The `i32` accumulator plane is still gathered, by
-//!   pure row concatenation, for stats, oracles and
-//!   [`cc_systolic::RunScratch::outputs`].
-//!
-//! Either way the shards share one prepared op list (the
-//! [`DeployedNetwork`]'s `Arc` internals); nothing is re-prepared per
-//! shard. [`ShardStats`] reports both the *merged* counters — bit-identical
-//! to the unsharded run's, cycles included (the gather substitutes the
-//! sequential-equivalent cycle count) — and the concurrent *makespan*,
-//! which is what shrinks as shards are added.
+//! The shards share one prepared op list (the network's `Arc` internals);
+//! nothing is re-prepared per shard. A [`BandSet`] is the executor's shard
+//! environment, passed to [`crate::DeployedNetwork::run_batch_banded`] /
+//! [`crate::DeployedNetwork::run_stage_banded`]. It reports both the
+//! *merged* counters ([`BandSet::merged_stats`]) — bit-identical to the
+//! unsharded run's, cycles included (the gather substitutes the
+//! sequential-equivalent cycle count) — and the concurrent *makespan*
+//! ([`BandSet::makespan_cycles`]), which is what shrinks as shards are
+//! added.
 //!
 //! A [`BandSet`] runs every packed conv through one method whatever the
 //! configuration: one shard is a one-band plan, no fleet is every lane at
@@ -38,24 +31,18 @@
 //! action `Run` (the health scoring then sees only clean outcomes and the
 //! retry loop exits on its first pass).
 //!
-//! Row-band fleets need not be homogeneous:
-//! [`ShardedNetwork::with_fleet`] / [`BandSet::with_fleet`] give each
-//! shard its own [`ArrayGeometry`]. Banding is then weighted by each
+//! Row-band fleets need not be homogeneous: [`BandSet::with_fleet`] gives
+//! each shard its own [`ArrayGeometry`]. Banding is then weighted by each
 //! target's cycle model (a weaker array gets fewer rows), per-shard stats
 //! attribute cycles under each shard's own geometry, and the merged view
 //! still reports the base array's sequential equivalent — fleet-invariant
 //! by construction.
 
-use crate::builder::DeployedNetwork;
-use crate::engine::{BatchOutput, Epilogue};
+use crate::engine::Epilogue;
 use crate::qmap::QMap;
-use crate::scratch::ActivationScratch;
-use cc_systolic::partition::partition_min_max;
 use cc_systolic::tiled::{BandAction, BandLane, BandOutcome, PreparedPacked, TiledScheduler};
 use cc_systolic::{ArrayGeometry, RowBand, RunScratch, SimStats};
 use cc_tensor::quant::QuantMatrix;
-use cc_tensor::Tensor;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -216,22 +203,13 @@ impl PlanKey {
     }
 }
 
-/// How a network is carved across simulated arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Contiguous layer ranges, one per array.
-    Layers,
-    /// Each packed conv's output rows banded across the arrays.
-    RowBands,
-}
-
 /// The row-band shard environment one executor owns: per-shard kernel
 /// scratches (long-lived — shard `i ≥ 1` reuses `aux[i-1]` across every
 /// layer and batch), per-shard busy/cycle accounting, and the merged
 /// counters of everything run since the last reset. Hold one per serving
 /// worker or pipeline stage and pass it to
-/// [`DeployedNetwork::run_batch_banded`] /
-/// [`DeployedNetwork::run_stage_banded`].
+/// [`crate::DeployedNetwork::run_batch_banded`] /
+/// [`crate::DeployedNetwork::run_stage_banded`].
 #[derive(Debug)]
 pub struct BandSet {
     shards: usize,
@@ -716,233 +694,16 @@ fn band_rows<'a>(
     })
 }
 
-/// Reusable execution state for one [`ShardedNetwork`]: one activation
-/// scratch per layer shard (row-band plans use one) plus the shared
-/// [`BandSet`]. Hold one per long-lived executor and reuse it across
-/// batches — warm, a sharded run performs no steady-state allocation
-/// beyond the returned logits.
-#[derive(Debug)]
-pub struct ShardScratch {
-    acts: Vec<ActivationScratch>,
-    bands: BandSet,
-}
-
-impl ShardScratch {
-    /// Scratch sized for `sharded`'s plan.
-    pub fn for_network(sharded: &ShardedNetwork) -> Self {
-        match sharded.mode {
-            ShardMode::Layers => ShardScratch {
-                acts: (0..sharded.layer_ranges.len().max(1))
-                    .map(|_| ActivationScratch::new())
-                    .collect(),
-                bands: BandSet::new(1),
-            },
-            ShardMode::RowBands => ShardScratch {
-                acts: vec![ActivationScratch::new()],
-                bands: match &sharded.fleet {
-                    Some(fleet) => BandSet::with_fleet(fleet.clone()),
-                    None => BandSet::new(sharded.shards),
-                },
-            },
-        }
-    }
-}
-
-/// Merged and per-shard counters from one sharded batch.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    /// Per-shard array counters: shard `i`'s `cycles` is the simulated
-    /// time its array was committed for the batch.
-    pub per_shard: Vec<SimStats>,
-    /// The work merged back together — bit-identical to the unsharded
-    /// run's conv totals (cycles are the sequential equivalent).
-    pub merged: SimStats,
-    /// Simulated-cycle makespan: the busiest shard. This is what sharding
-    /// shrinks; `merged.cycles / makespan_cycles` is the parallel speedup
-    /// the shard plan buys on simulated hardware.
-    pub makespan_cycles: u64,
-}
-
-/// A [`DeployedNetwork`] carved into shards. The network itself is shared
-/// (`Arc` internals — cloning a `DeployedNetwork` into a plan duplicates
-/// nothing), so shards reuse one prepared op list; the plan only records
-/// *how* execution scatters.
-#[derive(Clone, Debug)]
-pub struct ShardedNetwork {
-    net: DeployedNetwork,
-    mode: ShardMode,
-    shards: usize,
-    layer_ranges: Vec<Range<usize>>,
-    /// Per-shard geometries of a heterogeneous row-band fleet (`None` =
-    /// all shards are the network's own array).
-    fleet: Option<Vec<ArrayGeometry>>,
-}
-
-impl ShardedNetwork {
-    /// Plans `shards` shards of `net` in the given mode. Layer mode clamps
-    /// to the layer count (each range non-empty); row-band mode keeps the
-    /// requested width — a conv with fewer tile row-groups than shards
-    /// simply fans out as far as it can.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(net: DeployedNetwork, mode: ShardMode, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let (shards, layer_ranges) = match mode {
-            ShardMode::Layers => {
-                let ranges = partition_min_max(&net.layer_costs(), shards);
-                (ranges.len(), ranges)
-            }
-            ShardMode::RowBands => (shards, Vec::new()),
-        };
-        ShardedNetwork { net, mode, shards, layer_ranges, fleet: None }
-    }
-
-    /// Plans a row-band scatter of `net` across a heterogeneous fleet:
-    /// shard `i` simulates an array of `fleet[i]`'s geometry, and every
-    /// conv's banding is weighted by each geometry's cycle model. Outputs
-    /// stay bit-identical to the unsharded run; the per-shard stats and
-    /// makespan reflect the mixed hardware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fleet` is empty.
-    pub fn with_fleet(net: DeployedNetwork, fleet: Vec<ArrayGeometry>) -> Self {
-        assert!(!fleet.is_empty(), "need at least one shard");
-        ShardedNetwork {
-            net,
-            mode: ShardMode::RowBands,
-            shards: fleet.len(),
-            layer_ranges: Vec::new(),
-            fleet: Some(fleet),
-        }
-    }
-
-    /// The underlying deployed pipeline.
-    pub fn network(&self) -> &DeployedNetwork {
-        &self.net
-    }
-
-    /// The shard geometry.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
-    }
-
-    /// The per-shard array geometries, when this plan targets a
-    /// heterogeneous fleet.
-    pub fn fleet(&self) -> Option<&[ArrayGeometry]> {
-        self.fleet.as_deref()
-    }
-
-    /// Effective shard count (layer mode clamps to the layer count).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Layer mode's cost-balanced ranges (empty in row-band mode).
-    pub fn layer_ranges(&self) -> &[Range<usize>] {
-        &self.layer_ranges
-    }
-
-    /// Runs a batch through the shard plan, allocating fresh scratch.
-    /// Bit-identical to [`DeployedNetwork::run_batch`].
-    pub fn run_batch(&self, images: &[Tensor]) -> Vec<Vec<f32>> {
-        self.run_batch_stats(images, &mut ShardScratch::for_network(self)).0
-    }
-
-    /// [`ShardedNetwork::run_batch`] with reusable scratch, also returning
-    /// the batch's [`ShardStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different plan shape or the
-    /// pipeline lacks a classifier head.
-    pub fn run_batch_stats(
-        &self,
-        images: &[Tensor],
-        scratch: &mut ShardScratch,
-    ) -> (Vec<Vec<f32>>, ShardStats) {
-        let sched = self.net.scheduler();
-        match self.mode {
-            ShardMode::RowBands => {
-                assert_eq!(scratch.bands.shards(), self.shards, "scratch from another plan");
-                assert_eq!(
-                    scratch.bands.fleet(),
-                    self.fleet.as_deref(),
-                    "scratch from another fleet"
-                );
-                scratch.bands.reset_stats();
-                let logits = self.net.run_batch_banded(
-                    &sched,
-                    images,
-                    &mut scratch.acts[0],
-                    &mut scratch.bands,
-                );
-                let per_shard = scratch.bands.shard_stats().to_vec();
-                let stats = ShardStats {
-                    makespan_cycles: scratch.bands.makespan_cycles(),
-                    merged: scratch.bands.merged_stats(),
-                    per_shard,
-                };
-                (logits, stats)
-            }
-            ShardMode::Layers => {
-                assert_eq!(scratch.acts.len(), self.layer_ranges.len(), "scratch from another plan");
-                if images.is_empty() {
-                    return (
-                        Vec::new(),
-                        ShardStats {
-                            per_shard: vec![SimStats::default(); self.shards],
-                            merged: SimStats::default(),
-                            makespan_cycles: 0,
-                        },
-                    );
-                }
-                let mut data = BatchOutput::Maps(
-                    self.net.quantize_batch_scratch(images, &mut scratch.acts[0]),
-                );
-                let mut per_shard = Vec::with_capacity(self.layer_ranges.len());
-                let mut merged = SimStats::default();
-                for (i, range) in self.layer_ranges.iter().enumerate() {
-                    scratch.bands.reset_stats();
-                    data = self.net.run_stage_banded(
-                        range.clone(),
-                        data,
-                        &sched,
-                        &mut scratch.acts[i],
-                        &mut scratch.bands,
-                    );
-                    let shard = scratch.bands.merged_stats();
-                    merged.merge(&shard);
-                    per_shard.push(shard);
-                }
-                let logits = match data {
-                    BatchOutput::Logits(l) => l,
-                    BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
-                };
-                // Layer shards also run side by side in steady state
-                // (batches pipeline through them), so the makespan is the
-                // same concurrent fold.
-                let mut concurrent = SimStats::default();
-                for s in &per_shard {
-                    concurrent.merge_concurrent(s);
-                }
-                let makespan_cycles = concurrent.cycles;
-                (logits, ShardStats { per_shard, merged, makespan_cycles })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::identity_groups;
+    use crate::{ActivationScratch, DeployedNetwork};
     use cc_dataset::SyntheticSpec;
     use cc_nn::models::{lenet5_shift, resnet20_shift, ModelConfig};
     use cc_systolic::array::ArrayConfig;
     use cc_tensor::quant::AccumWidth;
+    use cc_tensor::Tensor;
 
     fn small_array() -> ArrayConfig {
         // A deliberately small array so even tiny test networks span
@@ -960,32 +721,40 @@ mod tests {
         (deployed, images)
     }
 
+    /// One batch through `set` from zeroed counters, on a fresh scratch.
+    fn run_banded(
+        deployed: &DeployedNetwork,
+        images: &[Tensor],
+        set: &mut BandSet,
+    ) -> Vec<Vec<f32>> {
+        set.reset_stats();
+        deployed.run_batch_banded(&deployed.scheduler(), images, &mut ActivationScratch::new(), set)
+    }
+
     #[test]
-    fn sharded_lenet_matches_unsharded_in_both_modes() {
+    fn sharded_lenet_matches_unsharded_at_every_width() {
         let (deployed, images) = lenet_fixture();
         let serial = deployed.run_batch(&images);
         let mut merged_reference: Option<SimStats> = None;
-        for mode in [ShardMode::Layers, ShardMode::RowBands] {
-            for shards in 1..=4 {
-                let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-                let mut scratch = ShardScratch::for_network(&plan);
-                let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
-                assert_eq!(logits, serial, "{mode:?} at {shards} shards diverged");
-                // The merged counters are plan-invariant: every geometry
-                // reassembles the same unsharded work, cycles included.
-                match &merged_reference {
-                    None => merged_reference = Some(stats.merged),
-                    Some(reference) => assert_eq!(
-                        &stats.merged, reference,
-                        "{mode:?} at {shards} shards merged stats diverged"
-                    ),
-                }
-                assert!(
-                    stats.makespan_cycles <= stats.merged.cycles,
-                    "makespan cannot exceed the sequential run"
-                );
-                assert!(stats.makespan_cycles > 0, "conv work must land somewhere");
+        for shards in 1..=4 {
+            let mut set = BandSet::new(shards);
+            let logits = run_banded(&deployed, &images, &mut set);
+            assert_eq!(logits, serial, "{shards} shards diverged");
+            // The merged counters are plan-invariant: every width
+            // reassembles the same unsharded work, cycles included.
+            match &merged_reference {
+                None => merged_reference = Some(set.merged_stats()),
+                Some(reference) => assert_eq!(
+                    &set.merged_stats(),
+                    reference,
+                    "{shards} shards merged stats diverged"
+                ),
             }
+            assert!(
+                set.makespan_cycles() <= set.merged_stats().cycles,
+                "makespan cannot exceed the sequential run"
+            );
+            assert!(set.makespan_cycles() > 0, "conv work must land somewhere");
         }
     }
 
@@ -998,35 +767,21 @@ mod tests {
             DeployedNetwork::build_with_array(&net, &identity_groups(&net), &train, small_array());
         let images: Vec<Tensor> = (0..test.len()).map(|i| test.image(i).clone()).collect();
         let serial = deployed.run_batch(&images);
-        for mode in [ShardMode::Layers, ShardMode::RowBands] {
-            let plan = ShardedNetwork::new(deployed.clone(), mode, 3);
-            assert_eq!(plan.run_batch(&images), serial, "{mode:?} diverged on residuals");
-        }
+        let logits = run_banded(&deployed, &images, &mut BandSet::new(3));
+        assert_eq!(logits, serial, "row bands diverged on residuals");
     }
 
     #[test]
     fn row_band_makespan_shrinks_with_shards() {
         let (deployed, images) = lenet_fixture();
         let makespan = |shards| {
-            let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            plan.run_batch_stats(&images, &mut scratch).1.makespan_cycles
+            let mut set = BandSet::new(shards);
+            run_banded(&deployed, &images, &mut set);
+            set.makespan_cycles()
         };
         let m1 = makespan(1);
         let m4 = makespan(4);
-        assert!(
-            m4 < m1,
-            "four arrays must beat one on simulated cycles: {m4} vs {m1}"
-        );
-    }
-
-    #[test]
-    fn layer_mode_clamps_and_reports_ranges() {
-        let (deployed, _) = lenet_fixture();
-        let plan = ShardedNetwork::new(deployed.clone(), ShardMode::Layers, 100);
-        assert_eq!(plan.shards(), deployed.num_layers());
-        assert_eq!(plan.layer_ranges().len(), plan.shards());
-        assert_eq!(plan.layer_ranges().last().unwrap().end, deployed.num_layers());
+        assert!(m4 < m1, "four arrays must beat one on simulated cycles: {m4} vs {m1}");
     }
 
     /// Three lanes, and the one-lane set every `cc-serve` worker runs by
@@ -1035,25 +790,26 @@ mod tests {
     #[test]
     fn sharded_scratch_reuse_is_stable_and_warm() {
         let (deployed, images) = lenet_fixture();
+        let sched = deployed.scheduler();
         for shards in [1, 3] {
-            let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (first, _) = plan.run_batch_stats(&images, &mut scratch);
+            let mut set = BandSet::new(shards);
+            let mut scratch = ActivationScratch::new();
+            let first = deployed.run_batch_banded(&sched, &images, &mut scratch, &mut set);
             // Warm-up round two, then assert the pools stop growing.
-            plan.run_batch_stats(&images, &mut scratch);
-            let warm_bufs = scratch.acts[0].buffer_allocations();
-            let warm_shells = scratch.acts[0].shell_allocations();
+            deployed.run_batch_banded(&sched, &images, &mut scratch, &mut set);
+            let warm_bufs = scratch.buffer_allocations();
+            let warm_shells = scratch.shell_allocations();
             for round in 0..3 {
-                let (logits, _) = plan.run_batch_stats(&images, &mut scratch);
+                let logits = deployed.run_batch_banded(&sched, &images, &mut scratch, &mut set);
                 assert_eq!(logits, first, "scratch reuse diverged on round {round}");
             }
             assert_eq!(
-                scratch.acts[0].buffer_allocations(),
+                scratch.buffer_allocations(),
                 warm_bufs,
                 "steady-state {shards}-shard run allocated activation buffers"
             );
             assert_eq!(
-                scratch.acts[0].shell_allocations(),
+                scratch.shell_allocations(),
                 warm_shells,
                 "steady-state {shards}-shard run allocated batch shells"
             );
@@ -1141,24 +897,22 @@ mod tests {
     fn hetero_fleet_matches_unsharded_with_invariant_merged_stats() {
         let (deployed, images) = lenet_fixture();
         let serial = deployed.run_batch(&images);
-        let uniform = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let reference_merged = uniform
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&uniform))
-            .1
-            .merged;
+        let mut uniform = BandSet::new(1);
+        run_banded(&deployed, &images, &mut uniform);
+        let reference_merged = uniform.merged_stats();
         let fleets = [
             vec![ArrayGeometry::new(4, 8), ArrayGeometry::new(2, 4)],
             vec![ArrayGeometry::new(4, 8), ArrayGeometry::new(2, 8), ArrayGeometry::new(2, 4)],
             vec![ArrayGeometry::new(2, 2)],
         ];
         for fleet in fleets {
-            let plan = ShardedNetwork::with_fleet(deployed.clone(), fleet.clone());
-            assert_eq!(plan.fleet(), Some(&fleet[..]));
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
+            let mut set = BandSet::with_fleet(fleet.clone());
+            assert_eq!(set.fleet(), Some(&fleet[..]));
+            let logits = run_banded(&deployed, &images, &mut set);
             assert_eq!(logits, serial, "fleet {fleet:?} diverged");
             assert_eq!(
-                stats.merged, reference_merged,
+                set.merged_stats(),
+                reference_merged,
                 "merged stats must be fleet-invariant for {fleet:?}"
             );
         }
@@ -1172,45 +926,34 @@ mod tests {
     fn fleet_shard_totals_attribute_cycles_per_geometry() {
         let (deployed, images) = lenet_fixture();
         let weak = ArrayGeometry::new(2, 4);
+        let makespan = |mut set: BandSet| {
+            run_banded(&deployed, &images, &mut set);
+            set.makespan_cycles()
+        };
 
         // Everything on one weak array: the baseline a mixed fleet must beat.
-        let weak_alone = ShardedNetwork::with_fleet(deployed.clone(), vec![weak]);
-        let weak_makespan = weak_alone
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&weak_alone))
-            .1
-            .makespan_cycles;
+        let weak_makespan = makespan(BandSet::with_fleet(vec![weak]));
 
-        let mixed =
-            ShardedNetwork::with_fleet(deployed.clone(), vec![ArrayGeometry::new(4, 8), weak]);
-        let mut scratch = ShardScratch::for_network(&mixed);
-        let (_, stats) = mixed.run_batch_stats(&images, &mut scratch);
-        assert_eq!(stats.per_shard.len(), 2);
-        assert!(
-            stats.per_shard.iter().all(|s| s.cycles > 0),
-            "both geometries must be priced"
-        );
+        let mut mixed = BandSet::with_fleet(vec![ArrayGeometry::new(4, 8), weak]);
+        run_banded(&deployed, &images, &mut mixed);
+        let per_shard = mixed.shard_stats();
+        assert_eq!(per_shard.len(), 2);
+        assert!(per_shard.iter().all(|s| s.cycles > 0), "both geometries must be priced");
         // The makespan is the concurrent fold of per-geometry totals...
-        assert_eq!(
-            stats.makespan_cycles,
-            stats.per_shard.iter().map(|s| s.cycles).max().unwrap()
-        );
+        assert_eq!(mixed.makespan_cycles(), per_shard.iter().map(|s| s.cycles).max().unwrap());
         // ...and the weighted plan beats running everything on the weak
         // array (the homogeneous-cost planner had no way to know).
         assert!(
-            stats.makespan_cycles < weak_makespan,
+            mixed.makespan_cycles() < weak_makespan,
             "mixed fleet {} must beat the weak array alone {}",
-            stats.makespan_cycles,
+            mixed.makespan_cycles(),
             weak_makespan
         );
         // Direct attribution check: one weak shard runs the very same
         // bands as one base shard (the full matrix), so the old
         // shared-cycle-cost accounting would price them identically — the
         // weak geometry must cost strictly more.
-        let base_alone = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let base_makespan = base_alone
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&base_alone))
-            .1
-            .makespan_cycles;
+        let base_makespan = makespan(BandSet::new(1));
         assert!(
             weak_makespan > base_makespan,
             "a 2x4 array must be priced above the 4x8 base on identical bands: \

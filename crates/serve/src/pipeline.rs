@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Stage boundaries hand over the same [`BatchOutput`] activations the
-//! serial path threads through [`DeployedNetwork::run_stage`], so the
-//! pipelined result is bit-identical to serial
+//! serial path threads through [`DeployedNetwork::run_stage_banded`], so
+//! the pipelined result is bit-identical to serial
 //! [`DeployedNetwork::run_batch`] by construction. Each stage thread is
 //! a receive loop around the one stage step a serial worker also runs
 //! ([`crate::stage`]): panic isolation, occupancy, shard health, trace
@@ -45,8 +45,8 @@ pub type FaultSink<T> = Arc<dyn Fn(T, Option<BandFaultError>) + Send + Sync>;
 /// Partitions `costs` into at most `stages` contiguous ranges minimizing
 /// the maximum per-range cost sum (balanced pipeline stages). Returns
 /// `min(stages, costs.len())` non-empty ranges covering `0..costs.len()`.
-/// (The DP itself lives in [`cc_systolic::partition`]; layer-shard
-/// planning in `cc-deploy` uses the same one.)
+/// (The DP itself lives in [`cc_systolic::partition`]; the row-band
+/// shard planner uses the same one.)
 ///
 /// # Panics
 ///

@@ -1,12 +1,13 @@
-//! Property suite for multi-array sharding: a [`ShardedNetwork`] — both
-//! layer-shard and row-band geometry, 1–4 shards — must reproduce the
-//! unsharded `run_batch` bit-exactly on whole deployed networks, with
-//! merged [`SimStats`] that are shard-plan invariant, and the kernel-level
-//! band scatter/gather must match the unsharded prepared run on random
-//! packings — every special case (one band, no fleet, no faults) being a
-//! degenerate configuration of the one scatter, `run_bands`.
+//! Property suite for multi-array sharding: a row-band [`BandSet`] of 1–4
+//! shards, homogeneous or a mixed fleet, driven through `run_batch_banded`,
+//! must reproduce the unsharded `run_batch` bit-exactly on whole deployed
+//! networks, with merged [`SimStats`] that are shard-plan invariant, and
+//! the kernel-level band scatter/gather must match the unsharded prepared
+//! run on random packings — every special case (one band, no fleet, no
+//! faults) being a degenerate configuration of the one scatter,
+//! `run_bands`.
 
-use cc_deploy::{identity_groups, DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
+use cc_deploy::{identity_groups, ActivationScratch, BandSet, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, resnet20_shift, ModelConfig};
 use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked, SimStats};
@@ -80,6 +81,19 @@ fn random_fleet(shards: usize, gseed: u64) -> Vec<ArrayGeometry> {
         .collect()
 }
 
+/// Merged stats of `batch` through a fresh one-shard set: the unsharded
+/// reference every plan's merged stats must equal.
+fn one_lane_merged(deployed: &DeployedNetwork, batch: &[Tensor]) -> SimStats {
+    let mut set = BandSet::new(1);
+    deployed.run_batch_banded(
+        &deployed.scheduler(),
+        batch,
+        &mut ActivationScratch::new(),
+        &mut set,
+    );
+    set.merged_stats()
+}
+
 /// The scratch's `i32` accumulator plane as the oracles' `i64` words.
 fn widened(scratch: &RunScratch) -> Vec<i64> {
     scratch.outputs().iter().map(|&o| i64::from(o)).collect()
@@ -89,14 +103,13 @@ proptest! {
     // Cases and RNG stream are pinned so CI failures replay exactly.
     #![proptest_config(ProptestConfig::with_cases(16).with_rng_seed(0xA5_1305_0005))]
 
-    /// Whole-network sharding: any (mode, shard count, batch slice) must
-    /// be bit-identical to the unsharded batch, and the merged stats must
-    /// be identical across every plan — the scatter redistributes work,
-    /// it never changes it.
+    /// Whole-network sharding: any (shard count, batch slice) must be
+    /// bit-identical to the unsharded batch, and the merged stats must be
+    /// identical across every plan — the scatter redistributes work, it
+    /// never changes it.
     #[test]
     fn sharded_network_matches_unsharded_bit_exactly(
         residual in any::<bool>(),
-        row_bands in any::<bool>(),
         shards in 1usize..5,
         start in 0usize..4,
         len in 1usize..5,
@@ -108,30 +121,30 @@ proptest! {
         let batch = &images[start..end];
         let expected = &serial[start..end];
 
-        let mode = if row_bands { ShardMode::RowBands } else { ShardMode::Layers };
-        let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-        let mut scratch = ShardScratch::for_network(&plan);
+        let sched = deployed.scheduler();
+        let mut set = BandSet::new(shards);
+        let mut scratch = ActivationScratch::new();
 
-        // The 1-shard plan is the unsharded reference for merged stats.
-        let baseline = ShardedNetwork::new(deployed.clone(), mode, 1);
-        let mut baseline_scratch = ShardScratch::for_network(&baseline);
-        let (_, reference) = baseline.run_batch_stats(batch, &mut baseline_scratch);
+        // The 1-shard set is the unsharded reference for merged stats.
+        let reference = one_lane_merged(deployed, batch);
 
         // Two rounds through one scratch: stale state must not leak.
         for round in 0..2 {
-            let (logits, stats) = plan.run_batch_stats(batch, &mut scratch);
+            set.reset_stats();
+            let logits = deployed.run_batch_banded(&sched, batch, &mut scratch, &mut set);
             prop_assert_eq!(
                 &logits[..], expected,
-                "{:?} x{} diverged on round {}", mode, shards, round
+                "x{} diverged on round {}", shards, round
             );
+            let merged = set.merged_stats();
             prop_assert_eq!(
-                stats.merged, reference.merged,
-                "{:?} x{} merged stats diverged on round {}", mode, shards, round
+                merged, reference,
+                "x{} merged stats diverged on round {}", shards, round
             );
-            prop_assert!(stats.makespan_cycles <= stats.merged.cycles);
+            prop_assert!(set.makespan_cycles() <= merged.cycles);
             prop_assert!(
-                stats.per_shard.iter().map(|s| s.cycles).max().unwrap_or(0)
-                    == stats.makespan_cycles
+                set.shard_stats().iter().map(|s| s.cycles).max().unwrap_or(0)
+                    == set.makespan_cycles()
             );
         }
     }
@@ -205,30 +218,30 @@ proptest! {
         let expected = &serial[start..end];
 
         let fleet = random_fleet(shards, gseed);
-        let plan = ShardedNetwork::with_fleet(deployed.clone(), fleet.clone());
-        prop_assert_eq!(plan.shards(), shards);
-        prop_assert_eq!(plan.fleet(), Some(&fleet[..]));
-        let mut scratch = ShardScratch::for_network(&plan);
+        let sched = deployed.scheduler();
+        let mut set = BandSet::with_fleet(fleet.clone());
+        prop_assert_eq!(set.shards(), shards);
+        prop_assert_eq!(set.fleet(), Some(&fleet[..]));
+        let mut scratch = ActivationScratch::new();
 
-        // The 1-shard plan is the unsharded reference for merged stats.
-        let baseline = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let mut baseline_scratch = ShardScratch::for_network(&baseline);
-        let (_, reference) = baseline.run_batch_stats(batch, &mut baseline_scratch);
+        // The 1-shard set is the unsharded reference for merged stats.
+        let reference = one_lane_merged(deployed, batch);
 
         // Two rounds through one scratch: stale state must not leak.
         for round in 0..2 {
-            let (logits, stats) = plan.run_batch_stats(batch, &mut scratch);
+            set.reset_stats();
+            let logits = deployed.run_batch_banded(&sched, batch, &mut scratch, &mut set);
             prop_assert_eq!(
                 &logits[..], expected,
                 "fleet {:?} diverged on round {}", fleet, round
             );
             prop_assert_eq!(
-                stats.merged, reference.merged,
+                set.merged_stats(), reference,
                 "fleet {:?} merged stats diverged on round {}", fleet, round
             );
             prop_assert!(
-                stats.per_shard.iter().map(|s| s.cycles).max().unwrap_or(0)
-                    == stats.makespan_cycles
+                set.shard_stats().iter().map(|s| s.cycles).max().unwrap_or(0)
+                    == set.makespan_cycles()
             );
         }
     }

@@ -1,16 +1,15 @@
 //! Multi-array sharding demo: one deployed network carved across N
-//! simulated systolic arrays — as layer shards (cost-balanced layer
-//! ranges) and as row-band shards (each conv's output rows split across
-//! arrays) — with bit-identical results, a scaling table (simulated-cycle
-//! makespan beside host images per second), and a sharded serving run
-//! through `cc-serve`.
+//! simulated systolic arrays as row-band shards (each conv's output rows
+//! split across arrays) — with bit-identical results, a scaling table
+//! (simulated-cycle makespan beside host images per second), and a
+//! sharded serving run through `cc-serve`.
 //!
 //! ```text
 //! cargo run --release -p cc-examples --example shard_demo
 //! ```
 
 use cc_dataset::SyntheticSpec;
-use cc_deploy::{DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
+use cc_deploy::{ActivationScratch, BandSet, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_packing::{ColumnCombineConfig, ColumnCombiner};
 use cc_serve::{ModelRegistry, ServeConfig, Server};
@@ -44,43 +43,44 @@ fn main() {
     let images: Vec<Tensor> = (0..8).map(|i| test.image(i % test.len()).clone()).collect();
     let serial = deployed.run_batch(&images);
 
-    // 2. Shard it 1..4 ways in both geometries: bit-identity, the
-    // simulated-cycle makespan each extra array buys, and what the host
-    // makes of it (printed, not asserted: it depends on the box — layer
-    // shards run one after another here, row bands on a thread per lane).
+    // 2. Shard it 1..4 ways: bit-identity, the simulated-cycle makespan
+    // each extra array buys, and what the host makes of it (printed, not
+    // asserted: it depends on the box — row bands run on a thread per
+    // lane).
     println!("sharding one model across N simulated arrays (batch of {}):", images.len());
-    println!("  mode       shards  makespan_cycles  speedup  host_img_per_s");
-    for mode in [ShardMode::Layers, ShardMode::RowBands] {
-        let mut base = 0u64;
-        let mut base_mac_ops = 0u64;
-        for shards in 1..=4 {
-            let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
-            assert_eq!(logits, serial, "sharded execution must be bit-identical to unsharded");
-            if shards == 1 {
-                base = stats.makespan_cycles;
-                base_mac_ops = stats.merged.mac_ops;
-            }
-            assert_eq!(
-                stats.merged.mac_ops, base_mac_ops,
-                "the scatter must conserve total work"
-            );
-            // Warm scratch, a fifth of a second of batches.
-            let (started, mut batches) = (Instant::now(), 0usize);
-            while started.elapsed() < Duration::from_millis(200) {
-                std::hint::black_box(plan.run_batch_stats(&images, &mut scratch));
-                batches += 1;
-            }
-            println!(
-                "  {:<10} {:>6}  {:>15}  {:>6.2}x  {:>14.0}",
-                format!("{mode:?}"),
-                plan.shards(),
-                stats.makespan_cycles,
-                base as f64 / stats.makespan_cycles.max(1) as f64,
-                (batches * images.len()) as f64 / started.elapsed().as_secs_f64(),
-            );
+    println!("  shards  makespan_cycles  speedup  host_img_per_s");
+    let sched = deployed.scheduler();
+    let mut scratch = ActivationScratch::new();
+    let mut base = 0u64;
+    let mut base_mac_ops = 0u64;
+    for shards in 1..=4 {
+        let mut bands = BandSet::new(shards);
+        let logits = deployed.run_batch_banded(&sched, &images, &mut scratch, &mut bands);
+        assert_eq!(logits, serial, "sharded execution must be bit-identical to unsharded");
+        let (makespan, merged) = (bands.makespan_cycles(), bands.merged_stats());
+        if shards == 1 {
+            base = makespan;
+            base_mac_ops = merged.mac_ops;
         }
+        assert_eq!(merged.mac_ops, base_mac_ops, "the scatter must conserve total work");
+        // Warm scratch, a fifth of a second of batches.
+        let (started, mut batches) = (Instant::now(), 0usize);
+        while started.elapsed() < Duration::from_millis(200) {
+            std::hint::black_box(deployed.run_batch_banded(
+                &sched,
+                &images,
+                &mut scratch,
+                &mut bands,
+            ));
+            batches += 1;
+        }
+        println!(
+            "  {:>6}  {:>15}  {:>6.2}x  {:>14.0}",
+            bands.shards(),
+            makespan,
+            base as f64 / makespan.max(1) as f64,
+            (batches * images.len()) as f64 / started.elapsed().as_secs_f64(),
+        );
     }
 
     // 3. Serve the same burst through the scatter/gather scheduler: a
