@@ -1,12 +1,16 @@
 //! Mini-batch construction.
 
 use crate::dataset::Dataset;
-use cc_tensor::{Shape, Tensor};
+use cc_tensor::{pool, Shape, Tensor};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// One mini-batch: an `(N, C, H, W)` input tensor plus labels.
+///
+/// `x` is drawn from [`cc_tensor::pool`]: a loop that hands it back with
+/// [`pool::recycle`] once the batch is done stacks the next batch into the
+/// same buffer.
 #[derive(Clone, Debug)]
 pub struct Batch {
     /// Stacked input images, NCHW.
@@ -64,7 +68,7 @@ impl Iterator for BatchIter<'_> {
 
         let first = self.dataset.image(idxs[0]).shape();
         let (c, h, w) = (first.dim(0), first.dim(1), first.dim(2));
-        let mut x = Tensor::zeros(Shape::d4(idxs.len(), c, h, w));
+        let mut x = pool::zeros(Shape::d4(idxs.len(), c, h, w));
         let chw = c * h * w;
         for (bi, &i) in idxs.iter().enumerate() {
             x.as_mut_slice()[bi * chw..(bi + 1) * chw]

@@ -67,6 +67,11 @@ impl Dataset {
         &self.labels
     }
 
+    /// All images, in sample order.
+    pub fn images(&self) -> &[Tensor] {
+        &self.images
+    }
+
     /// Iterates over mini-batches in a shuffled order derived from `seed`.
     /// The final short batch is included.
     pub fn batches(&self, batch_size: usize, seed: u64) -> BatchIter<'_> {

@@ -309,23 +309,25 @@ impl DeployedNetwork {
     /// [`cc_nn::loss::predictions`] — NaN compares lowest, so a diverged
     /// network still yields a class; among equal maxima the last wins.
     pub fn classify(&self, image: &Tensor) -> usize {
-        let logits = self.logits(image);
-        (0..logits.len())
-            .max_by(|&a, &b| {
-                let (x, y) = (logits[a], logits[b]);
-                x.partial_cmp(&y).unwrap_or_else(|| y.is_nan().cmp(&x.is_nan()))
-            })
-            .unwrap_or(0)
+        arg_max(&self.logits(image))
     }
 
-    /// Classification accuracy of the deployed integer network.
+    /// Classification accuracy of the deployed integer network. Scores the
+    /// images 16 at a time through one scratch; a batch's logits are
+    /// bit-identical to one image's at a time, so every prediction is
+    /// [`DeployedNetwork::classify`]'s.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let correct = (0..data.len())
-            .filter(|&i| self.classify(data.image(i)) == data.label(i))
-            .count();
+        let sched = self.inner.sched;
+        let mut scratch = ActivationScratch::new();
+        let mut correct = 0;
+        let batches = data.images().chunks(ACCURACY_BATCH).zip(data.labels().chunks(ACCURACY_BATCH));
+        for (images, labels) in batches {
+            let logits = self.run_batch_scratch(&sched, images, &mut scratch);
+            correct += logits.iter().zip(labels).filter(|(l, &label)| arg_max(l) == label).count();
+        }
         correct as f64 / data.len() as f64
     }
 
@@ -333,6 +335,20 @@ impl DeployedNetwork {
     pub fn num_classes(&self) -> usize {
         self.inner.classes
     }
+}
+
+/// Images [`DeployedNetwork::accuracy`] runs at once.
+const ACCURACY_BATCH: usize = 16;
+
+/// The arg-max of `logits` by the rule of [`cc_nn::loss::predictions`]:
+/// NaN compares lowest, and among equal maxima the last wins.
+fn arg_max(logits: &[f32]) -> usize {
+    (0..logits.len())
+        .max_by(|&a, &b| {
+            let (x, y) = (logits[a], logits[b]);
+            x.partial_cmp(&y).unwrap_or_else(|| y.is_nan().cmp(&x.is_nan()))
+        })
+        .unwrap_or(0)
 }
 
 struct BuildCtx<'a> {
@@ -582,6 +598,27 @@ mod tests {
         let net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
         let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &poisoned);
         assert!(deployed.classify(train.image(1)) < 10);
+    }
+
+    /// Scoring in batches through one scratch gives exactly the per-image
+    /// `classify` count, over a held-out set that ends in a short batch.
+    #[test]
+    fn accuracy_agrees_with_per_image_classify() {
+        let (train, test) =
+            SyntheticSpec::mnist_like().with_size(8, 8).with_samples(128, 37).generate(9);
+        let mut net = lenet5_shift(&ModelConfig::tiny(1, 8, 8, 10));
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 32,
+            schedule: LrSchedule::Constant(0.05),
+            ..TrainConfig::default()
+        };
+        Trainer::new(cfg).fit(&mut net, &train, None);
+        let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &train);
+        let correct =
+            (0..test.len()).filter(|&i| deployed.classify(test.image(i)) == test.label(i)).count();
+        assert!(correct > 0, "a network that gets some images right");
+        assert_eq!(deployed.accuracy(&test), correct as f64 / test.len() as f64);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::layers::pool::{AvgPool2, GlobalAvgPool};
 use crate::layers::relu::Relu;
 use crate::layers::shift::Shift;
 use crate::param::Param;
-use cc_tensor::{Shape, Tensor};
+use cc_tensor::{pool, Shape, Tensor};
 
 /// One layer of a [`crate::Network`].
 ///
@@ -181,7 +181,10 @@ impl ResidualBlock {
         let mut h = forward_chain(&mut self.body, x, training);
         if self.downsample {
             let pooled = self.shortcut_pool.forward(x, training);
-            add_shortcut(&mut h, &pad_channels(&pooled, self.out_channels));
+            let padded = pad_channels(&pooled, self.out_channels);
+            add_shortcut(&mut h, &padded);
+            pool::recycle(pooled);
+            pool::recycle(padded);
         } else {
             add_shortcut(&mut h, x);
         }
@@ -193,16 +196,19 @@ impl ResidualBlock {
         let in_shape = self.cache_in_shape.take().expect("backward before forward");
         let mut g = backward_chain(&mut self.body, grad_out);
         assert_eq!(g.shape(), in_shape, "body gradient shape mismatch");
-        let pooled_grad;
-        let g_short = if self.downsample {
-            pooled_grad = self.shortcut_pool.backward(&unpad_channels(grad_out, self.in_channels));
-            &pooled_grad
-        } else {
-            grad_out
-        };
+        let pooled_grad = self.downsample.then(|| {
+            let unpadded = unpad_channels(grad_out, self.in_channels);
+            let pooled_grad = self.shortcut_pool.backward(&unpadded);
+            pool::recycle(unpadded);
+            pooled_grad
+        });
+        let g_short = pooled_grad.as_ref().unwrap_or(grad_out);
         // shortcut gradient + body gradient, in that operand order
         for (gv, s) in g.as_mut_slice().iter_mut().zip(g_short.as_slice()) {
             *gv = s + 1.0 * *gv;
+        }
+        if let Some(pooled_grad) = pooled_grad {
+            pool::recycle(pooled_grad);
         }
         g
     }
@@ -229,26 +235,30 @@ impl ResidualBlock {
     }
 }
 
-/// Runs `layers` front to back on `x`.
+/// Runs `layers` front to back on `x`. Each intermediate activation goes
+/// back to [`cc_tensor::pool`] once the next layer has read it.
 pub(crate) fn forward_chain(layers: &mut [LayerKind], x: &Tensor, training: bool) -> Tensor {
     let Some((first, rest)) = layers.split_first_mut() else {
-        return x.clone();
+        return pool::copy_of(x);
     };
     let mut h = first.forward(x, training);
     for layer in rest {
-        h = layer.forward(&h, training);
+        let next = layer.forward(&h, training);
+        pool::recycle(std::mem::replace(&mut h, next));
     }
     h
 }
 
-/// Runs `layers` back to front on the gradient of their output.
+/// Runs `layers` back to front on the gradient of their output, recycling
+/// each intermediate gradient as [`forward_chain`] does activations.
 pub(crate) fn backward_chain(layers: &mut [LayerKind], grad_out: &Tensor) -> Tensor {
     let Some((last, rest)) = layers.split_last_mut() else {
-        return grad_out.clone();
+        return pool::copy_of(grad_out);
     };
     let mut g = last.backward(grad_out);
     for layer in rest.iter_mut().rev() {
-        g = layer.backward(&g);
+        let next = layer.backward(&g);
+        pool::recycle(std::mem::replace(&mut g, next));
     }
     g
 }
@@ -263,9 +273,9 @@ fn add_shortcut(h: &mut Tensor, shortcut: &Tensor) {
 fn pad_channels(x: &Tensor, out_channels: usize) -> Tensor {
     let (b, c, h, w) = dims4(x);
     if c == out_channels {
-        return x.clone();
+        return pool::copy_of(x);
     }
-    let mut out = Tensor::zeros(Shape::d4(b, out_channels, h, w));
+    let mut out = pool::zeros(Shape::d4(b, out_channels, h, w));
     let hw = h * w;
     for bi in 0..b {
         for ci in 0..c {
@@ -281,9 +291,9 @@ fn pad_channels(x: &Tensor, out_channels: usize) -> Tensor {
 fn unpad_channels(x: &Tensor, in_channels: usize) -> Tensor {
     let (b, c, h, w) = dims4(x);
     if c == in_channels {
-        return x.clone();
+        return pool::copy_of(x);
     }
-    let mut out = Tensor::zeros(Shape::d4(b, in_channels, h, w));
+    let mut out = pool::zeros(Shape::d4(b, in_channels, h, w));
     let hw = h * w;
     for bi in 0..b {
         for ci in 0..in_channels {

@@ -2,7 +2,7 @@
 
 use crate::layers::pointwise::{block, block_mut, dims4};
 use crate::param::Param;
-use cc_tensor::{Shape, Tensor};
+use cc_tensor::{pool, Shape, Tensor};
 
 /// Batch normalization over the `(B, H, W)` axes of an NCHW tensor.
 ///
@@ -135,24 +135,36 @@ impl BatchNorm {
         };
 
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut out = Tensor::zeros(x.shape());
-        let mut x_hat = Tensor::zeros(x.shape());
-        let planes = xs
-            .chunks(hw.max(1))
-            .zip(x_hat.as_mut_slice().chunks_mut(hw.max(1)))
-            .zip(out.as_mut_slice().chunks_mut(hw.max(1)));
-        for (plane, ((src, xh_plane), out_plane)) in planes.enumerate() {
+        let mut out = pool::zeros(x.shape());
+        // Only a training pass keeps x̂; an eval pass forms each
+        // `(x − μ)·σ⁻¹` (the same f32) on the way to its output.
+        let mut x_hat = training.then(|| pool::zeros(x.shape()));
+        let hw = hw.max(1);
+        let planes = xs.chunks(hw).zip(out.as_mut_slice().chunks_mut(hw));
+        for (plane, (src, out_plane)) in planes.enumerate() {
             let ci = plane % c;
             let (mu, istd) = (mean[ci], inv_std[ci]);
             let (g, bt) = (self.gamma.value[ci], self.beta.value[ci]);
-            for ((xv, xh), o) in src.iter().zip(xh_plane).zip(out_plane) {
-                *xh = (xv - mu) * istd;
-                *o = g * *xh + bt;
+            match &mut x_hat {
+                Some(x_hat) => {
+                    let xh_plane = block_mut(x_hat.as_mut_slice(), plane, hw);
+                    for ((xv, xh), o) in src.iter().zip(xh_plane).zip(out_plane) {
+                        *xh = (xv - mu) * istd;
+                        *o = g * *xh + bt;
+                    }
+                }
+                None => {
+                    for (xv, o) in src.iter().zip(out_plane) {
+                        *o = g * ((xv - mu) * istd) + bt;
+                    }
+                }
             }
         }
 
-        if training {
-            self.cache = Some(BnCache { x_hat, inv_std });
+        if let Some(x_hat) = x_hat {
+            if let Some(stale) = self.cache.replace(BnCache { x_hat, inv_std }) {
+                pool::recycle(stale.x_hat);
+            }
         }
         out
     }
@@ -168,7 +180,7 @@ impl BatchNorm {
         let hw = h * w;
         let count = (b * hw) as f32;
         let (dys, xhs) = (grad_out.as_slice(), cache.x_hat.as_slice());
-        let mut dx = Tensor::zeros(grad_out.shape());
+        let mut dx = pool::zeros(grad_out.shape());
 
         for ci in 0..c {
             // Per-channel reductions, in (image, pixel) order.
@@ -193,6 +205,7 @@ impl BatchNorm {
                 }
             }
         }
+        pool::recycle(cache.x_hat);
         dx
     }
 

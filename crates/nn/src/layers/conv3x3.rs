@@ -7,19 +7,24 @@
 //! trade-off of moving to shift + pointwise layers (§2.3) can be measured
 //! within the same framework.
 
-use crate::layers::pointwise::dims4;
+use crate::layers::pointwise::{
+    cache_copy, dims4, from_result_matrix, to_data_matrix, transpose_into,
+};
 use crate::layers::shift::shifted_span;
 use crate::param::Param;
-use cc_tensor::{init, matmul, transpose, Matrix, Shape, Tensor};
+use cc_tensor::{init, matmul_acc, matmul_acc_terms, pool, Matrix, RowTerms, Shape, Tensor};
 
 /// 3×3 convolution with stride 1 and zero padding 1 (spatial size
-/// preserved), implemented as im2col + GEMM.
+/// preserved), implemented as im2col + GEMM, its buffers drawn from and
+/// handed back to [`cc_tensor::pool`] as `PointwiseConv`'s are.
 #[derive(Clone, Debug)]
 pub struct Conv3x3 {
     weight: Param, // (N, M*9) flattened filter matrix
     in_channels: usize,
     out_channels: usize,
     cache_x: Option<Tensor>,
+    /// The nonzero terms of `W` (forward) or `Wᵀ` (backward).
+    terms: RowTerms,
 }
 
 const K: usize = 3;
@@ -34,6 +39,7 @@ impl Conv3x3 {
             in_channels,
             out_channels,
             cache_x: None,
+            terms: RowTerms::default(),
         }
     }
 
@@ -66,13 +72,18 @@ impl Conv3x3 {
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Tensor {
         let (b, m, h, w) = dims4(x);
         assert_eq!(m, self.in_channels, "conv3x3 input channels mismatch");
+        let (n, rows, cols) = (self.out_channels, m * K * K, b * h * w);
         let col = im2col(x); // (M*9) × (B·H·W)
-        let f = Matrix::from_tensor(self.weight.value.clone());
-        let y = matmul(&f, &col); // N × BHW
+        let mut y = Matrix::from_tensor(pool::zeros(Shape::d2(n, cols)));
+        self.terms.compact(self.weight.value.as_slice(), n, rows);
+        matmul_acc_terms(&self.terms, col.as_slice(), y.as_mut_slice(), cols);
         if training {
-            self.cache_x = Some(x.clone());
+            cache_copy(&mut self.cache_x, x);
         }
-        crate::layers::pointwise::from_result_matrix(&y, b, self.out_channels, h, w)
+        let out = from_result_matrix(&y, b, n, h, w);
+        pool::recycle(col.into_tensor());
+        pool::recycle(y.into_tensor());
+        out
     }
 
     /// Backward pass.
@@ -83,14 +94,25 @@ impl Conv3x3 {
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cache_x.take().expect("backward before forward");
         let col = im2col(&x);
-        let g = crate::layers::pointwise::to_data_matrix(grad_out); // N × BHW
+        let (n, rows, cols) = (self.out_channels, col.rows(), col.cols());
+        let g = to_data_matrix(grad_out); // N × BHW
 
-        let dw = matmul(&g, &transpose(&col));
-        self.weight.accumulate_grad(dw.as_tensor());
+        // dW = G · colᵀ
+        let mut col_t = pool::zeros(Shape::d2(cols, rows));
+        transpose_into(col.as_slice(), rows, cols, col_t.as_mut_slice());
+        let mut dw = pool::zeros(Shape::d2(n, rows));
+        matmul_acc(g.as_slice(), col_t.as_slice(), dw.as_mut_slice(), n, cols, rows);
+        self.weight.accumulate_grad(&dw);
 
-        let f = Matrix::from_tensor(self.weight.value.clone());
-        let dcol = matmul(&transpose(&f), &g); // (M*9) × BHW
-        col2im(&dcol, x.shape())
+        // dcol = Wᵀ · G  ((M*9) × BHW)
+        self.terms.compact_transposed(self.weight.value.as_slice(), n, rows);
+        let mut dcol = Matrix::from_tensor(pool::zeros(Shape::d2(rows, cols)));
+        matmul_acc_terms(&self.terms, g.as_slice(), dcol.as_mut_slice(), cols);
+        let dx = col2im(&dcol, x.shape());
+        for scratch in [x, col.into_tensor(), g.into_tensor(), col_t, dw, dcol.into_tensor()] {
+            pool::recycle(scratch);
+        }
+        dx
     }
 
     /// Visits the weight parameter.
@@ -132,7 +154,7 @@ fn for_each_tap_segment(
 /// `(b·H·W + y·W + x)` holds `x[b, m, y+ky−1, x+kx−1]` (zero outside).
 pub fn im2col(x: &Tensor) -> Matrix {
     let (b, m, h, w) = dims4(x);
-    let mut col = Matrix::zeros(m * K * K, b * h * w);
+    let mut col = Matrix::from_tensor(pool::zeros(Shape::d2(m * K * K, b * h * w)));
     for_each_tap_segment((b, m, h, w), |row, col_at, img_at, len| {
         col.row_mut(row)[col_at..col_at + len].copy_from_slice(&x.as_slice()[img_at..img_at + len]);
     });
@@ -141,7 +163,7 @@ pub fn im2col(x: &Tensor) -> Matrix {
 
 /// Adjoint of [`im2col`]: scatters column gradients back to image space.
 fn col2im(dcol: &Matrix, shape: Shape) -> Tensor {
-    let mut out = Tensor::zeros(shape);
+    let mut out = pool::zeros(shape);
     let dims = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
     for_each_tap_segment(dims, |row, col_at, img_at, len| {
         let grads = &dcol.row(row)[col_at..col_at + len];

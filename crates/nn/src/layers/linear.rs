@@ -1,8 +1,8 @@
 //! Fully-connected layer on flattened activations.
 
-use crate::layers::pointwise::transpose_into;
+use crate::layers::pointwise::{cache_copy, transpose_into};
 use crate::param::Param;
-use cc_tensor::{init, matmul_acc, Shape, Tensor};
+use cc_tensor::{init, matmul_acc, matmul_acc_terms, pool, RowTerms, Shape, Tensor};
 
 /// Fully-connected layer: flattens `(B, C, H, W)` to `(B, C·H·W)` and
 /// applies `y = W·x + b` per sample.
@@ -17,6 +17,8 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     cache_x: Option<Tensor>,
+    /// The nonzero terms of `W` (forward) or `Wᵀ` (backward).
+    terms: RowTerms,
 }
 
 impl Linear {
@@ -28,6 +30,7 @@ impl Linear {
             in_features,
             out_features,
             cache_x: None,
+            terms: RowTerms::default(),
         }
     }
 
@@ -70,19 +73,22 @@ impl Linear {
         let (feat, out_f) = (x.len() / b, self.out_features);
         assert_eq!(feat, self.in_features, "linear input features mismatch");
         // Y (out × B) = W · Xᵀ, with X the input as it lies: B × in_features.
-        let mut xt = vec![0.0; feat * b];
-        transpose_into(x.as_slice(), b, feat, &mut xt);
-        let mut y = vec![0.0; out_f * b];
-        matmul_acc(self.weight.value.as_slice(), &xt, &mut y, out_f, feat, b);
+        let mut xt = pool::zeros(Shape::d2(feat, b));
+        transpose_into(x.as_slice(), b, feat, xt.as_mut_slice());
+        let mut y = pool::zeros(Shape::d2(out_f, b));
+        self.terms.compact(self.weight.value.as_slice(), out_f, feat);
+        matmul_acc_terms(&self.terms, xt.as_slice(), y.as_mut_slice(), b);
         if training {
-            self.cache_x = Some(x.clone());
+            cache_copy(&mut self.cache_x, x);
         }
-        let mut out = Tensor::zeros(Shape::d4(b, out_f, 1, 1));
+        let mut out = pool::zeros(Shape::d4(b, out_f, 1, 1));
         for (bi, row) in out.as_mut_slice().chunks_mut(out_f.max(1)).enumerate() {
             for (o, v) in row.iter_mut().enumerate() {
                 *v = y[o * b + bi] + self.bias.value[o];
             }
         }
+        pool::recycle(xt);
+        pool::recycle(y);
         out
     }
 
@@ -103,19 +109,21 @@ impl Linear {
             }
         }
         // G (out × B) is the transposed output gradient.
-        let mut g = vec![0.0; out_f * b];
-        transpose_into(grad_out.as_slice(), b, out_f, &mut g);
+        let mut g = pool::zeros(Shape::d2(out_f, b));
+        transpose_into(grad_out.as_slice(), b, out_f, g.as_mut_slice());
         // dW = G · X  (out × in)
-        let mut dw = Tensor::zeros(Shape::d2(out_f, feat));
-        matmul_acc(&g, x.as_slice(), dw.as_mut_slice(), out_f, b, feat);
+        let mut dw = pool::zeros(Shape::d2(out_f, feat));
+        matmul_acc(g.as_slice(), x.as_slice(), dw.as_mut_slice(), out_f, b, feat);
         self.weight.accumulate_grad(&dw);
         // dXᵀ = Wᵀ · G  (in × B)
-        let mut wt = vec![0.0; feat * out_f];
-        transpose_into(self.weight.value.as_slice(), out_f, feat, &mut wt);
-        let mut dxt = vec![0.0; feat * b];
-        matmul_acc(&wt, &g, &mut dxt, feat, out_f, b);
-        let mut dx = Tensor::zeros(x.shape());
-        transpose_into(&dxt, feat, b, dx.as_mut_slice());
+        self.terms.compact_transposed(self.weight.value.as_slice(), out_f, feat);
+        let mut dxt = pool::zeros(Shape::d2(feat, b));
+        matmul_acc_terms(&self.terms, g.as_slice(), dxt.as_mut_slice(), b);
+        let mut dx = pool::zeros(x.shape());
+        transpose_into(dxt.as_slice(), feat, b, dx.as_mut_slice());
+        for scratch in [x, g, dw, dxt] {
+            pool::recycle(scratch);
+        }
         dx
     }
 

@@ -2,7 +2,7 @@
 //! combining packs.
 
 use crate::param::Param;
-use cc_tensor::{init, matmul_acc, Matrix, Shape, Tensor};
+use cc_tensor::{init, matmul_acc, matmul_acc_terms, pool, Matrix, RowTerms, Shape, Tensor};
 
 /// Pointwise convolution: `y[b,n,h,w] = Σ_m W[n,m]·x[b,m,h,w] (+ bias[n])`.
 ///
@@ -14,7 +14,12 @@ use cc_tensor::{init, matmul_acc, Matrix, Shape, Tensor};
 /// Forward/backward are GEMMs against the *data matrix* `D ∈ R^{M×(B·H·W)}`
 /// (the layout a weight-stationary systolic array streams bottom-to-top,
 /// Fig. 1c), run one image at a time: image `b`'s NCHW planes are columns
-/// `b·HW..(b+1)·HW` of `D` as they lie in memory.
+/// `b·HW..(b+1)·HW` of `D` as they lie in memory, and one image's block is
+/// the cache blocking. The weight is compacted to its nonzero terms
+/// ([`RowTerms`]) once per call — `W` in `forward`, `Wᵀ` in `backward` —
+/// and every image's product reuses them, so pruned weights cost neither
+/// time nor a scan per image. Outputs, the cached input and all scratch
+/// are drawn from [`cc_tensor::pool`] and handed back to it once consumed.
 #[derive(Clone, Debug)]
 pub struct PointwiseConv {
     weight: Param,
@@ -22,6 +27,9 @@ pub struct PointwiseConv {
     in_channels: usize,
     out_channels: usize,
     cache_x: Option<Tensor>,
+    /// The nonzero terms of `W` (forward) or `Wᵀ` (backward), rebuilt each
+    /// call into the same buffers.
+    terms: RowTerms,
 }
 
 impl PointwiseConv {
@@ -34,6 +42,7 @@ impl PointwiseConv {
             in_channels,
             out_channels,
             cache_x: None,
+            terms: RowTerms::default(),
         }
     }
 
@@ -99,15 +108,14 @@ impl PointwiseConv {
         let (b, m, h, w) = dims4(x);
         assert_eq!(m, self.in_channels, "input channels mismatch");
         let (n, hw) = (self.out_channels, h * w);
-        let mut out = Tensor::zeros(Shape::d4(b, n, h, w));
+        let mut out = pool::zeros(Shape::d4(b, n, h, w));
+        self.terms.compact(self.weight.value.as_slice(), n, m);
         // Image `bi`'s planes are already the `M × HW` data matrix.
         for bi in 0..b {
-            matmul_acc(
-                self.weight.value.as_slice(),
+            matmul_acc_terms(
+                &self.terms,
                 block(x.as_slice(), bi, m * hw),
                 block_mut(out.as_mut_slice(), bi, n * hw),
-                n,
-                m,
                 hw,
             );
         }
@@ -115,7 +123,7 @@ impl PointwiseConv {
             add_channel_bias(&mut out, bias.value.as_slice());
         }
         if training {
-            self.cache_x = Some(x.clone());
+            cache_copy(&mut self.cache_x, x);
         }
         out
     }
@@ -133,13 +141,15 @@ impl PointwiseConv {
         let g = grad_out.as_slice();
 
         // dW = Σ_b G_b · X_bᵀ  (N × M), columns summed image by image.
-        let mut dw = Tensor::zeros(Shape::d2(n, m));
-        let mut xt = vec![0.0; hw * m];
+        let mut dw = pool::zeros(Shape::d2(n, m));
+        let mut xt = pool::zeros(Shape::d2(hw, m));
         for bi in 0..b {
-            transpose_into(block(x.as_slice(), bi, m * hw), m, hw, &mut xt);
-            matmul_acc(block(g, bi, n * hw), &xt, dw.as_mut_slice(), n, hw, m);
+            transpose_into(block(x.as_slice(), bi, m * hw), m, hw, xt.as_mut_slice());
+            matmul_acc(block(g, bi, n * hw), xt.as_slice(), dw.as_mut_slice(), n, hw, m);
         }
         self.weight.accumulate_grad(&dw);
+        pool::recycle(dw);
+        pool::recycle(xt);
 
         if let Some(bias) = &mut self.bias {
             for ni in 0..n {
@@ -154,19 +164,17 @@ impl PointwiseConv {
         }
 
         // dX_b = Wᵀ · G_b  (M × HW)
-        let mut wt = vec![0.0; m * n];
-        transpose_into(self.weight.value.as_slice(), n, m, &mut wt);
-        let mut dx = Tensor::zeros(x.shape());
+        self.terms.compact_transposed(self.weight.value.as_slice(), n, m);
+        let mut dx = pool::zeros(x.shape());
         for bi in 0..b {
-            matmul_acc(
-                &wt,
+            matmul_acc_terms(
+                &self.terms,
                 block(g, bi, n * hw),
                 block_mut(dx.as_mut_slice(), bi, m * hw),
-                m,
-                n,
                 hw,
             );
         }
+        pool::recycle(x);
         dx
     }
 
@@ -176,6 +184,14 @@ impl PointwiseConv {
         if let Some(b) = &mut self.bias {
             f(b);
         }
+    }
+}
+
+/// Caches a pooled copy of `x` in `slot`, recycling what it held (a
+/// training forward that no backward consumed).
+pub(crate) fn cache_copy(slot: &mut Option<Tensor>, x: &Tensor) {
+    if let Some(stale) = slot.replace(pool::copy_of(x)) {
+        pool::recycle(stale);
     }
 }
 
@@ -208,12 +224,13 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     }
 }
 
-/// Rearranges `(B, M, H, W)` into the paper's data matrix `M × (B·H·W)`.
+/// Rearranges `(B, M, H, W)` into the paper's data matrix `M × (B·H·W)`,
+/// on a [`cc_tensor::pool`] buffer.
 pub fn to_data_matrix(x: &Tensor) -> Matrix {
     let (b, m, h, w) = dims4(x);
     let hw = h * w;
     let cols = b * hw;
-    let mut d = Matrix::zeros(m, cols);
+    let mut d = Matrix::from_tensor(pool::zeros(Shape::d2(m, cols)));
     let src = x.as_slice();
     for bi in 0..b {
         for mi in 0..m {
@@ -224,12 +241,13 @@ pub fn to_data_matrix(x: &Tensor) -> Matrix {
     d
 }
 
-/// Inverse of [`to_data_matrix`] for an `N × (B·H·W)` result matrix.
+/// Inverse of [`to_data_matrix`] for an `N × (B·H·W)` result matrix, on a
+/// [`cc_tensor::pool`] buffer.
 pub fn from_result_matrix(y: &Matrix, b: usize, n: usize, h: usize, w: usize) -> Tensor {
     assert_eq!(y.rows(), n);
     assert_eq!(y.cols(), b * h * w);
     let hw = h * w;
-    let mut out = Tensor::zeros(Shape::d4(b, n, h, w));
+    let mut out = pool::zeros(Shape::d4(b, n, h, w));
     let dst = out.as_mut_slice();
     for bi in 0..b {
         for ni in 0..n {

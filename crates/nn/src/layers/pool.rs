@@ -1,7 +1,7 @@
 //! Average pooling layers.
 
 use crate::layers::pointwise::dims4;
-use cc_tensor::{Shape, Tensor};
+use cc_tensor::{pool, Shape, Tensor};
 
 /// 2×2 average pooling with stride 2 (odd trailing rows/columns dropped,
 /// as in the standard LeNet/VGG reductions).
@@ -23,7 +23,7 @@ impl AvgPool2 {
         if training {
             self.in_shape = Some(x.shape());
         }
-        let mut out = Tensor::zeros(Shape::d4(b, c, oh, ow));
+        let mut out = pool::zeros(Shape::d4(b, c, oh, ow));
         // Output row `r` (counted over all planes) pools two input rows.
         for (r, out_row) in out.as_mut_slice().chunks_mut(ow.max(1)).enumerate() {
             let top = (r / oh * h + r % oh * 2) * w;
@@ -45,7 +45,7 @@ impl AvgPool2 {
         let in_shape = self.in_shape.take().expect("backward before forward");
         let (_, _, oh, ow) = dims4(grad_out);
         let (h, w) = (in_shape.dim(2), in_shape.dim(3));
-        let mut dx = Tensor::zeros(in_shape);
+        let mut dx = pool::zeros(in_shape);
         for (r, g_row) in grad_out.as_slice().chunks(ow.max(1)).enumerate() {
             let top = (r / oh * h + r % oh * 2) * w;
             let (upper, lower) = dx.as_mut_slice()[top..top + 2 * w].split_at_mut(w);
@@ -81,7 +81,7 @@ impl GlobalAvgPool {
             self.in_shape = Some(x.shape());
         }
         let hw = h * w;
-        let mut out = Tensor::zeros(Shape::d4(b, c, 1, 1));
+        let mut out = pool::zeros(Shape::d4(b, c, 1, 1));
         for (o, plane) in out.as_mut_slice().iter_mut().zip(x.as_slice().chunks(hw.max(1))) {
             let mut s = 0.0;
             for v in plane {
@@ -100,7 +100,7 @@ impl GlobalAvgPool {
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let in_shape = self.in_shape.take().expect("backward before forward");
         let hw = in_shape.dim(2) * in_shape.dim(3);
-        let mut dx = Tensor::zeros(in_shape);
+        let mut dx = pool::zeros(in_shape);
         for (plane, g) in dx.as_mut_slice().chunks_mut(hw.max(1)).zip(grad_out.as_slice()) {
             plane.fill(g / hw as f32);
         }

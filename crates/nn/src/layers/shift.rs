@@ -1,7 +1,7 @@
 //! Shift convolution: a zero-FLOP, zero-parameter spatial shift per channel.
 
 use crate::layers::pointwise::dims4;
-use cc_tensor::Tensor;
+use cc_tensor::{pool, Tensor};
 use std::ops::Range;
 
 /// Per-channel spatial shift (paper §2.3, after Wu et al.'s shift
@@ -73,7 +73,7 @@ impl Shift {
     fn apply(&self, x: &Tensor, invert: bool) -> Tensor {
         let (_, c, h, w) = dims4(x);
         assert_eq!(c, self.channels(), "shift channel count mismatch");
-        let mut out = Tensor::zeros(x.shape());
+        let mut out = pool::zeros(x.shape());
         let hw = (h * w).max(1);
         let planes = x.as_slice().chunks(hw).zip(out.as_mut_slice().chunks_mut(hw));
         for (plane, (src, dst)) in planes.enumerate() {

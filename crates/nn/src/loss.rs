@@ -1,12 +1,13 @@
 //! Softmax cross-entropy loss.
 
-use cc_tensor::Tensor;
+use cc_tensor::{pool, Tensor};
 
 /// Computes mean softmax cross-entropy over a batch of logits
 /// `(B, K, 1, 1)` and returns `(loss, dL/dlogits)`.
 ///
 /// The gradient is already divided by the batch size, so it can be fed
-/// directly to [`crate::Network::backward`].
+/// directly to [`crate::Network::backward`]. It is drawn from
+/// [`cc_tensor::pool`].
 ///
 /// # Panics
 ///
@@ -31,13 +32,15 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     assert_eq!(s.len(), b * k, "expected (B, K, 1, 1) logits");
     assert_eq!(labels.len(), b, "labels/batch mismatch");
 
-    let mut grad = Tensor::zeros(s);
+    let mut grad = pool::zeros(s);
     let mut total_loss = 0.0f32;
+    let mut exps = Vec::with_capacity(k);
     let rows = logits.as_slice().chunks(k.max(1)).zip(grad.as_mut_slice().chunks_mut(k.max(1)));
     for ((row, grad_row), &label) in rows.zip(labels) {
         assert!(label < k, "label {label} out of range for {k} classes");
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|v| (v - max).exp()).collect();
+        exps.clear();
+        exps.extend(row.iter().map(|v| (v - max).exp()));
         let z: f32 = exps.iter().sum();
         let log_z = z.ln() + max;
         total_loss += log_z - row[label];

@@ -3,6 +3,7 @@
 use crate::loss::predictions;
 use crate::network::Network;
 use cc_dataset::Dataset;
+use cc_tensor::pool;
 
 /// Classification accuracy of `net` on `data` in `[0, 1]`, evaluated in
 /// eval mode (running batch-norm statistics, no activation caching).
@@ -18,6 +19,8 @@ pub fn accuracy(net: &mut Network, data: &Dataset, batch_size: usize) -> f64 {
                 correct += 1;
             }
         }
+        pool::recycle(batch.x);
+        pool::recycle(logits);
     }
     correct as f64 / data.len() as f64
 }

@@ -54,7 +54,7 @@ impl Network {
 
     /// Backward pass from the loss gradient on the logits.
     pub fn backward(&mut self, grad_logits: &Tensor) {
-        backward_chain(&mut self.layers, grad_logits);
+        cc_tensor::pool::recycle(backward_chain(&mut self.layers, grad_logits));
     }
 
     /// Zeroes every parameter gradient.

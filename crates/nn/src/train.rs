@@ -5,7 +5,8 @@ use crate::metrics::accuracy;
 use crate::network::Network;
 use crate::optim::Sgd;
 use crate::schedule::LrSchedule;
-use cc_dataset::Dataset;
+use cc_dataset::{Batch, Dataset};
+use cc_tensor::pool;
 
 /// Configuration for [`Trainer`].
 #[derive(Clone, Copy, Debug)]
@@ -83,6 +84,10 @@ impl Trainer {
     }
 
     /// Trains `net` on `train`, optionally evaluating on `test` each epoch.
+    ///
+    /// Steps draw their tensors from this thread's [`cc_tensor::pool`] and
+    /// give them back, so after the first step of the run none allocates;
+    /// the pool's buffers are released when `fit` returns.
     pub fn fit(&self, net: &mut Network, train: &Dataset, test: Option<&Dataset>) -> History {
         let mut history = History::default();
         for epoch in 0..self.config.epochs {
@@ -91,12 +96,7 @@ impl Trainer {
             let mut batches = 0usize;
             let epoch_seed = self.config.seed.wrapping_mul(1_000_003).wrapping_add(epoch as u64);
             for batch in train.batches(self.config.batch_size, epoch_seed) {
-                net.zero_grad();
-                let logits = net.forward(&batch.x, true);
-                let (loss, grad) = softmax_cross_entropy(&logits, &batch.y);
-                net.backward(&grad);
-                self.config.sgd.step(net, lr);
-                loss_sum += loss;
+                loss_sum += self.step(net, batch, lr);
                 batches += 1;
             }
             let test_accuracy =
@@ -109,15 +109,63 @@ impl Trainer {
                 lr,
             });
         }
+        pool::release();
         history
+    }
+
+    /// One SGD step on `batch` at learning rate `lr`, returning its loss.
+    /// Every tensor the step makes, and the batch's input, goes back to
+    /// [`cc_tensor::pool`], so once one step has warmed the pool the next
+    /// (same batch shape) allocates no tensor buffer.
+    fn step(&self, net: &mut Network, batch: Batch, lr: f32) -> f32 {
+        net.zero_grad();
+        let logits = net.forward(&batch.x, true);
+        let (loss, grad) = softmax_cross_entropy(&logits, &batch.y);
+        net.backward(&grad);
+        self.config.sgd.step(net, lr);
+        for done in [batch.x, logits, grad] {
+            pool::recycle(done);
+        }
+        loss
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{lenet5_shift, ModelConfig};
+    use crate::models::{lenet5_shift, resnet20_shift, ModelConfig};
     use cc_dataset::SyntheticSpec;
+
+    /// Once the first step of an epoch has warmed the pool, no step
+    /// allocates a tensor buffer: not the batch, not an activation, cached
+    /// input or gradient, not the GEMMs' scratch — on LeNet and on a
+    /// ResNet, whose residual blocks pool, pad and add their shortcuts.
+    #[test]
+    fn steps_after_the_first_allocate_no_tensor_buffer() {
+        let (digits, _) =
+            SyntheticSpec::mnist_like().with_size(12, 12).with_samples(96, 1).generate(3);
+        let (photos, _) =
+            SyntheticSpec::cifar_like().with_size(8, 8).with_samples(96, 1).generate(4);
+        let nets = [
+            (lenet5_shift(&ModelConfig::tiny(1, 12, 12, 10)), &digits),
+            (resnet20_shift(&ModelConfig::tiny(3, 8, 8, 10)), &photos),
+        ];
+        let trainer = Trainer::new(TrainConfig::default());
+        for (mut net, data) in nets {
+            let mut per_step = Vec::new();
+            let mut batches = data.batches(16, 5);
+            loop {
+                let before = pool::allocations();
+                let Some(batch) = batches.next() else { break };
+                let loss = trainer.step(&mut net, batch, 0.05);
+                assert!(loss.is_finite());
+                per_step.push(pool::allocations() - before);
+            }
+            assert_eq!(per_step.len(), 6);
+            assert!(per_step[0] > 0, "{}: the first step warms the pool", net.name());
+            assert!(per_step[1..].iter().all(|&n| n == 0), "{}: {per_step:?}", net.name());
+        }
+    }
 
     #[test]
     fn training_reduces_loss_and_beats_chance() {

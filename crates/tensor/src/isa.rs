@@ -3,8 +3,10 @@
 //!
 //! The deployed engine's peripheral blocks — the ReLU + quantizer epilogue
 //! behind the systolic lane kernel, the residual add, the pools, the input
-//! quantizer — and the lane kernel's baseline arm are intrinsic-free loops
-//! over slices. What vector instructions such a loop becomes is decided by
+//! quantizer — the lane kernel's baseline arm, and the float training
+//! path's register-tiled GEMM ([`crate::matmul_acc`], whose strips of `c`
+//! sit in 4 (8) AVX2 (SSE2) registers across a row's terms) are
+//! intrinsic-free loops over slices. What vector instructions such a loop becomes is decided by
 //! the *function it is compiled into*: the build's baseline (x86-64 means
 //! SSE2, four `f32` or `i32` to the instruction), or a function that
 //! carries `#[target_feature(enable = "avx2")]` (eight). So a block is
@@ -61,8 +63,8 @@
 //! optimiser declines) is compiled for the baseline and merely called from
 //! `run_avx2`: slower than intended, never unsound, and invisible to every
 //! test. The `objdump` checks in CI and in the verify skill (`vdivps` and
-//! `vpmaddwd` on `ymm` registers in the shipped binary) are what make that
-//! failure loud.
+//! `vpmaddwd` on `ymm` registers in a binary that serves, `vmulps` on them
+//! in one that trains) are what make that failure loud.
 //!
 //! ```compile_fail
 //! // The proof token cannot be forged outside the module.

@@ -6,8 +6,13 @@
 //!
 //! * [`Tensor`] — a minimal row-major NCHW `f32` tensor with shape checking,
 //! * [`Matrix`] — a 2-D view specialization used for filter matrices,
-//! * [`matmul`] / [`matmul_acc`] — a single-threaded GEMM whose summation
-//!   order is fixed (training results are pinned bit for bit on it),
+//! * [`matmul`] / [`matmul_acc`] / [`matmul_acc_terms`] — a
+//!   single-threaded, register-tiled GEMM whose summation order is fixed:
+//!   per output element, the nonzero terms of `a` in ascending `k`, each a
+//!   separate multiply and add (training results are pinned bit for bit on
+//!   it), with [`RowTerms`] to compact a reused left operand once,
+//! * [`pool`] — a bounded thread-local free list of tensor buffers, so a
+//!   training step reuses last step's memory instead of the allocator's,
 //! * [`quant`] — the paper's linear 8-bit fixed-point quantization (§2.5)
 //!   with 16/32-bit integer accumulation semantics that the bit-serial
 //!   systolic arrays implement exactly,
@@ -33,11 +38,12 @@ pub mod init;
 pub mod isa;
 pub mod matrix;
 pub mod ops;
+pub mod pool;
 pub mod quant;
 pub mod shape;
 pub mod tensor;
 
 pub use matrix::Matrix;
-pub use ops::{matmul, matmul_acc, matmul_into, transpose};
+pub use ops::{matmul, matmul_acc, matmul_acc_terms, matmul_into, transpose, RowTerms};
 pub use shape::Shape;
 pub use tensor::Tensor;
