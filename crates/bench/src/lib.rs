@@ -4,9 +4,9 @@
 //! `fig13c`, `fig14b`, `fig15a`, `fig15b`, `fig16`, `table1`, `table2`,
 //! `table3`, `sec72`, `ablation`, plus `all` which runs the lot and writes
 //! CSVs under `results/`; `autotune` pits the serving controller against
-//! static configs. Criterion micro-benchmarks live in `benches/`, and the
-//! serving and sharding gates in the test-only `gates` module. Host
-//! performance is measured by `cc-perf` (`benchmark/`), not here.
+//! static configs; the serving and sharding gates live in the test-only
+//! `gates` module. Host performance is measured by `cc-perf`
+//! (`benchmark/`), not here.
 //!
 //! Experiments run at a CPU-friendly **quick** scale by default (small
 //! synthetic datasets, width-scaled networks); set `CC_SCALE=full` for

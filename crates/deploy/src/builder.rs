@@ -2,7 +2,7 @@
 //! pointwise layer, folds batch norm into per-channel scale/bias, and
 //! calibrates activation scales on sample data.
 
-use crate::engine::{run_layer_batch_banded, BatchOutput, DeployedLayer};
+use crate::engine::{run_layer_batch_scratch, BatchOutput, DeployedLayer};
 use crate::qmap::QMap;
 use crate::scratch::ActivationScratch;
 use crate::shard::BandSet;
@@ -136,8 +136,7 @@ impl DeployedNetwork {
     }
 
     /// Quantizes a batch of images into the pipeline's input activations —
-    /// the entry point of staged execution
-    /// ([`DeployedNetwork::run_stage_banded`]).
+    /// the entry point of staged execution ([`DeployedNetwork::run_stage`]).
     pub fn quantize_batch(&self, images: &[Tensor]) -> Vec<QMap> {
         images.iter().map(|im| QMap::quantize(im, self.inner.input_scale)).collect()
     }
@@ -171,51 +170,38 @@ impl DeployedNetwork {
     /// Executes the contiguous layer range `range` on a batch of
     /// activations, returning the activations flowing into layer
     /// `range.end` (or logits if the range covers the classifier head).
-    /// Every packed conv in the range scatters across `bands`' simulated
-    /// arrays and gathers by row concatenation. Every layer's output
-    /// buffers come from `scratch`'s pool and each layer's inputs are
-    /// recycled into it the moment the layer has consumed them
-    /// (ping-pong), so a warm scratch makes staged execution
-    /// allocation-free.
+    /// Every packed conv in the range runs on `scratch`'s [`BandSet`],
+    /// which scatters it across its simulated arrays, gathers by row
+    /// concatenation and accounts its stats. Every layer's output buffers
+    /// come from `scratch`'s pool and each layer's inputs are recycled
+    /// into it the moment the layer has consumed them (ping-pong), so a
+    /// warm scratch makes staged execution allocation-free.
     ///
     /// Running `0..num_layers()` over [`DeployedNetwork::quantize_batch`]
-    /// output is exactly [`DeployedNetwork::run_batch_banded`] — the
-    /// serial path runs the same layer loop, so pipelined execution that
+    /// output is exactly [`DeployedNetwork::run_batch_scratch`] — the
+    /// serial path runs this layer loop, so pipelined execution that
     /// splits the range across stages is bit-identical by construction.
     /// Pipelined serving composes stages × shards by giving each stage its
-    /// own set.
+    /// own scratch, and so its own set.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds or starts after the classifier
     /// head already produced logits (`data` is `Logits` with layers left).
-    pub fn run_stage_banded(
+    pub fn run_stage(
         &self,
         range: std::ops::Range<usize>,
-        data: BatchOutput,
+        mut data: BatchOutput,
         sched: &TiledScheduler,
         scratch: &mut ActivationScratch,
-        bands: &mut BandSet,
-    ) -> BatchOutput {
-        self.run_stage_inner(range, data, sched, scratch, Some(bands))
-    }
-
-    fn run_stage_inner(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-        scratch: &mut ActivationScratch,
-        mut bands: Option<&mut BandSet>,
     ) -> BatchOutput {
         assert!(range.end <= self.inner.layers.len(), "stage range out of bounds");
-        let mut data = data;
         for layer in &self.inner.layers[range] {
             let maps = match data {
                 BatchOutput::Maps(m) => m,
                 BatchOutput::Logits(_) => panic!("layers scheduled after the classifier head"),
             };
-            data = run_layer_batch_banded(layer, &maps, sched, scratch, bands.as_deref_mut());
+            data = run_layer_batch_scratch(layer, &maps, sched, scratch);
             scratch.recycle_batch(maps);
         }
         data
@@ -227,8 +213,8 @@ impl DeployedNetwork {
     }
 
     /// The tiled scheduler this network was prepared for. Serving workers
-    /// copy it once and pass it to [`DeployedNetwork::run_batch_banded`]
-    /// instead of constructing a scheduler per call.
+    /// copy it once and pass it to [`DeployedNetwork::run_stage`] instead
+    /// of constructing a scheduler per call.
     pub fn scheduler(&self) -> TiledScheduler {
         self.inner.sched
     }
@@ -256,7 +242,8 @@ impl DeployedNetwork {
     /// layer's activations, and the systolic output planes all draw from
     /// the scratch, so a warm scratch makes whole-network inference free
     /// of steady-state allocations (only the returned logits are fresh).
-    /// Bit-identical to [`DeployedNetwork::run_batch`].
+    /// Every packed conv runs on the scratch's [`BandSet`], whose counters
+    /// then hold the batch's. Bit-identical to [`DeployedNetwork::run_batch`].
     ///
     /// # Panics
     ///
@@ -272,22 +259,22 @@ impl DeployedNetwork {
             return Vec::new();
         }
         let input = BatchOutput::Maps(self.quantize_batch_scratch(images, scratch));
-        match self.run_stage_inner(0..self.inner.layers.len(), input, sched, scratch, None) {
+        match self.run_stage(0..self.inner.layers.len(), input, sched, scratch) {
             BatchOutput::Logits(l) => l,
             BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
         }
     }
 
-    /// [`DeployedNetwork::run_batch_scratch`] over a row-band shard set:
-    /// whole-network inference with every packed conv scattered across
-    /// `bands`' simulated arrays. Bit-identical to
-    /// [`DeployedNetwork::run_batch`]; `bands` accumulates per-shard cycle
-    /// and busy accounting for the caller to read.
+    /// [`DeployedNetwork::run_batch_scratch`] on a caller-held set: lends
+    /// `bands` to `scratch` for this one call (a swap, no allocation) and
+    /// takes it back, panic or not, so `bands` accumulates the batch's
+    /// per-shard cycle and busy accounting for the caller to read. The
+    /// layered benchmark (`benchmark/`) calls this signature, which is why
+    /// it exists beside [`ActivationScratch::bands_mut`].
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler's array configuration differs from the one
-    /// the network was built for, or the pipeline lacks a classifier head.
+    /// As [`DeployedNetwork::run_batch_scratch`].
     pub fn run_batch_banded(
         &self,
         sched: &TiledScheduler,
@@ -295,14 +282,9 @@ impl DeployedNetwork {
         scratch: &mut ActivationScratch,
         bands: &mut BandSet,
     ) -> Vec<Vec<f32>> {
-        if images.is_empty() {
-            return Vec::new();
-        }
-        let input = BatchOutput::Maps(self.quantize_batch_scratch(images, scratch));
-        match self.run_stage_banded(0..self.inner.layers.len(), input, sched, scratch, bands) {
-            BatchOutput::Logits(l) => l,
-            BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
-        }
+        std::mem::swap(scratch.bands_mut(), bands);
+        let lent = Lent { scratch, bands };
+        self.run_batch_scratch(sched, images, lent.scratch)
     }
 
     /// Predicted class for one image: the arg-max logit, by the rule of
@@ -334,6 +316,19 @@ impl DeployedNetwork {
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
         self.inner.classes
+    }
+}
+
+/// A set lent to a scratch by [`DeployedNetwork::run_batch_banded`],
+/// swapped back on drop.
+struct Lent<'a> {
+    scratch: &'a mut ActivationScratch,
+    bands: &'a mut BandSet,
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        std::mem::swap(self.scratch.bands_mut(), self.bands);
     }
 }
 
@@ -755,16 +750,15 @@ mod tests {
 
         // Every contiguous two-way split must reproduce the serial logits
         // bit for bit.
-        let (mut scratch, mut bands) = (ActivationScratch::new(), BandSet::new(1));
+        let mut scratch = ActivationScratch::new();
         for split in 0..=n {
-            let mid = deployed.run_stage_banded(
+            let mid = deployed.run_stage(
                 0..split,
                 BatchOutput::Maps(deployed.quantize_batch(&images)),
                 &sched,
                 &mut scratch,
-                &mut bands,
             );
-            let out = deployed.run_stage_banded(split..n, mid, &sched, &mut scratch, &mut bands);
+            let out = deployed.run_stage(split..n, mid, &sched, &mut scratch);
             match out {
                 BatchOutput::Logits(l) => assert_eq!(l, serial, "split at {split} diverged"),
                 BatchOutput::Maps(_) => panic!("full range must end in logits"),
@@ -798,6 +792,54 @@ mod tests {
                 "scratch round {round} diverged"
             );
         }
+    }
+
+    /// Every conv's sequential stats over `batch` images, residual bodies
+    /// included, folded as the band set folds them.
+    fn sequential_sum(
+        layers: &[DeployedLayer],
+        mut shape: (usize, usize, usize),
+        batch: usize,
+        sum: &mut cc_systolic::SimStats,
+    ) {
+        for layer in layers {
+            match layer {
+                DeployedLayer::PackedConv { tiles, .. } => {
+                    sum.merge(&tiles.sequential_stats(batch * shape.1 * shape.2));
+                }
+                DeployedLayer::Residual { body, .. } => sequential_sum(body, shape, batch, sum),
+                _ => {}
+            }
+            shape = crate::engine::layer_cost(layer, shape).1;
+        }
+    }
+
+    /// The scratch's own one-lane set accounts every conv of a batch: its
+    /// merged stats equal a lent `BandSet::new(1)`'s and the sum of each
+    /// conv's sequential stats, with the logits bit-identical.
+    #[test]
+    fn scratch_batch_accounts_every_conv_on_its_own_set() {
+        let (train, test) =
+            SyntheticSpec::cifar_like().with_size(8, 8).with_samples(48, 5).generate(25);
+        let net = resnet20_shift(&ModelConfig::tiny(3, 8, 8, 10));
+        let deployed = DeployedNetwork::build(&net, &identity_groups(&net), &train);
+        let images: Vec<Tensor> = (0..test.len()).map(|i| test.image(i).clone()).collect();
+        let sched = deployed.scheduler();
+
+        let mut scratch = ActivationScratch::new();
+        let own = deployed.run_batch_scratch(&sched, &images, &mut scratch);
+        let mut lent = BandSet::new(1);
+        let banded =
+            deployed.run_batch_banded(&sched, &images, &mut ActivationScratch::new(), &mut lent);
+        let mut want = cc_systolic::SimStats::default();
+        sequential_sum(deployed.layers(), deployed.input_shape(), images.len(), &mut want);
+
+        assert!(want.cycles > 0, "the network has convs");
+        assert_eq!(scratch.bands_mut().merged_stats(), lent.merged_stats());
+        assert_eq!(scratch.bands_mut().merged_stats(), want);
+        let bits = |l: &[Vec<f32>]| l.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&own), bits(&banded));
+        assert_eq!(bits(&own), bits(&deployed.run_batch(&images)));
     }
 
     /// The acceptance invariant of the scratch path: once warm, inference

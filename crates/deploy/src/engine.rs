@@ -2,11 +2,13 @@
 //! block of the paper's Fig. 6 system.
 //!
 //! Every stage executes on a whole batch ([`run_layer_batch_scratch`]);
-//! one image is a batch of one. Batching concatenates the images' spatial
-//! positions into one wide data matrix for the systolic array, so a batch
-//! of `B` maps shares each layer's weight loads — and because the array is
-//! exact integer arithmetic per output column, batched results are
-//! bit-identical to running the images one at a time.
+//! one image is a batch of one, and every packed conv runs on the
+//! scratch's [`BandSet`] — one array is a set of one. Batching
+//! concatenates the images' spatial positions into one wide data matrix
+//! for the systolic array, so a batch of `B` maps shares each layer's
+//! weight loads — and because the array is exact integer arithmetic per
+//! output column, batched results are bit-identical to running the images
+//! one at a time.
 //!
 //! ## Peripheral blocks are row loops
 //!
@@ -44,16 +46,17 @@
 //! Fig. 6 puts a ReLU + quantization block behind *each* systolic array,
 //! and so does a packed conv here: [`EpilogueRows`] turns a run of the
 //! accumulator plane's rows into the same rows of every image's output
-//! map, and it runs wherever those rows were produced. Under a
-//! [`BandSet`] that is each shard lane's own thread, right behind the
-//! lane's kernel ([`TiledScheduler::run_bands_then`]), writing the band's
-//! row range of every map — nothing of a conv is left for one thread to
-//! walk behind the gather. One array (no band set, one shard, one active
-//! lane) is the same routine once over every row on the calling thread.
+//! map, and it runs wherever those rows were produced: on each lane of the
+//! scratch's [`BandSet`], on the lane's own thread right behind its
+//! kernel ([`TiledScheduler::run_bands_then`]), writing the band's row
+//! range of every map — nothing of a conv is left for one thread to walk
+//! behind the gather. One array (a one-shard set, or one active lane) is
+//! the same routine once over every row on the calling thread.
+//!
+//! [`BandSet`]: crate::BandSet
 
 use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
-use crate::shard::BandSet;
 use cc_systolic::tiled::{PreparedPacked, RowBand, TiledScheduler};
 use cc_tensor::isa::{self, Kernel};
 use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
@@ -120,8 +123,14 @@ pub enum DeployedLayer {
 /// [`ActivationScratch`] — the serving hot path, which performs no
 /// steady-state allocation once the scratch is warm. `PackedConv`
 /// concatenates all images' positions into one data matrix so the batch
-/// shares each weight tile load; results are bit-identical to running the
-/// images individually.
+/// shares each weight tile load, and runs it on the scratch's
+/// [`BandSet`]: its prepared tiles scatter across the set's active arrays
+/// (one thread and one kernel scratch each, one band on the calling
+/// thread for a one-lane set) and the set accounts the conv's stats.
+/// Results are bit-identical to running the images individually, on any
+/// set, since quantization stats are precomputed per output channel.
+///
+/// [`BandSet`]: crate::BandSet
 ///
 /// # Panics
 ///
@@ -132,36 +141,10 @@ pub fn run_layer_batch_scratch(
     sched: &TiledScheduler,
     scratch: &mut ActivationScratch,
 ) -> BatchOutput {
-    run_layer_batch_banded(layer, inputs, sched, scratch, None)
-}
-
-/// [`run_layer_batch_scratch`] with an optional row-band shard set: with
-/// `bands`, every `PackedConv` runs through [`BandSet`]'s conv path, which
-/// scatters its prepared tiles across the set's active arrays (one thread
-/// and one kernel scratch each) and gathers the band outputs by row
-/// concatenation — bit-identical to the unsharded path by construction,
-/// since quantization stats are precomputed per output channel. A
-/// one-shard set is the same path with one band on the calling thread;
-/// `None` is the bare kernel without stats accounting. Batch containers
-/// and activations come from (and are recycled into) `scratch`'s pools
-/// either way.
-///
-/// # Panics
-///
-/// Panics on an empty batch or if the maps disagree in shape or scale.
-pub fn run_layer_batch_banded(
-    layer: &DeployedLayer,
-    inputs: &[QMap],
-    sched: &TiledScheduler,
-    scratch: &mut ActivationScratch,
-    bands: Option<&mut BandSet>,
-) -> BatchOutput {
     assert!(!inputs.is_empty(), "empty batch");
     match layer {
         DeployedLayer::Shift { shifts } => {
-            let mut out = scratch.shells.take(inputs.len());
-            out.extend(inputs.iter().map(|m| run_shift(shifts, m, &mut scratch.bufs)));
-            BatchOutput::Maps(out)
+            per_map(inputs, scratch, |m, bufs| run_shift(shifts, m, bufs))
         }
         DeployedLayer::PackedConv {
             tiles,
@@ -170,33 +153,20 @@ pub fn run_layer_batch_banded(
             channel_bias,
             relu,
             out_scale,
-        } => BatchOutput::Maps(run_packed_conv_batch(
-            tiles,
-            *weight_scale,
-            channel_scale,
-            channel_bias,
-            *relu,
-            *out_scale,
-            inputs,
-            sched,
-            scratch,
-            bands,
-        )),
-        DeployedLayer::AvgPool => {
-            let mut out = scratch.shells.take(inputs.len());
-            out.extend(inputs.iter().map(|m| run_avgpool(m, &mut scratch.bufs)));
-            BatchOutput::Maps(out)
+        } => {
+            let epilogue = Epilogue {
+                acc_scale: weight_scale * inputs[0].scale(),
+                channel_scale,
+                channel_bias,
+                relu: *relu,
+                out_scale: *out_scale,
+                l: inputs[0].plane(),
+            };
+            BatchOutput::Maps(run_packed_conv_batch(tiles, &epilogue, inputs, sched, scratch))
         }
-        DeployedLayer::GlobalAvgPool => {
-            let mut out = scratch.shells.take(inputs.len());
-            out.extend(inputs.iter().map(|m| run_global_pool(m, &mut scratch.bufs)));
-            BatchOutput::Maps(out)
-        }
-        DeployedLayer::Relu => {
-            let mut out = scratch.shells.take(inputs.len());
-            out.extend(inputs.iter().map(|m| run_relu(m, &mut scratch.bufs)));
-            BatchOutput::Maps(out)
-        }
+        DeployedLayer::AvgPool => per_map(inputs, scratch, run_avgpool),
+        DeployedLayer::GlobalAvgPool => per_map(inputs, scratch, run_global_pool),
+        DeployedLayer::Relu => per_map(inputs, scratch, run_relu),
         DeployedLayer::Residual { body, downsample, out_channels, out_scale } => {
             BatchOutput::Maps(run_residual_batch(
                 body,
@@ -206,13 +176,23 @@ pub fn run_layer_batch_banded(
                 inputs,
                 sched,
                 scratch,
-                bands,
             ))
         }
         DeployedLayer::Linear { weights, weight_scale, bias } => BatchOutput::Logits(
             inputs.iter().map(|m| run_linear(weights, *weight_scale, bias, m)).collect(),
         ),
     }
+}
+
+/// A peripheral block applied image by image, into a pooled batch shell.
+fn per_map(
+    inputs: &[QMap],
+    scratch: &mut ActivationScratch,
+    block: impl Fn(&QMap, &mut BufPool) -> QMap,
+) -> BatchOutput {
+    let mut out = scratch.shells.take(inputs.len());
+    out.extend(inputs.iter().map(|m| block(m, &mut scratch.bufs)));
+    BatchOutput::Maps(out)
 }
 
 /// Estimated execution cost of one deployed layer on a `(C, H, W)` input,
@@ -295,18 +275,12 @@ fn run_shift(shifts: &[(i8, i8)], input: &QMap, pool: &mut BufPool) -> QMap {
     QMap::from_raw(out, c, h, w, input.scale())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_packed_conv_batch(
     tiles: &PreparedPacked,
-    weight_scale: f32,
-    channel_scale: &[f32],
-    channel_bias: &[f32],
-    relu: bool,
-    out_scale: f32,
+    epilogue: &Epilogue<'_>,
     inputs: &[QMap],
     sched: &TiledScheduler,
     scratch: &mut ActivationScratch,
-    bands: Option<&mut BandSet>,
 ) -> Vec<QMap> {
     let first = &inputs[0];
     let (c, h, w) = (first.channels(), first.height(), first.width());
@@ -336,29 +310,15 @@ fn run_packed_conv_batch(
     let data =
         QuantMatrix::from_raw(c, bl, data, QuantParams::from_max_abs(first.scale() * 127.0));
     let n = tiles.rows();
-    let ActivationScratch { run, bufs, shells } = scratch;
+    let ActivationScratch { run, bufs, shells, bands } = scratch;
     let mut batch = shells.take(b);
+    let out_scale = epilogue.out_scale;
     batch.extend((0..b).map(|_| QMap::from_raw(bufs.take_zeroed(n * l), n, h, w, out_scale)));
-    let epilogue = Epilogue {
-        acc_scale: weight_scale * first.scale(),
-        channel_scale,
-        channel_bias,
-        relu,
-        out_scale,
-        l,
-    };
-    // A shard set runs the conv through its one scatter/gather path —
-    // whatever its width, fleet or fault plane, with the stats accounting
-    // the caller reads back — and each lane finishes its own rows of
-    // `batch`; without one the bare kernel runs and the same block
-    // finishes every row here. The maps are bit-identical either way.
-    match bands {
-        Some(set) => set.run_conv(sched, tiles, &data, run, &epilogue, &mut batch),
-        None => {
-            sched.run_prepared_with(tiles, &data, run);
-            epilogue.rows(&tiles.full_band(), run.outputs(), &mut batch);
-        }
-    }
+    // The scratch's set runs the conv through its one scatter/gather path
+    // — whatever its width, fleet or fault plane, with the stats
+    // accounting its owner reads back — and each lane finishes its own
+    // rows of `batch`.
+    bands.run_conv(sched, tiles, &data, run, epilogue, &mut batch);
     bufs.recycle(data.into_raw());
     batch
 }
@@ -542,7 +502,6 @@ impl Kernel for Relu<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_residual_batch(
     body: &[DeployedLayer],
     downsample: bool,
@@ -551,7 +510,6 @@ fn run_residual_batch(
     inputs: &[QMap],
     sched: &TiledScheduler,
     scratch: &mut ActivationScratch,
-    mut bands: Option<&mut BandSet>,
 ) -> Vec<QMap> {
     // Body path, batched through every stage. The first stage reads the
     // (borrowed) block inputs directly; intermediate activations are
@@ -559,8 +517,7 @@ fn run_residual_batch(
     let mut hs: Option<Vec<QMap>> = None;
     for stage in body {
         let src: &[QMap] = hs.as_deref().unwrap_or(inputs);
-        let next = match run_layer_batch_banded(stage, src, sched, scratch, bands.as_deref_mut())
-        {
+        let next = match run_layer_batch_scratch(stage, src, sched, scratch) {
             BatchOutput::Maps(m) => m,
             BatchOutput::Logits(_) => panic!("classifier inside residual body"),
         };
@@ -673,6 +630,7 @@ fn run_linear(weights: &QuantMatrix, weight_scale: f32, bias: &[f32], input: &QM
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::BandSet;
     use cc_packing::{group_columns, pack_columns, GroupingConfig};
     use cc_systolic::array::{ArrayConfig, ArrayGeometry, QuantPacked};
     use cc_systolic::RunScratch;
@@ -1324,20 +1282,14 @@ mod tests {
                 };
                 for mixed in [false, true] {
                     for shards in 1..=4 {
-                        let mut set = match mixed {
+                        *scratch.bands_mut() = match mixed {
                             false => BandSet::new(shards),
                             true => BandSet::with_fleet(mixed_fleet(shards)),
                         };
                         for (b, h, w) in cases() {
                             let inputs = rng.batch(b, 13, h, w);
-                            let bands = Some(&mut set);
-                            let got = maps_of(run_layer_batch_banded(
-                                &layer,
-                                &inputs,
-                                &sched,
-                                &mut scratch,
-                                bands,
-                            ));
+                            let got =
+                                maps_of(run_layer_batch_scratch(&layer, &inputs, &sched, &mut scratch));
                             let want = oracle::post_gather(
                                 scratch.run.outputs(),
                                 (10, h * w, b),
@@ -1362,7 +1314,8 @@ mod tests {
                             scratch.recycle_batch(got);
                         }
                         if !mixed {
-                            let fanned = set.busy_nanos().iter().filter(|&&ns| ns > 0).count();
+                            let busy = scratch.bands_mut().busy_nanos();
+                            let fanned = busy.iter().filter(|&&ns| ns > 0).count();
                             assert_eq!(fanned, shards.min(3), "three row-groups cap the fan-out");
                         }
                     }
@@ -1387,9 +1340,8 @@ mod tests {
             let mut reference = RunScratch::new();
             sched.run_prepared_with(tiles, &data_matrix(&inputs), &mut reference);
             for shards in 1..=4 {
-                let mut set = BandSet::new(shards);
-                let out =
-                    run_layer_batch_banded(&layer, &inputs, &sched, &mut scratch, Some(&mut set));
+                *scratch.bands_mut() = BandSet::new(shards);
+                let out = run_layer_batch_scratch(&layer, &inputs, &sched, &mut scratch);
                 assert_eq!(scratch.run.outputs(), reference.outputs(), "{acc:?} {shards} lanes");
                 scratch.recycle_batch(maps_of(out));
             }

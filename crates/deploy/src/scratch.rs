@@ -6,7 +6,9 @@
 //! don't change between requests). [`ActivationScratch`] exploits that: a
 //! best-fit free list of activation buffers (`Vec<i8>`) plus the systolic
 //! kernel's [`RunScratch`] (its `i32` accumulator plane is what the
-//! engine's quantizer epilogue reads). Layers draw output buffers from the
+//! engine's quantizer epilogue reads), beside the [`BandSet`] every packed
+//! conv runs on — one array unless the owner installs a wider set, since
+//! one array is a fleet of one (Fig. 6). Layers draw output buffers from the
 //! pool and the staged executor returns each layer's inputs to it as soon
 //! as the next layer has consumed them — a ping-pong through the pool — so
 //! after a warm-up inference the pool serves every request and the hot
@@ -18,6 +20,7 @@
 //! steady state the allocation count stays flat while reuses grow.
 
 use crate::qmap::QMap;
+use crate::shard::BandSet;
 use cc_systolic::RunScratch;
 
 /// Free buffers a pool retains before dropping recycled ones. Bounds pool
@@ -152,7 +155,9 @@ impl ShellPool {
 /// Caller-owned scratch for allocation-free inference: hold one per
 /// serving worker (or pipeline stage) and pass it to
 /// [`crate::DeployedNetwork::run_batch_scratch`] /
-/// [`crate::DeployedNetwork::run_stage_banded`] on every call.
+/// [`crate::DeployedNetwork::run_stage`] on every call. It carries the
+/// [`BandSet`] its packed convs run on, so its owner's shard width, fleet,
+/// fault plane and stats live in one place.
 #[derive(Debug, Default)]
 pub struct ActivationScratch {
     /// Output planes for the systolic kernel.
@@ -161,13 +166,22 @@ pub struct ActivationScratch {
     pub(crate) bufs: BufPool,
     /// Recycled per-layer `Vec<QMap>` shells.
     pub(crate) shells: ShellPool,
+    /// The arrays every packed conv scatters across; one lane by default.
+    pub(crate) bands: BandSet,
 }
 
 impl ActivationScratch {
-    /// An empty scratch; buffers are created on first use and reused
-    /// afterwards.
+    /// An empty scratch over one array; buffers are created on first use
+    /// and reused afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The band set the packed convs run on: install a wider one, a fleet
+    /// or a fault plane here, and read or drain its counters, logs and
+    /// clocks.
+    pub fn bands_mut(&mut self) -> &mut BandSet {
+        &mut self.bands
     }
 
     /// Activation buffers created because the pool had none big enough

@@ -17,17 +17,18 @@
 //!
 //! The shards share one prepared op list (the network's `Arc` internals);
 //! nothing is re-prepared per shard. A [`BandSet`] is the executor's shard
-//! environment, passed to [`crate::DeployedNetwork::run_batch_banded`] /
-//! [`crate::DeployedNetwork::run_stage_banded`]. It reports both the
+//! environment, carried by its [`crate::ActivationScratch`]
+//! ([`crate::ActivationScratch::bands_mut`]). It reports both the
 //! *merged* counters ([`BandSet::merged_stats`]) — bit-identical to the
 //! unsharded run's, cycles included (the gather substitutes the
 //! sequential-equivalent cycle count) — and the concurrent *makespan*
 //! ([`BandSet::makespan_cycles`]), which is what shrinks as shards are
 //! added.
 //!
-//! A [`BandSet`] runs every packed conv through one method whatever the
-//! configuration: one shard is a one-band plan, no fleet is every lane at
-//! the network's own array geometry, and no fault injector is every band
+//! Every packed conv runs through [`BandSet`]'s one method whatever the
+//! configuration: a scratch's default set is one array, one shard is a
+//! one-band plan on the calling thread, no fleet is every lane at the
+//! network's own array geometry, and no fault injector is every band
 //! action `Run` (the health scoring then sees only clean outcomes and the
 //! retry loop exits on its first pass).
 //!
@@ -166,6 +167,20 @@ impl std::fmt::Display for BandFaultError {
     }
 }
 
+/// One shard lane's breaker record.
+#[derive(Clone, Copy, Debug, Default)]
+struct LaneHealth {
+    quarantined: bool,
+    /// Errors since the lane's last clean run.
+    errors: u32,
+    /// Consecutive stalls.
+    stalls: u32,
+    /// Band executions the lane has performed (the injector's clock).
+    runs: u64,
+    /// Conv count at which a quarantined lane's half-open probe fires.
+    probe_at: u64,
+}
+
 /// Cache key for a prepared matrix's shard plan. The pointer identifies
 /// the layer (the prepared op list lives behind the network's `Arc`, so
 /// it is stable while any executor holds the network); the shape *and
@@ -206,10 +221,9 @@ impl PlanKey {
 /// The row-band shard environment one executor owns: per-shard kernel
 /// scratches (long-lived — shard `i ≥ 1` reuses `aux[i-1]` across every
 /// layer and batch), per-shard busy/cycle accounting, and the merged
-/// counters of everything run since the last reset. Hold one per serving
-/// worker or pipeline stage and pass it to
-/// [`crate::DeployedNetwork::run_batch_banded`] /
-/// [`crate::DeployedNetwork::run_stage_banded`].
+/// counters of everything run since the last reset. Every
+/// [`crate::ActivationScratch`] carries one — one array by default — and
+/// runs each packed conv on it.
 #[derive(Debug)]
 pub struct BandSet {
     shards: usize,
@@ -239,15 +253,11 @@ pub struct BandSet {
     /// Active (non-quarantined) lane ids, ascending; band `i` of a plan
     /// runs on lane `active[i]`.
     active: Vec<usize>,
-    quarantined: Vec<bool>,
-    lane_errors: Vec<u32>,
-    lane_stalls: Vec<u32>,
-    /// Band executions each lane has performed (the injector's clock).
-    run_counts: Vec<u64>,
+    /// Each lane's breaker record, in one vector so a set costs few
+    /// allocations to build (every fresh scratch builds one).
+    health: Vec<LaneHealth>,
     /// Convs this set has run (the probe clock).
     convs: u64,
-    /// Conv count at which each quarantined lane's half-open probe fires.
-    probe_at: Vec<u64>,
     events: Vec<HealthEvent>,
     /// Batch deadline the retry loop respects (set per batch by the
     /// serving worker; `None` = retry on budget alone).
@@ -280,12 +290,8 @@ impl BandSet {
             injector: None,
             health_cfg: ShardHealthConfig::default(),
             active: (0..shards).collect(),
-            quarantined: vec![false; shards],
-            lane_errors: vec![0; shards],
-            lane_stalls: vec![0; shards],
-            run_counts: vec![0; shards],
+            health: vec![LaneHealth::default(); shards],
             convs: 0,
-            probe_at: vec![0; shards],
             events: Vec::new(),
             retry_deadline: None,
             lanes: Vec::new(),
@@ -429,7 +435,7 @@ impl BandSet {
 
     /// Currently quarantined lane ids, ascending.
     pub fn quarantined_lanes(&self) -> Vec<usize> {
-        (0..self.shards).filter(|&i| self.quarantined[i]).collect()
+        (0..self.shards).filter(|&i| self.health[i].quarantined).collect()
     }
 
     /// The active (non-quarantined) lane ids, ascending. Band `i` of the
@@ -460,13 +466,15 @@ impl BandSet {
     /// schedules its half-open probe. [`BandSet::run_conv`] drops marked
     /// lanes from the active set once the attempt's bookkeeping is done.
     fn quarantine(&mut self, lane: usize) {
-        let healthy = self.active.iter().filter(|&&l| !self.quarantined[l]).count();
-        if healthy <= 1 || self.quarantined[lane] {
+        let healthy = self.active.iter().filter(|&&l| !self.health[l].quarantined).count();
+        let probe_at = self.convs + self.health_cfg.probe_after;
+        let record = &mut self.health[lane];
+        if healthy <= 1 || record.quarantined {
             return;
         }
-        self.quarantined[lane] = true;
-        self.lane_stalls[lane] = 0;
-        self.probe_at[lane] = self.convs + self.health_cfg.probe_after;
+        record.quarantined = true;
+        record.stalls = 0;
+        record.probe_at = probe_at;
         self.push_event(HealthEvent::Quarantine { lane });
     }
 
@@ -475,9 +483,10 @@ impl BandSet {
     /// first clean run clears it, the first error re-quarantines it.
     fn maybe_probe(&mut self) {
         for lane in 0..self.shards {
-            if self.quarantined[lane] && self.convs >= self.probe_at[lane] {
-                self.quarantined[lane] = false;
-                self.lane_errors[lane] = self.health_cfg.trip_errors.saturating_sub(1);
+            let record = &mut self.health[lane];
+            if record.quarantined && self.convs >= record.probe_at {
+                record.quarantined = false;
+                record.errors = self.health_cfg.trip_errors.saturating_sub(1);
                 self.active.push(lane);
                 self.active.sort_unstable();
                 self.push_event(HealthEvent::Readmit { lane });
@@ -546,8 +555,8 @@ impl BandSet {
                 };
                 let mut band = BandLane::new(geom);
                 if let Some(injector) = &injector {
-                    band.action = injector.band_action(lane, self.run_counts[lane]);
-                    self.run_counts[lane] += 1;
+                    band.action = injector.band_action(lane, self.health[lane].runs);
+                    self.health[lane].runs += 1;
                 }
                 lanes.push(band);
             }
@@ -576,20 +585,20 @@ impl BandSet {
                 self.busy_nanos[lane] += band.busy_ns;
                 match band.outcome {
                     BandOutcome::Ran => {
-                        self.lane_errors[lane] = 0;
-                        self.lane_stalls[lane] = 0;
+                        self.health[lane].errors = 0;
+                        self.health[lane].stalls = 0;
                     }
                     BandOutcome::Stalled => {
-                        self.lane_stalls[lane] += 1;
-                        if self.lane_stalls[lane] >= self.health_cfg.trip_stalls {
+                        self.health[lane].stalls += 1;
+                        if self.health[lane].stalls >= self.health_cfg.trip_stalls {
                             self.quarantine(lane);
                         }
                     }
                     BandOutcome::Poisoned | BandOutcome::Dead => {
                         any_error = true;
-                        self.lane_errors[lane] += 1;
+                        self.health[lane].errors += 1;
                         self.push_event(HealthEvent::Fault { lane });
-                        if self.lane_errors[lane] >= self.health_cfg.trip_errors {
+                        if self.health[lane].errors >= self.health_cfg.trip_errors {
                             self.quarantine(lane);
                         }
                     }
@@ -627,8 +636,8 @@ impl BandSet {
             }
             // Lanes quarantined above leave the active set only here, so
             // "band i ran on lane active[i]" held for all the bookkeeping.
-            let quarantined = &self.quarantined;
-            self.active.retain(|&lane| !quarantined[lane]);
+            let health = &self.health;
+            self.active.retain(|&lane| !health[lane].quarantined);
             self.lanes = lanes;
             if !any_error {
                 return;
@@ -671,6 +680,13 @@ impl BandSet {
             self.plans.push((key, plan));
         }
         self.plans.len() - 1
+    }
+}
+
+impl Default for BandSet {
+    /// One array: the set a fresh [`crate::ActivationScratch`] runs on.
+    fn default() -> Self {
+        Self::new(1)
     }
 }
 

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Stage boundaries hand over the same [`BatchOutput`] activations the
-//! serial path threads through [`DeployedNetwork::run_stage_banded`], so
+//! serial path threads through [`DeployedNetwork::run_stage`], so
 //! the pipelined result is bit-identical to serial
 //! [`DeployedNetwork::run_batch`] by construction. Each stage thread is
 //! a receive loop around the one stage step a serial worker also runs

@@ -54,8 +54,8 @@ impl Default for StageEnv {
     }
 }
 
-/// One executor's long-lived state — activation scratch and band set —
-/// plus the handles its batches report into.
+/// One executor's long-lived state — the activation scratch, which
+/// carries the band set — plus the handles its batches report into.
 pub(crate) struct StageRunner {
     env: StageEnv,
     /// Stage slot in the occupancy gauges (0 for a serial worker); slot 0
@@ -68,11 +68,10 @@ pub(crate) struct StageRunner {
     /// output buffers migrate downstream and only upstream-sized ones come
     /// back, so stages still allocate when their outputs outsize their
     /// inputs — the pool's size-aware eviction keeps the useful sizes
-    /// resident.
+    /// resident. Its band set is the executor-lifetime shard set: the
+    /// long-lived kernel scratches the convs scatter across, with per-lane
+    /// health and plans.
     scratch: ActivationScratch,
-    /// Executor-lifetime shard set: the long-lived kernel scratches the
-    /// convs scatter across, with per-lane health and plans.
-    bands: BandSet,
 }
 
 impl StageRunner {
@@ -80,8 +79,9 @@ impl StageRunner {
     ///
     /// Panics if `env.shards` is zero.
     pub(crate) fn new(env: StageEnv, slot: usize, track: Track) -> Self {
-        let bands = Self::build_bands(&env);
-        StageRunner { env, slot, track, scratch: ActivationScratch::new(), bands }
+        let mut runner = StageRunner { env, slot, track, scratch: ActivationScratch::new() };
+        runner.reshape(runner.env.shards);
+        runner
     }
 
     /// The band set `env` describes, with the fault injector wired in
@@ -107,14 +107,14 @@ impl StageRunner {
     /// repartitions each conv's rows.
     pub(crate) fn reshape(&mut self, shards: usize) {
         self.env.shards = shards;
-        self.bands = Self::build_bands(&self.env);
+        *self.scratch.bands_mut() = Self::build_bands(&self.env);
     }
 
     /// Discards scratch and band state a genuine panic may have left
     /// mid-write and starts both afresh.
     pub(crate) fn rebuild(&mut self) {
         self.scratch = ActivationScratch::new();
-        self.bands = Self::build_bands(&self.env);
+        self.reshape(self.env.shards);
     }
 
     /// Quantizes a batch into this executor's pooled buffers — the input
@@ -142,14 +142,14 @@ impl StageRunner {
         bid: u64,
         deadline: Option<Instant>,
     ) -> Result<BatchOutput, Option<BandFaultError>> {
-        let StageRunner { env, slot, track, scratch, bands } = self;
+        let StageRunner { env, slot, track, scratch } = self;
         // The toggle is sampled once per batch — one atomic load — so
         // kernel time sees no per-event checks, and the band set only
         // logs conv timings (one branch per conv) while it is up.
         let recorder = env.recorder.as_deref().filter(|r| r.enabled());
         let traced = recorder.filter(|_| bid != 0);
-        bands.set_tracing(traced.is_some());
-        bands.set_retry_deadline(deadline);
+        scratch.bands_mut().set_tracing(traced.is_some());
+        scratch.bands_mut().set_retry_deadline(deadline);
         // The scheduler is a stateless copy of the network's array
         // config; the per-call setup it used to imply (weight-tile
         // slicing) is prepacked in the layers.
@@ -163,9 +163,10 @@ impl StageRunner {
             if *slot == 0 && env.faults.as_ref().is_some_and(|plan| plan.batch_tick()) {
                 panic!("injected worker panic (fault plan)");
             }
-            net.run_stage_banded(range, data, &sched, scratch, bands)
+            net.run_stage(range, data, &sched, scratch)
         }));
         let ended = Instant::now();
+        let bands = scratch.bands_mut();
 
         // Occupancy and shard health are real whether or not the batch
         // survived, and the conv log is drained either way so a failed

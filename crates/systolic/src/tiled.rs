@@ -110,7 +110,11 @@
 //! [`TiledScheduler::run_prepared_with`], every lane at the preparing
 //! config's geometry is the homogeneous
 //! [`TiledScheduler::run_bands_with`], and [`BandAction::Run`] on every
-//! lane is the fault-free run.
+//! lane is the fault-free run. The deployed engine calls neither
+//! wrapper: every packed conv it runs goes through `cc-deploy`'s
+//! `BandSet` into [`TiledScheduler::run_bands_then`], a one-lane set
+//! included. [`TiledScheduler::run_prepared_with`] is the layered
+//! benchmark's per-conv replay entry and the tests' unsharded reference.
 //!
 //! In the paper's system every array is followed by its own ReLU +
 //! quantization block (Fig. 6), so a lane need not stop at the
@@ -304,8 +308,8 @@ impl TiledScheduler {
     /// Multiplies pre-lowered packed tiles by `d`. Bit-identical to
     /// [`TiledScheduler::run_packed`] on the matrix the tiles came from.
     ///
-    /// Allocates a fresh result; the serving hot path should hold a
-    /// [`RunScratch`] and call [`TiledScheduler::run_prepared_with`].
+    /// Allocates a fresh result; [`TiledScheduler::run_prepared_with`]
+    /// reuses a caller-held [`RunScratch`] instead.
     ///
     /// # Panics
     ///

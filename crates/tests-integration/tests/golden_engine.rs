@@ -9,7 +9,7 @@
 //! check) cannot see both paths drift together — these constants can.
 
 use cc_dataset::{Dataset, SyntheticSpec};
-use cc_deploy::engine::run_layer_batch_banded;
+use cc_deploy::engine::run_layer_batch_scratch;
 use cc_deploy::{ActivationScratch, BandSet, BatchOutput, DeployedLayer, DeployedNetwork, QMap};
 use cc_nn::models::{lenet5_shift, resnet20_shift, ModelConfig};
 use cc_nn::schedule::LrSchedule;
@@ -49,16 +49,15 @@ impl Fold {
     }
 }
 
-/// Runs `layers` on `inputs` one engine call per stage, folding every
-/// stage's output. A residual block's body is walked on the block inputs
-/// first (its intermediates), then the block runs whole (its merged
-/// output).
+/// Runs `layers` on `inputs` one engine call per stage, on the scratch's
+/// band set, folding every stage's output. A residual block's body is
+/// walked on the block inputs first (its intermediates), then the block
+/// runs whole (its merged output).
 fn walk(
     layers: &[DeployedLayer],
     inputs: Vec<QMap>,
     sched: &TiledScheduler,
     scratch: &mut ActivationScratch,
-    mut bands: Option<&mut BandSet>,
     fold: &mut Fold,
 ) {
     let mut data = BatchOutput::Maps(inputs);
@@ -67,9 +66,9 @@ fn walk(
             panic!("layers scheduled after the classifier head");
         };
         if let DeployedLayer::Residual { body, .. } = layer {
-            walk(body, maps.clone(), sched, scratch, bands.as_deref_mut(), fold);
+            walk(body, maps.clone(), sched, scratch, fold);
         }
-        data = run_layer_batch_banded(layer, &maps, sched, scratch, bands.as_deref_mut());
+        data = run_layer_batch_scratch(layer, &maps, sched, scratch);
         match &data {
             BatchOutput::Maps(out) => fold.maps(out),
             BatchOutput::Logits(out) => fold.logits(out),
@@ -122,7 +121,7 @@ fn digests(deployed: &DeployedNetwork, images: &[Tensor]) -> [u64; 6] {
             fold.logits(&deployed.run_batch_scratch(&sched, chunk, &mut scratch));
             let input = deployed.quantize_batch_scratch(chunk, &mut scratch);
             fold.maps(&input);
-            walk(deployed.layers(), input, &sched, &mut scratch, None, &mut fold);
+            walk(deployed.layers(), input, &sched, &mut scratch, &mut fold);
         }
         out[1 + slot] = fold.0;
     }
@@ -132,7 +131,9 @@ fn digests(deployed: &DeployedNetwork, images: &[Tensor]) -> [u64; 6] {
         let mut fold = Fold::new();
         fold.logits(&deployed.run_batch_banded(&sched, images, &mut scratch, &mut bands));
         let input = deployed.quantize_batch_scratch(images, &mut scratch);
-        walk(deployed.layers(), input, &sched, &mut scratch, Some(&mut bands), &mut fold);
+        std::mem::swap(scratch.bands_mut(), &mut bands);
+        walk(deployed.layers(), input, &sched, &mut scratch, &mut fold);
+        std::mem::swap(scratch.bands_mut(), &mut bands);
         out[4 + slot] = fold.0;
     }
     out

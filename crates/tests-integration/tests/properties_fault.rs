@@ -9,7 +9,7 @@
 //! correctness.
 
 use cc_dataset::{Dataset, SyntheticSpec};
-use cc_deploy::engine::run_layer_batch_banded;
+use cc_deploy::engine::run_layer_batch_scratch;
 use cc_deploy::{
     identity_groups, ActivationScratch, BandSet, BatchOutput, DeployedNetwork, FaultInjector,
     HealthEvent, ShardHealthConfig,
@@ -516,15 +516,17 @@ fn recovered_convs_leave_every_intermediate_activation_bit_identical() {
     let sched = deployed.scheduler();
 
     // Every layer's output, in order: map digests, then logit bits.
-    let walk = |mut bands: Option<&mut BandSet>| {
+    // The set runs the walk as its scratch's own, and is handed back.
+    let walk = |bands: &mut BandSet| {
         let mut scratch = ActivationScratch::new();
+        std::mem::swap(scratch.bands_mut(), bands);
         let mut seen: Vec<u64> = Vec::new();
         let mut data = BatchOutput::Maps(deployed.quantize_batch_scratch(&images, &mut scratch));
         for layer in deployed.layers() {
             let BatchOutput::Maps(maps) = data else {
                 panic!("layers scheduled after the classifier head");
             };
-            data = run_layer_batch_banded(layer, &maps, &sched, &mut scratch, bands.as_deref_mut());
+            data = run_layer_batch_scratch(layer, &maps, &sched, &mut scratch);
             match &data {
                 BatchOutput::Maps(out) => seen.extend(out.iter().map(|m| m.digest())),
                 BatchOutput::Logits(out) => {
@@ -533,9 +535,10 @@ fn recovered_convs_leave_every_intermediate_activation_bit_identical() {
             }
             scratch.recycle_batch(maps);
         }
+        std::mem::swap(scratch.bands_mut(), bands);
         seen
     };
-    let want = walk(None);
+    let want = walk(&mut BandSet::new(1));
 
     let (mut faults, mut retries, mut quarantines) = (0u32, 0u32, 0u32);
     for seed in 0..6u64 {
@@ -557,7 +560,7 @@ fn recovered_convs_leave_every_intermediate_activation_bit_identical() {
         // half-open probes that readmit (and re-trip) the dead lane all
         // land between one conv and the next.
         for round in 0..4 {
-            assert_eq!(walk(Some(&mut set)), want, "seed {seed} round {round}: activations moved");
+            assert_eq!(walk(&mut set), want, "seed {seed} round {round}: activations moved");
         }
         for event in set.take_health_events() {
             match event {
