@@ -24,12 +24,25 @@
 //! workspace's one ISA dispatch: the same safe Rust compiled for the
 //! build's baseline (SSE2 on x86-64, four words to the instruction) and
 //! for AVX2 (eight), picked from the CPU like the lane kernel they sit
-//! behind, with [`cc_systolic::tiled::lane_isa`] naming the level. Only
-//! `avx2` is enabled, never `fma`: a fused multiply-add rounds once where
-//! the pinned expressions below round twice, and with the feature off the
-//! compiler has no instruction to fuse them into — so an activation is the
-//! same bits at either level, which the tests here assert block by block
-//! at every level the CPU has.
+//! behind, with [`cc_systolic::tiled::lane_isa`] naming the level (at
+//! `avx2+vnni` these blocks run their AVX2 bodies). Only `avx2` (and, for
+//! the lane kernel, `avxvnni`) is enabled, never `fma`: a fused
+//! multiply-add rounds once where the pinned expressions below round
+//! twice, and with the feature off the compiler has no instruction to fuse
+//! them into — so an activation is the same bits at every level, which the
+//! tests here assert block by block at every level the CPU has.
+//!
+//! The two blocks that turn floats back into codes — the epilogue and the
+//! residual add — do not leave their AVX2 body to the optimiser. Their
+//! `run_avx2` is the same per-word expression written in
+//! [`cc_tensor::isa::avx2`]'s wrappers and finished by
+//! [`cc_tensor::quant::requantize_slice`]: eight words per
+//! `vcvtps2dq` with a tie fix-up instead of `requantize`'s magic-number
+//! add, 32 words narrowed per `vpackssdw` / `vpacksswb` / `vpermd` store,
+//! then 8-word steps, then the scalar body for the fewer than 8 left (so
+//! LeNet's 49-word rows run 32 + 8 + 8 vector words and one scalar one).
+//! The ReLU is `vmaxps(floor, real)` in that operand order, which keeps a
+//! NaN and a −0.0 where the scalar branch keeps them.
 //!
 //! Their float arithmetic is pinned, because the last bit of an activation
 //! moves with it: the epilogue is `o as f32 * acc_scale`, then
@@ -58,7 +71,11 @@
 use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
 use cc_systolic::tiled::{PreparedPacked, RowBand, TiledScheduler};
+#[cfg(target_arch = "x86_64")]
+use cc_tensor::isa::{avx2, Avx2};
 use cc_tensor::isa::{self, Kernel};
+#[cfg(target_arch = "x86_64")]
+use cc_tensor::quant::{requantize_slice, Quotients};
 use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
 use std::ops::Range;
 
@@ -388,6 +405,59 @@ impl<D: AsMut<[i8]>> Kernel for EpilogueRows<'_, D> {
             }
         }
     }
+
+    /// The same rows through [`requantize_slice`]: per eight words,
+    /// `vcvtdq2ps`, `vmulps` by `acc_scale`, `vmulps` + `vaddps` for the
+    /// folded batch norm, `vmaxps(floor, real)` for ReLU (a floor of −∞
+    /// without it; that operand order keeps a NaN and a −0.0 as the scalar
+    /// branch does), `vdivps` by `out_scale`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2(self, t: Avx2) {
+        let Epilogue { acc_scale, channel_scale, channel_bias, relu, out_scale, l } = *self.epilogue;
+        let bl = self.dsts.len() * l;
+        for (k, ni) in self.rows.enumerate() {
+            let (scale, bias) = (channel_scale[ni], channel_bias[ni]);
+            let row = &self.words[k * bl..(k + 1) * bl];
+            for (bi, dst) in self.dsts.iter_mut().enumerate() {
+                let words = &row[bi * l..(bi + 1) * l];
+                let run = EpilogueRun { words, acc_scale, scale, bias, relu, out_scale };
+                requantize_slice(t, &mut dst.as_mut()[k * l..(k + 1) * l], &run);
+            }
+        }
+    }
+}
+
+/// One image's `l` words of one plane row, with the row's block
+/// parameters, as [`EpilogueRows`]' AVX2 body reads them.
+#[cfg(target_arch = "x86_64")]
+struct EpilogueRun<'a> {
+    words: &'a [i32],
+    acc_scale: f32,
+    scale: f32,
+    bias: f32,
+    relu: bool,
+    out_scale: f32,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Quotients for EpilogueRun<'_> {
+    #[inline(always)]
+    fn x8(&self, t: Avx2, i: usize) -> avx2::__m256 {
+        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
+        let o = avx2::i32_to_f32(t, avx2::load_i32x8(t, &self.words[i..]));
+        let acc = avx2::mul_f32(t, o, avx2::splat_f32(t, self.acc_scale));
+        let scaled = avx2::mul_f32(t, avx2::splat_f32(t, self.scale), acc);
+        let real = avx2::add_f32(t, scaled, avx2::splat_f32(t, self.bias));
+        let real = avx2::max_f32(t, avx2::splat_f32(t, floor), real);
+        avx2::div_f32(t, real, avx2::splat_f32(t, self.out_scale))
+    }
+
+    #[inline(always)]
+    fn word(&self, i: usize) -> i8 {
+        let Self { words, acc_scale, scale, bias, relu, out_scale } = *self;
+        epilogue_word(words[i], acc_scale, scale, bias, relu, out_scale)
+    }
 }
 
 /// The ReLU + quantizer blocks behind the array (§4.4) on one accumulator
@@ -593,10 +663,56 @@ impl Kernel for ResidualAdd<'_> {
     fn run(self) {
         let (sb, ss, out_scale) = (self.body_scale, self.shortcut_scale, self.out_scale);
         for ((q, &b), &s) in self.out.iter_mut().zip(self.body).zip(self.shortcut) {
-            let real = b as f32 * sb + s as f32 * ss;
-            *q = requantize(real / out_scale);
+            *q = residual_word(b, sb, s, ss, out_scale);
         }
     }
+
+    /// The same words through [`requantize_slice`]: per eight, two
+    /// `vpmovsxbd` + `vcvtdq2ps`, two `vmulps`, `vaddps`, `vdivps`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2(self, t: Avx2) {
+        let ResidualAdd { body, body_scale, shortcut, shortcut_scale, out_scale, out } = self;
+        let n = out.len().min(body.len()).min(shortcut.len());
+        let run = ResidualRun { body, body_scale, shortcut, shortcut_scale, out_scale };
+        requantize_slice(t, &mut out[..n], &run);
+    }
+}
+
+/// A [`ResidualAdd`]'s inputs, as its AVX2 body reads them.
+#[cfg(target_arch = "x86_64")]
+struct ResidualRun<'a> {
+    body: &'a [i8],
+    body_scale: f32,
+    shortcut: &'a [i8],
+    shortcut_scale: f32,
+    out_scale: f32,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Quotients for ResidualRun<'_> {
+    #[inline(always)]
+    fn x8(&self, t: Avx2, i: usize) -> avx2::__m256 {
+        let b = avx2::i32_to_f32(t, avx2::widen_i8x8(t, &self.body[i..]));
+        let s = avx2::i32_to_f32(t, avx2::widen_i8x8(t, &self.shortcut[i..]));
+        let b = avx2::mul_f32(t, b, avx2::splat_f32(t, self.body_scale));
+        let s = avx2::mul_f32(t, s, avx2::splat_f32(t, self.shortcut_scale));
+        avx2::div_f32(t, avx2::add_f32(t, b, s), avx2::splat_f32(t, self.out_scale))
+    }
+
+    #[inline(always)]
+    fn word(&self, i: usize) -> i8 {
+        let (b, s) = (self.body[i], self.shortcut[i]);
+        residual_word(b, self.body_scale, s, self.shortcut_scale, self.out_scale)
+    }
+}
+
+/// The residual merge on one pair of codes: rescale both paths, add,
+/// rescale to the output step, round. The operation order is part of the
+/// result (see the module docs).
+#[inline(always)]
+fn residual_word(b: i8, sb: f32, s: i8, ss: f32, out_scale: f32) -> i8 {
+    requantize((b as f32 * sb + s as f32 * ss) / out_scale)
 }
 
 /// Zero-pads a map to `out_channels`, drawing the padded buffer from the
@@ -1221,6 +1337,65 @@ mod tests {
                      res_scale {res_scale} o {o}",
                     level.name()
                 );
+            }
+        }
+    }
+
+    /// Every split of a run into the AVX2 bodies' 32-word steps, 8-word
+    /// steps and scalar tail: [`EpilogueRows`] (ReLU on and off, channel
+    /// scales of both signs, two images) and [`ResidualAdd`] on runs of
+    /// `l` = 1..=70 words, at every level this CPU has, bit for bit against
+    /// baseline.
+    #[test]
+    fn levels_agree_at_every_block_split() {
+        let mut rng = Rng(13);
+        for l in 1..=70 {
+            let (rows, b) = (3, 2);
+            let words: Vec<i32> =
+                (0..rows * b * l).map(|_| rng.next() as i32 >> (rng.next() % 28)).collect();
+            let channel_scale: Vec<f32> =
+                (0..rows).map(|n| rng.scale() * [30.0, -30.0][n % 2]).collect();
+            let channel_bias: Vec<f32> = (0..rows).map(|_| rng.scale() - 0.2).collect();
+            let (acc_scale, out_scale) = (rng.scale() * 1e-5, rng.scale());
+            let (body, shortcut) = (rng.map(1, 1, l), rng.map(1, 1, l));
+            let res_scale = rng.scale();
+
+            let run_at = |level: Level| {
+                let mut outs = Vec::new();
+                for relu in [false, true] {
+                    let (channel_scale, channel_bias) = (&channel_scale[..], &channel_bias[..]);
+                    let epilogue =
+                        Epilogue { acc_scale, channel_scale, channel_bias, relu, out_scale, l };
+                    let mut dsts = vec![vec![0i8; rows * l]; b];
+                    let rows = 0..rows;
+                    let dsts_ref = &mut dsts;
+                    isa::run_at(
+                        level,
+                        EpilogueRows { epilogue: &epilogue, rows, words: &words, dsts: dsts_ref },
+                    );
+                    outs.extend(dsts);
+                }
+                let mut out = vec![0i8; l];
+                isa::run_at(
+                    level,
+                    ResidualAdd {
+                        body: body.as_slice(),
+                        body_scale: body.scale(),
+                        shortcut: shortcut.as_slice(),
+                        shortcut_scale: shortcut.scale(),
+                        out_scale: res_scale,
+                        out: &mut out,
+                    },
+                );
+                outs.push(out);
+                outs
+            };
+            let baseline = run_at(Level::Baseline);
+            let distinct: std::collections::BTreeSet<i8> =
+                baseline.iter().flatten().copied().collect();
+            assert!(l < 8 || distinct.len() > 3, "l {l}: outputs too uniform to tell levels apart");
+            for level in Level::available() {
+                assert_eq!(run_at(level), baseline, "{} l {l}", level.name());
             }
         }
     }

@@ -70,13 +70,19 @@
 //!   the block is stored into the plane — over whatever it held, in a row
 //!   group's first tile, so this arm skips the zeroing pass over the plane
 //!   — or added to it, in the column bands after.
-//! - **avx2**, 16-bit lanes: the safe block loop compiled for AVX2, 16
-//!   positions per `vpmullw`.
+//! - **avx2+vnni**, 32-bit lanes: the same body, with each `vpmaddwd` +
+//!   `vpaddd` pair one `vpdpwssd` (AVX-VNNI: VEX-encoded, 256-bit, so no
+//!   AVX-512 down-clock), which adds the pair's sum into the accumulator
+//!   with the same wrap — 3 instructions per 16 positions where AVX2 has 5.
+//!   The saturating `vpdpwssds` is never used.
+//! - **avx2** and **avx2+vnni**, 16-bit lanes: the safe block loop
+//!   compiled for AVX2, 16 positions per `vpmullw`.
 //!
 //! Which one runs is decided per band run by
-//! [`cc_tensor::isa::Level::detect`] (a cached atomic load) and reported
-//! by [`lane_isa`]; there is no knob. The deployed engine's peripheral
-//! blocks go through the same dispatch, so one name covers them all.
+//! [`cc_tensor::isa::Level::detect`] (a cached atomic load or two) and
+//! reported by [`lane_isa`]; there is no knob. The deployed engine's
+//! peripheral blocks go through the same dispatch, so one name covers them
+//! all.
 //! Integer wrapping adds are associative and commutative, so no level, no
 //! block width and no order of a lane's products changes a bit. An
 //! AVX-512 level was measured twice and left out: 4–10 % more on
@@ -137,7 +143,7 @@ use crate::cell::CellKind;
 use crate::mac::BitSerialMac;
 use crate::partition::{partition_min_max, partition_min_max_by};
 #[cfg(target_arch = "x86_64")]
-use cc_tensor::isa::{avx2, Avx2};
+use cc_tensor::isa::{avx2, Avx2, Avx2Vnni};
 use cc_tensor::isa::{self, Kernel, Level};
 use cc_tensor::quant::{AccumWidth, QuantMatrix};
 use std::ops::Range;
@@ -1041,6 +1047,14 @@ trait Lane: Copy + Default {
     fn run_avx2(kernel: LaneKernel<'_, Self>, _avx2: Avx2) {
         kernel.run()
     }
+
+    /// The lane kernel's AVX2 + AVX-VNNI compilation: by default the AVX2
+    /// one, compiled there.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2_vnni(kernel: LaneKernel<'_, Self>, vnni: Avx2Vnni) {
+        Self::run_avx2(kernel, vnni.avx2())
+    }
 }
 
 impl Lane for i32 {
@@ -1054,12 +1068,15 @@ impl Lane for i32 {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     fn run_avx2(kernel: LaneKernel<'_, i32>, avx2: Avx2) {
-        let LaneKernel { tiles, row0, sweep: LaneSweep { data, l, plane } } = kernel;
-        if tiles.is_empty() {
-            plane.fill(0);
-        }
-        let mut sweep = MaddSweep { data, l, plane, avx2, row0, group: None, fresh: false };
-        walk_band(tiles, row0, l, &mut sweep);
+        MaddSweep::run(kernel, avx2)
+    }
+
+    /// At AVX2 + AVX-VNNI, the same form with each `vpmaddwd` + `vpaddd`
+    /// pair one `vpdpwssd`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2_vnni(kernel: LaneKernel<'_, i32>, vnni: Avx2Vnni) {
+        MaddSweep::run(kernel, vnni)
     }
 }
 
@@ -1192,7 +1209,10 @@ impl<L: Lane> BandVisitor for LaneSweep<'_, L> {
 /// `vpmaddwd` against the broadcast word `[w, 0]` ([`TileOp`]'s stored
 /// form) gives `w·x` at the eight even positions as `i32`, and against
 /// `[0, w]` (one `vpslld` of it) at the eight odd ones; two `vpaddd` add
-/// them into register accumulators that start at zero. Once per block,
+/// them into register accumulators that start at zero. Under the
+/// [`Avx2Vnni`] token ([`MaddAcc`]) each `vpmaddwd` + `vpaddd` pair is one
+/// `vpdpwssd`, which adds the pair's sum into the accumulator with the
+/// same wrap (never the saturating `vpdpwssds`). Once per block,
 /// `vpunpck{l,h}dq` + `vperm2i128` put the positions back in order and the
 /// block goes into the plane: stored in a row group's first tile, added
 /// after (see `fresh`), so the plane is never zeroed first. Bit-identical
@@ -1201,11 +1221,11 @@ impl<L: Lane> BandVisitor for LaneSweep<'_, L> {
 /// order. Pairing two ops per `vpmaddwd` (their data rows interleaved as
 /// `i16`) was measured and is slower.
 #[cfg(target_arch = "x86_64")]
-struct MaddSweep<'a> {
+struct MaddSweep<'a, T> {
     data: &'a [i8],
     l: usize,
     plane: &'a mut [i32],
-    avx2: Avx2,
+    token: T,
     /// The band's first output row: row `r`'s words start at
     /// `(r - row0) * l`.
     row0: usize,
@@ -1217,19 +1237,70 @@ struct MaddSweep<'a> {
     fresh: bool,
 }
 
+/// The token a [`MaddSweep`] runs under, and the one step that differs
+/// between them: `acc + madd_i16(x, w)`.
+#[cfg(target_arch = "x86_64")]
+trait MaddAcc: Copy {
+    fn avx2(self) -> Avx2;
+    fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl MaddAcc for Avx2 {
+    #[inline(always)]
+    fn avx2(self) -> Avx2 {
+        self
+    }
+
+    /// `vpmaddwd` + `vpaddd`.
+    #[inline(always)]
+    fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i {
+        avx2::add_i32(self, acc, avx2::madd_i16(self, x, w))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl MaddAcc for Avx2Vnni {
+    #[inline(always)]
+    fn avx2(self) -> Avx2 {
+        Avx2Vnni::avx2(self)
+    }
+
+    /// `vpdpwssd`.
+    #[inline(always)]
+    fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i {
+        avx2::dpwssd(self, acc, x, w)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<T: MaddAcc> MaddSweep<'_, T> {
+    /// The lane kernel's band, swept under `token`.
+    #[inline(always)]
+    fn run(kernel: LaneKernel<'_, i32>, token: T) {
+        let LaneKernel { tiles, row0, sweep: LaneSweep { data, l, plane } } = kernel;
+        if tiles.is_empty() {
+            plane.fill(0);
+        }
+        let mut sweep = MaddSweep { data, l, plane, token, row0, group: None, fresh: false };
+        walk_band(tiles, row0, l, &mut sweep);
+    }
+}
+
 /// Sweeps `row[from..]` in blocks of `G` sixteen-position groups, every op
 /// of the row into each, and returns the first position no whole block
 /// covered — [`sweep_blocks`] in even/odd form.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn madd_blocks<const G: usize>(
-    t: Avx2,
+    token: impl MaddAcc,
     row: &mut [i32],
     data: &[i8],
     ops: &[TileOp],
     from: usize,
     fresh: bool,
 ) -> usize {
+    let t = token.avx2();
     let l = row.len();
     let width = 16 * G;
     let mut base = from;
@@ -1242,8 +1313,8 @@ fn madd_blocks<const G: usize>(
             let b = &data[op.channel as usize * l + base..][..width];
             for g in 0..G {
                 let x = avx2::widen_i8x16(t, &b[16 * g..]);
-                even[g] = avx2::add_i32(t, even[g], avx2::madd_i16(t, x, w_even));
-                odd[g] = avx2::add_i32(t, odd[g], avx2::madd_i16(t, x, w_odd));
+                even[g] = token.madd_acc(even[g], x, w_even);
+                odd[g] = token.madd_acc(odd[g], x, w_odd);
             }
         }
         for g in 0..G {
@@ -1264,7 +1335,7 @@ fn madd_blocks<const G: usize>(
 }
 
 #[cfg(target_arch = "x86_64")]
-impl BandVisitor for MaddSweep<'_> {
+impl<T: MaddAcc> BandVisitor for MaddSweep<'_, T> {
     #[inline(always)]
     fn tile(&mut self, tile: &PreparedTile) {
         self.fresh = self.group != Some(tile.r0);
@@ -1282,7 +1353,7 @@ impl BandVisitor for MaddSweep<'_> {
 
     #[inline(always)]
     fn row(&mut self, start: usize, ops: &[TileOp]) {
-        let (t, fresh) = (self.avx2, self.fresh);
+        let (t, fresh) = (self.token, self.fresh);
         let row = &mut self.plane[start..start + self.l];
         let base =
             madd_blocks::<{ LANE_BLOCK / LANE_BLOCK_SHORT }>(t, row, self.data, ops, 0, fresh);
@@ -1394,12 +1465,20 @@ impl<L: Lane> Kernel for LaneKernel<'_, L> {
     fn run_avx2(self, avx2: Avx2) {
         L::run_avx2(self, avx2)
     }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2_vnni(self, vnni: Avx2Vnni) {
+        L::run_avx2_vnni(self, vnni)
+    }
 }
 
 /// The vector level every dispatched block — the lane kernel here, the
 /// deployed engine's quantizer, residual add and pools — runs at on this
-/// CPU: `"avx2"` or `"baseline"` (whatever the build targets — SSE2 on
-/// x86-64). A host ns/MAC figure means nothing across boxes without it.
+/// CPU: `"avx2+vnni"` (the lane kernel's multiply-adds in AVX-VNNI, every
+/// other block at AVX2), `"avx2"` or `"baseline"` (whatever the build
+/// targets — SSE2 on x86-64). A host ns/MAC figure means nothing across
+/// boxes without it.
 pub fn lane_isa() -> &'static str {
     Level::detect().name()
 }

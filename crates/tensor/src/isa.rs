@@ -11,24 +11,38 @@
 //! SSE2, four `f32` or `i32` to the instruction), or a function that
 //! carries `#[target_feature(enable = "avx2")]` (eight). So a block is
 //! written once, as a [`Kernel`] whose `run` is `#[inline(always)]`, and
-//! [`run_at`] compiles it twice by inlining it into two callers: itself,
-//! and a private `run_avx2` whose whole body is one call of
-//! [`Kernel::run_avx2`] — by default `run` again. [`run`] picks between
-//! them from the CPU, once per call of a block (a cached atomic load);
-//! there is no knob, build flag or `RUSTFLAGS`. A CPU without AVX2, or a
-//! target that is not x86-64, runs the baseline instantiation.
+//! [`run_at`] compiles it three times by inlining it into three callers:
+//! itself, a private `run_avx2` whose whole body is one call of
+//! [`Kernel::run_avx2`] — by default `run` again — and a private
+//! `run_avx2_vnni`, compiled for AVX2 plus AVX-VNNI, whose body is one
+//! call of [`Kernel::run_avx2_vnni`] — by default `run_avx2`. [`run`]
+//! picks between them from the CPU, once per call of a block (a cached
+//! atomic load); there is no knob, build flag or `RUSTFLAGS`. A CPU
+//! without AVX2, or a target that is not x86-64, runs the baseline
+//! instantiation.
+//!
+//! The three levels are [`Level::Baseline`], [`Level::Avx2`] and
+//! [`Level::Avx2Vnni`] (`"baseline"`, `"avx2"`, `"avx2+vnni"`). AVX-VNNI
+//! is the VEX-encoded, 256-bit form of the multiply-accumulate
+//! instructions, so it runs at AVX2's clock; only the 32-bit lane kernel
+//! has a body of its own there (`vpdpwssd` for each `vpmaddwd` + `vpaddd`
+//! pair), and every other block runs its AVX2 body.
 //!
 //! A block that needs an instruction the optimiser will not pick from safe
-//! Rust — the 32-bit lane kernel wants `vpmaddwd` — overrides
-//! [`Kernel::run_avx2`] with a body written in the [`avx2`] wrappers. Each
-//! takes the [`Avx2`] token the dispatch hands to `run_avx2`, so no
-//! intrinsic can be reached on a CPU that lacks it.
+//! Rust — the 32-bit lane kernel wants `vpmaddwd` (or `vpdpwssd`), the
+//! ReLU + quantizer block and the residual add want `vcvtps2dq` and a
+//! `vpackssdw` / `vpacksswb` narrowing — overrides [`Kernel::run_avx2`]
+//! (and [`Kernel::run_avx2_vnni`]) with a body written in the [`avx2`]
+//! wrappers. Each takes the [`Avx2`] (or [`Avx2Vnni`]) token the dispatch
+//! hands to the override, so no intrinsic can be reached on a CPU that
+//! lacks it.
 //!
-//! Only `avx2` is ever enabled — never `fma`. Rust does not contract
-//! `a * b + c`, and without the feature the backend has no fused
+//! Only `avx2` and `avxvnni` are ever enabled — never `fma`. Rust does not
+//! contract `a * b + c`, and without the feature the backend has no fused
 //! instruction to contract it into, so an elementwise IEEE expression
 //! gives the same bits at every level: wider registers reorder nothing.
-//! Integer lanes wrap the same at any width. That is what lets the
+//! Integer lanes wrap the same at any width, and `vpdpwssd` wraps (its
+//! saturating twin `vpdpwssds` is never used). That is what lets the
 //! bit-identity suites hold a level-dispatched engine to constants taken
 //! before it existed.
 //!
@@ -37,34 +51,40 @@
 //! This module holds the workspace's two audited exceptions to
 //! `unsafe_code = "deny"`.
 //!
-//! The first is the call from [`run_at`] into `run_avx2`. Calling a
-//! `#[target_feature]` function is undefined behaviour on a CPU without the
-//! feature and has no other requirement, so the call is sound exactly when
-//! the CPU has AVX2 — and it is reached only through a [`Level::Avx2`],
-//! which carries a [`Detected`]. `Detected`'s field is private, so nothing
-//! outside this module can construct one, and inside it only
-//! [`Level::detect`] does, after `is_x86_feature_detected!("avx2")` said
-//! yes. Kernels are safe code on both sides of the call; nothing they do
-//! can make it unsound.
+//! The first is [`run_at`]'s calls into `run_avx2` and `run_avx2_vnni`.
+//! Calling a `#[target_feature]` function is undefined behaviour on a CPU
+//! without the feature and has no other requirement, so each call is
+//! sound exactly when the CPU has its features — and it is reached only
+//! through a [`Level::Avx2`], which carries a [`Detected`], or a
+//! [`Level::Avx2Vnni`], which carries a [`DetectedVnni`]. Their fields are
+//! private, so nothing outside this module can construct one, and inside
+//! it only [`Level::detect`] and [`Level::available`] do, after
+//! `is_x86_feature_detected!("avx2")` (and, for `DetectedVnni`,
+//! `is_x86_feature_detected!("avxvnni")` too) said yes. Kernels are safe
+//! code on both sides of the call; nothing they do can make it unsound.
 //!
-//! The second is the [`avx2`] module. An AVX2 intrinsic is a
+//! The second is the [`avx2`] module. An AVX2 or AVX-VNNI intrinsic is a
 //! `#[target_feature]` function, so calling one from a function without
-//! the feature is `unsafe` for the same one reason. Every wrapper takes an
-//! [`Avx2`] by value, and an `Avx2` is made only by `run_at`, from the
-//! `Detected` of a [`Level::Avx2`] (its field is private too): holding one
-//! proves the CPU has AVX2. The wrappers that touch memory take slices and
-//! check the length before the unaligned load or store, so every pointer
-//! they hand an intrinsic covers the bytes it reads or writes. The Rust
-//! ABI passes a vector the same way whatever target features caller and
-//! callee have, so a wrapper that is *not* inlined is slow, never unsound.
+//! the feature is `unsafe` for the same one reason. Every AVX2 wrapper
+//! takes an [`Avx2`] by value, and an `Avx2` is made only by `run_at`,
+//! from the `Detected` of a [`Level::Avx2`], or by [`Avx2Vnni::avx2`]
+//! (VNNI proves AVX2 too): holding one proves the CPU has AVX2. The one
+//! AVX-VNNI wrapper, [`avx2::dpwssd`], takes an [`Avx2Vnni`], made only by
+//! `run_at` from the `DetectedVnni` of a [`Level::Avx2Vnni`]. The wrappers
+//! that touch memory take slices and check the length before the
+//! unaligned load or store, so every pointer they hand an intrinsic covers
+//! the bytes it reads or writes. The Rust ABI passes a vector the same way
+//! whatever target features caller and callee have, so a wrapper that is
+//! *not* inlined is slow, never unsound.
 //!
 //! A kernel that *fails to inline* (a missing `#[inline(always)]` on `run`,
 //! `run_avx2` or something they call, or a call into another crate the
 //! optimiser declines) is compiled for the baseline and merely called from
 //! `run_avx2`: slower than intended, never unsound, and invisible to every
-//! test. The `objdump` checks in CI and in the verify skill (`vdivps` and
-//! `vpmaddwd` on `ymm` registers in a binary that serves, `vmulps` on them
-//! in one that trains) are what make that failure loud.
+//! test. The `objdump` checks in CI and in the verify skill (`vdivps`,
+//! `vcvtps2dq`, `vpmaddwd` and `vpdpwssd` on `ymm` registers in a binary
+//! that serves, `vmulps` on them in one that trains) are what make that
+//! failure loud.
 //!
 //! ```compile_fail
 //! // The proof token cannot be forged outside the module.
@@ -72,21 +92,54 @@
 //! ```
 //!
 //! ```compile_fail
-//! // Nor can the token the intrinsic wrappers take.
+//! // Nor can the VNNI one.
+//! let forged = cc_tensor::isa::Level::Avx2Vnni(cc_tensor::isa::DetectedVnni(()));
+//! ```
+//!
+//! ```compile_fail
+//! // Nor the tokens the intrinsic wrappers take.
 //! let forged: cc_tensor::isa::Avx2 = cc_tensor::isa::Avx2(unreachable!());
 //! ```
+//!
+//! ```compile_fail
+//! let forged: cc_tensor::isa::Avx2Vnni = cc_tensor::isa::Avx2Vnni(unreachable!());
+//! ```
 
-/// Proof that the CPU reported AVX2. Only [`Level::detect`] makes one.
+/// Proof that the CPU reported AVX2. Only [`Level::detect`] and
+/// [`Level::available`] make one.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Detected(());
 
+/// Proof that the CPU reported AVX2 and AVX-VNNI. Only [`Level::detect`]
+/// makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DetectedVnni(());
+
 /// Proof, handed to [`Kernel::run_avx2`], that the CPU has AVX2: the key
-/// every [`avx2`] wrapper takes. Only the dispatch makes one, from the
-/// [`Detected`] of a [`Level::Avx2`].
+/// every [`avx2`] wrapper but [`avx2::dpwssd`] takes. Only the dispatch
+/// makes one, from the [`Detected`] of a [`Level::Avx2`], and
+/// [`Avx2Vnni::avx2`].
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug)]
 pub struct Avx2(Detected);
+
+/// Proof, handed to [`Kernel::run_avx2_vnni`], that the CPU has AVX2 and
+/// AVX-VNNI: the key [`avx2::dpwssd`] takes. Only the dispatch makes one,
+/// from the [`DetectedVnni`] of a [`Level::Avx2Vnni`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2Vnni(DetectedVnni);
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2Vnni {
+    /// The AVX2 token: a CPU with AVX-VNNI was also seen to have AVX2.
+    #[inline(always)]
+    pub fn avx2(self) -> Avx2 {
+        Avx2(Detected(()))
+    }
+}
 
 /// A vector level this CPU can run a [`Kernel`] at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,33 +149,49 @@ pub enum Level {
     /// 256-bit integer and float vectors.
     #[cfg(target_arch = "x86_64")]
     Avx2(Detected),
+    /// AVX2 plus the 256-bit AVX-VNNI multiply-accumulate (`vpdpwssd`).
+    #[cfg(target_arch = "x86_64")]
+    Avx2Vnni(DetectedVnni),
 }
 
 impl Level {
     /// The widest level the CPU has. `is_x86_feature_detected!` caches its
-    /// CPUID probe, so this is an atomic load.
+    /// CPUID probe, so this is an atomic load or two.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avxvnni") {
+                return Level::Avx2Vnni(DetectedVnni(()));
+            }
             return Level::Avx2(Detected(()));
         }
         Level::Baseline
     }
 
     /// Every level the CPU has, baseline first, so tests and demos can
-    /// cover each compilation they can run — not only the detected one.
+    /// cover each compilation they can run — not only the detected one. A
+    /// VNNI host lists all three, so the plain AVX2 bodies stay covered
+    /// there too.
     pub fn available() -> Vec<Self> {
-        let mut levels = vec![Level::Baseline, Self::detect()];
-        levels.dedup();
-        levels
+        match Self::detect() {
+            Level::Baseline => vec![Level::Baseline],
+            #[cfg(target_arch = "x86_64")]
+            avx2 @ Level::Avx2(_) => vec![Level::Baseline, avx2],
+            #[cfg(target_arch = "x86_64")]
+            vnni @ Level::Avx2Vnni(_) => {
+                vec![Level::Baseline, Level::Avx2(Detected(())), vnni]
+            }
+        }
     }
 
-    /// `"baseline"` or `"avx2"`.
+    /// `"baseline"`, `"avx2"` or `"avx2+vnni"`.
     pub fn name(self) -> &'static str {
         match self {
             Level::Baseline => "baseline",
             #[cfg(target_arch = "x86_64")]
             Level::Avx2(_) => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2Vnni(_) => "avx2+vnni",
         }
     }
 }
@@ -149,22 +218,36 @@ pub trait Kernel {
     {
         self.run()
     }
+    /// The block's AVX2 + AVX-VNNI compilation, which the dispatch runs in
+    /// place of `run` when the CPU has both: by default `run_avx2`. Override
+    /// it as `run_avx2` is overridden, where a body with
+    /// [`avx2::dpwssd`] beats the AVX2 one.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx2_vnni(self, vnni: Avx2Vnni) -> Self::Out
+    where
+        Self: Sized,
+    {
+        self.run_avx2(vnni.avx2())
+    }
 }
 
 /// Runs `kernel` at `level`. Results do not depend on the level.
 #[inline]
+#[allow(unsafe_code)]
 pub fn run_at<K: Kernel>(level: Level, kernel: K) -> K::Out {
     match level {
         Level::Baseline => kernel.run(),
+        // SAFETY: `run_avx2` is safe Rust whose one requirement is a CPU
+        // with AVX2, and a `Level::Avx2` exists only because
+        // `is_x86_feature_detected!("avx2")` said yes (nothing outside this
+        // module can construct its `Detected`).
         #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        Level::Avx2(detected) => {
-            // SAFETY: `run_avx2` is safe Rust whose one requirement is a
-            // CPU with AVX2, and a `Level::Avx2` exists only because
-            // `Level::detect` saw `is_x86_feature_detected!("avx2")`
-            // (nothing outside this module can construct its `Detected`).
-            unsafe { run_avx2(kernel, Avx2(detected)) }
-        }
+        Level::Avx2(detected) => unsafe { run_avx2(kernel, Avx2(detected)) },
+        // SAFETY: as above, for a CPU with AVX2 and AVX-VNNI, which is what
+        // a `DetectedVnni` was made after.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2Vnni(detected) => unsafe { run_avx2_vnni(kernel, Avx2Vnni(detected)) },
     }
 }
 
@@ -181,21 +264,38 @@ fn run_avx2<K: Kernel>(kernel: K, avx2: Avx2) -> K::Out {
     kernel.run_avx2(avx2)
 }
 
-/// AVX2 intrinsics behind the [`Avx2`] token, for a [`Kernel::run_avx2`]
-/// body. Each is `#[inline(always)]` and is one instruction once inlined
-/// into the dispatch's AVX2 compilation (named beside it); the loads and
-/// the store check their slice's length first (see the module docs for
-/// why these are sound). Vectors are [`__m256i`](avx2::__m256i): eight
-/// `i32` or sixteen `i16`, as the wrapper says.
+/// A kernel's AVX2 + AVX-VNNI compilation. `avxvnni` adds integer
+/// multiply-accumulates only: no float instruction, and no fused one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avxvnni")]
+fn run_avx2_vnni<K: Kernel>(kernel: K, vnni: Avx2Vnni) -> K::Out {
+    kernel.run_avx2_vnni(vnni)
+}
+
+/// AVX2 (and one AVX-VNNI) intrinsics behind the [`Avx2`] (and
+/// [`Avx2Vnni`]) token, for a [`Kernel::run_avx2`] body. Each is
+/// `#[inline(always)]` and is one instruction once inlined into the
+/// dispatch's AVX2 compilation (named beside it; the bit casts are none);
+/// the loads and the stores check their slice's length first (see the
+/// module docs for why these are sound). Integer vectors are
+/// [`__m256i`](avx2::__m256i) — eight `i32`, sixteen `i16` or thirty-two
+/// `i8`, as the wrapper says — and float ones [`__m256`](avx2::__m256),
+/// eight `f32`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod avx2 {
-    use super::Avx2;
-    pub use core::arch::x86_64::__m256i;
+    use super::{Avx2, Avx2Vnni};
+    pub use core::arch::x86_64::{__m256, __m256i};
     use core::arch::x86_64::{
-        _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_permute2x128_si256, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_slli_epi32,
-        _mm256_storeu_si256, _mm256_unpackhi_epi32, _mm256_unpacklo_epi32, _mm_loadu_si128,
+        _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_castps_si256,
+        _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16,
+        _mm256_cvtepi8_epi32, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_dpwssd_avx_epi32,
+        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps, _mm256_min_ps,
+        _mm256_mul_ps, _mm256_or_ps, _mm256_packs_epi16, _mm256_packs_epi32,
+        _mm256_permute2x128_si256, _mm256_permutevar8x32_epi32, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setzero_si256, _mm256_sign_epi32, _mm256_slli_epi32, _mm256_storeu_si256,
+        _mm256_sub_epi32, _mm256_sub_ps, _mm256_unpackhi_epi32, _mm256_unpacklo_epi32,
+        _mm_loadl_epi64, _mm_loadu_si128, _mm_storel_epi64, _CMP_EQ_OQ, _CMP_ORD_Q,
     };
 
     /// The first 16 bytes of `src`, sign-extended to sixteen `i16`
@@ -297,6 +397,216 @@ pub mod avx2 {
         // SAFETY: the token proves AVX2.
         unsafe { _mm256_permute2x128_si256::<IMM>(a, b) }
     }
+
+    /// `acc + madd_i16(a, b)` in one instruction (`vpdpwssd`): each
+    /// adjacent pair of `i16` products summed into the `i32` lane, the add
+    /// wrapping as `vpaddd` does. Never the saturating `vpdpwssds`.
+    #[inline(always)]
+    pub fn dpwssd(_: Avx2Vnni, acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2 and AVX-VNNI.
+        unsafe { _mm256_dpwssd_avx_epi32(acc, a, b) }
+    }
+
+    /// The first eight bytes of `src`, sign-extended to eight `i32`
+    /// (`vpmovsxbd`, from memory).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is shorter than 8.
+    #[inline(always)]
+    pub fn widen_i8x8(_: Avx2, src: &[i8]) -> __m256i {
+        let src = &src[..8];
+        // SAFETY: the token proves AVX2; `src` holds the 8 bytes read, and
+        // `loadl` takes any alignment.
+        unsafe { _mm256_cvtepi8_epi32(_mm_loadl_epi64(src.as_ptr().cast())) }
+    }
+
+    /// The first eight `f32` of `src` (`vmovups`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is shorter than 8.
+    #[inline(always)]
+    pub fn load_f32x8(_: Avx2, src: &[f32]) -> __m256 {
+        let src = &src[..8];
+        // SAFETY: the token proves AVX2; `src` holds the 32 bytes read,
+        // and `loadu` takes any alignment.
+        unsafe { _mm256_loadu_ps(src.as_ptr()) }
+    }
+
+    /// Stores the 32 bytes of `v` over the first 32 of `dst` (`vmovdqu`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is shorter than 32.
+    #[inline(always)]
+    pub fn store_i8x32(_: Avx2, dst: &mut [i8], v: __m256i) {
+        let dst = &mut dst[..32];
+        // SAFETY: the token proves AVX2; `dst` is 32 writable bytes, and
+        // `storeu` takes any alignment.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
+    }
+
+    /// Stores the low eight bytes of `v` over the first eight of `dst`
+    /// (`vmovq`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is shorter than 8.
+    #[inline(always)]
+    pub fn store_i8x8(_: Avx2, dst: &mut [i8], v: __m256i) {
+        let dst = &mut dst[..8];
+        // SAFETY: the token proves AVX2; `dst` is 8 writable bytes, and
+        // `storel` takes any alignment.
+        unsafe { _mm_storel_epi64(dst.as_mut_ptr().cast(), _mm256_castsi256_si128(v)) }
+    }
+
+    /// Each `i32` lane of `a` negated where that lane of `b` is negative,
+    /// zeroed where it is zero, kept where it is positive (`vpsignd`).
+    #[inline(always)]
+    pub fn sign_i32(_: Avx2, a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_sign_epi32(a, b) }
+    }
+
+    /// Wrapping `i32` subtract, lane by lane (`vpsubd`).
+    #[inline(always)]
+    pub fn sub_i32(_: Avx2, a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_sub_epi32(a, b) }
+    }
+
+    /// The eight `i32` of `a` and of `b` narrowed to `i16` with signed
+    /// saturation, per 128-bit half: `[a0..4, b0..4 | a4..8, b4..8]`
+    /// (`vpackssdw`).
+    #[inline(always)]
+    pub fn pack_i32_i16(_: Avx2, a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_packs_epi32(a, b) }
+    }
+
+    /// The sixteen `i16` of `a` and of `b` narrowed to `i8` with signed
+    /// saturation, per 128-bit half: `[a0..8, b0..8 | a8..16, b8..16]`
+    /// (`vpacksswb`).
+    #[inline(always)]
+    pub fn pack_i16_i8(_: Avx2, a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_packs_epi16(a, b) }
+    }
+
+    /// The `i32` lanes of `a` picked by the low three bits of each lane of
+    /// `index`, across the whole register (`vpermd`).
+    #[inline(always)]
+    pub fn permute_i32(_: Avx2, a: __m256i, index: __m256i) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_permutevar8x32_epi32(a, index) }
+    }
+
+    /// `v` in all eight `f32` lanes (`vbroadcastss`).
+    #[inline(always)]
+    pub fn splat_f32(_: Avx2, v: f32) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_set1_ps(v) }
+    }
+
+    /// Each `i32` lane converted to the nearest `f32`, as `as f32` does
+    /// (`vcvtdq2ps`).
+    #[inline(always)]
+    pub fn i32_to_f32(_: Avx2, a: __m256i) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_cvtepi32_ps(a) }
+    }
+
+    /// Each `f32` lane rounded to the nearest `i32`, ties to even (the
+    /// default rounding mode, which Rust code never changes); out of range
+    /// or NaN gives `i32::MIN` (`vcvtps2dq`).
+    #[inline(always)]
+    pub fn f32_to_i32_nearest(_: Avx2, a: __m256) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_cvtps_epi32(a) }
+    }
+
+    /// The bits of `a`'s `f32` lanes as `i32` lanes (no instruction).
+    #[inline(always)]
+    pub fn f32_bits(_: Avx2, a: __m256) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_castps_si256(a) }
+    }
+
+    /// IEEE `a + b`, lane by lane (`vaddps`).
+    #[inline(always)]
+    pub fn add_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_add_ps(a, b) }
+    }
+
+    /// IEEE `a - b`, lane by lane (`vsubps`).
+    #[inline(always)]
+    pub fn sub_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_sub_ps(a, b) }
+    }
+
+    /// IEEE `a * b`, lane by lane (`vmulps`).
+    #[inline(always)]
+    pub fn mul_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_mul_ps(a, b) }
+    }
+
+    /// IEEE `a / b`, lane by lane (`vdivps`).
+    #[inline(always)]
+    pub fn div_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_div_ps(a, b) }
+    }
+
+    /// `if a > b { a } else { b }`, lane by lane (`vmaxps`): on a NaN in
+    /// either, and on two zeros of either sign, it is `b`, so the operand
+    /// order is part of the result.
+    #[inline(always)]
+    pub fn max_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_max_ps(a, b) }
+    }
+
+    /// `if a < b { a } else { b }`, lane by lane (`vminps`): `b` on a NaN
+    /// and on two zeros, as [`max_f32`].
+    #[inline(always)]
+    pub fn min_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_min_ps(a, b) }
+    }
+
+    /// Bitwise `a & b` of two float vectors (`vandps`).
+    #[inline(always)]
+    pub fn and_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_and_ps(a, b) }
+    }
+
+    /// Bitwise `a | b` of two float vectors (`vorps`).
+    #[inline(always)]
+    pub fn or_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_or_ps(a, b) }
+    }
+
+    /// All ones where `a == b` (IEEE: NaN equals nothing, `-0.0 == 0.0`),
+    /// zero elsewhere, lane by lane (`vcmpeqps`).
+    #[inline(always)]
+    pub fn eq_f32(_: Avx2, a: __m256, b: __m256) -> __m256i {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_castps_si256(_mm256_cmp_ps::<_CMP_EQ_OQ>(a, b)) }
+    }
+
+    /// All ones where neither `a` nor `b` is NaN, zero elsewhere, lane by
+    /// lane (`vcmpordps`).
+    #[inline(always)]
+    pub fn ordered_f32(_: Avx2, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: the token proves AVX2.
+        unsafe { _mm256_cmp_ps::<_CMP_ORD_Q>(a, b) }
+    }
 }
 
 #[cfg(test)]
@@ -319,7 +629,9 @@ mod tests {
         assert_eq!(levels[0], Level::Baseline);
         assert!(levels.contains(&Level::detect()));
         let names: Vec<_> = levels.iter().map(|level| level.name()).collect();
-        assert!(names == ["baseline"] || names == ["baseline", "avx2"], "{names:?}");
+        let known: [&[&str]; 3] =
+            [&["baseline"], &["baseline", "avx2"], &["baseline", "avx2", "avx2+vnni"]];
+        assert!(known.contains(&&names[..]), "{names:?}");
     }
 
     /// The slice check runs before the load, so a short slice panics
@@ -332,6 +644,9 @@ mod tests {
         match Level::detect() {
             Level::Avx2(detected) => {
                 avx2::widen_i8x16(Avx2(detected), short);
+            }
+            Level::Avx2Vnni(detected) => {
+                avx2::widen_i8x16(Avx2Vnni(detected).avx2(), short);
             }
             // No token without AVX2: index as the load does.
             Level::Baseline => {

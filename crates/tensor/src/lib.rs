@@ -16,11 +16,12 @@
 //! * [`quant`] — the paper's linear 8-bit fixed-point quantization (§2.5)
 //!   with 16/32-bit integer accumulation semantics that the bit-serial
 //!   systolic arrays implement exactly,
-//! * [`isa`] — the workspace's one vector-level dispatch (baseline / AVX2),
-//!   which the systolic lane kernel and the deployed engine's peripheral
-//!   blocks all run through, and its two audited `unsafe` exceptions: the
-//!   dispatch call and the token-gated AVX2 intrinsics the lane kernel's
-//!   AVX2 body is written in,
+//! * [`isa`] — the workspace's one vector-level dispatch (baseline / AVX2 /
+//!   AVX2 + AVX-VNNI), which the systolic lane kernel and the deployed
+//!   engine's peripheral blocks all run through, and its two audited
+//!   `unsafe` exceptions: the dispatch calls and the token-gated
+//!   intrinsics the lane kernel's and the requantizer's vector bodies are
+//!   written in,
 //! * [`init`] — deterministic weight initializers.
 //!
 //! # Examples

@@ -17,7 +17,19 @@
 //! under `--ignored`). It is `#[inline(always)]` because those loops are
 //! [`crate::isa::Kernel`]s: the rounding must be compiled inside the
 //! caller, at the caller's vector level.
+//!
+//! Its AVX2 twin, [`requantize_x8`], rounds eight words per instruction
+//! with `vcvtps2dq` instead, and [`requantize_slice`] writes a slice of
+//! them — whatever [`Quotients`] a block computes — 32, then 8 words per
+//! step, narrowing to bytes with `vpackssdw` / `vpacksswb`: the ReLU +
+//! quantizer block's and the residual add's AVX2 bodies in `cc-deploy`.
+//! It is the same function on every `f32` — sampled here by default,
+//! every float in `[-130, 130]` under `--ignored`.
 
+#[cfg(target_arch = "x86_64")]
+use crate::isa::avx2::{self, __m256, __m256i};
+#[cfg(target_arch = "x86_64")]
+use crate::isa::Avx2;
 use crate::matrix::Matrix;
 
 /// Accumulator width used by the systolic array's bit-serial MACs.
@@ -150,6 +162,85 @@ pub fn requantize(x: f32) -> i8 {
     (even + up - down) as i8
 }
 
+/// [`requantize`] on eight lanes at once, bit for bit on every `f32`, as
+/// eight `i32` in `[-127, 127]`.
+///
+/// NaN becomes 0 and the clamp to ±127 comes first, as in `requantize`.
+/// Then `vcvtps2dq` rounds to nearest, ties to *even*, and the residual
+/// `diff = c - r` is exact (`|diff| ≤ 0.5`, and `c` and `r` are within
+/// one of each other). A tie rounded toward zero is exactly `diff ==
+/// copysign(0.5, c)`; there `vpsignd` turns the all-ones compare mask
+/// into `+1` (for `c < 0`) or `-1` (for `c > 0`), and subtracting it steps
+/// the word one away from zero: round half away.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)] // as `requantize`
+pub fn requantize_x8(t: Avx2, x: __m256) -> __m256i {
+    let x = avx2::and_f32(t, avx2::ordered_f32(t, x, x), x);
+    let c = avx2::max_f32(t, x, avx2::splat_f32(t, -127.0));
+    let c = avx2::min_f32(t, c, avx2::splat_f32(t, 127.0));
+    let even = avx2::f32_to_i32_nearest(t, c);
+    let diff = avx2::sub_f32(t, c, avx2::i32_to_f32(t, even));
+    let sign = avx2::and_f32(t, c, avx2::splat_f32(t, -0.0));
+    let toward_zero = avx2::eq_f32(t, diff, avx2::or_f32(t, sign, avx2::splat_f32(t, 0.5)));
+    avx2::sub_i32(t, even, avx2::sign_i32(t, toward_zero, avx2::f32_bits(t, c)))
+}
+
+/// A run of words for [`requantize_slice`] to finish: a block's per-word
+/// float expression, up to and including the division by the output step.
+/// Mark both methods `#[inline(always)]`: the body is compiled inside the
+/// caller's AVX2 kernel only by being inlined (a closure is not, and runs
+/// its intrinsics as calls).
+#[cfg(target_arch = "x86_64")]
+pub trait Quotients {
+    /// The quotients of words `i..i + 8`, each what the scalar `word`
+    /// hands `requantize`.
+    fn x8(&self, t: Avx2, i: usize) -> __m256;
+    /// Word `i`, finished by the scalar [`requantize`].
+    fn word(&self, i: usize) -> i8;
+}
+
+/// Writes `out[i] = requantize(x)` for every word of `out`, where
+/// `run.x8(t, i)` is the eight quotients `x` of words `i..i + 8` and
+/// `run.word(i)` is word `i` whole, through the scalar `requantize`: 32
+/// words per step (four [`requantize_x8`], two `vpackssdw`, one
+/// `vpacksswb`, one `vpermd` to undo the packs' per-half interleave, one
+/// store), then 8 words per step, then `word` for the fewer than 8 left.
+/// The narrowing never saturates: every lane is already in `[-127, 127]`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)] // a kernel body: compiled at its caller's level
+pub fn requantize_slice(t: Avx2, out: &mut [i8], run: &impl Quotients) {
+    // After the packs, 32-bit lane `j < 4` holds words 0..4 of the `j`-th
+    // vector and lane `j + 4` its words 4..8: `order` interleaves them.
+    let order = avx2::load_i32x8(t, &[0, 4, 1, 5, 2, 6, 3, 7]);
+    let n = out.len();
+    let mut i = 0;
+    while i + 32 <= n {
+        let low = avx2::pack_i32_i16(
+            t,
+            requantize_x8(t, run.x8(t, i)),
+            requantize_x8(t, run.x8(t, i + 8)),
+        );
+        let high = avx2::pack_i32_i16(
+            t,
+            requantize_x8(t, run.x8(t, i + 16)),
+            requantize_x8(t, run.x8(t, i + 24)),
+        );
+        let bytes = avx2::pack_i16_i8(t, low, high);
+        avx2::store_i8x32(t, &mut out[i..], avx2::permute_i32(t, bytes, order));
+        i += 32;
+    }
+    while i + 8 <= n {
+        let q = requantize_x8(t, run.x8(t, i));
+        let words = avx2::pack_i32_i16(t, q, q);
+        let bytes = avx2::pack_i16_i8(t, words, words);
+        avx2::store_i8x8(t, &mut out[i..], avx2::permute_i32(t, bytes, order));
+        i += 8;
+    }
+    for (k, q) in out[i..].iter_mut().enumerate() {
+        *q = run.word(i + k);
+    }
+}
+
 /// An 8-bit quantized matrix plus its scale, as loaded into a systolic array.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantMatrix {
@@ -269,6 +360,7 @@ pub fn relu_requantize(acc: i64, acc_scale: f32, out_params: QuantParams) -> i8 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{self, Kernel, Level};
 
     #[test]
     fn wrap_matches_twos_complement() {
@@ -364,6 +456,133 @@ mod tests {
             })
             .count();
         assert_eq!(mismatches, 0);
+    }
+
+    /// [`requantize_slice`] as a kernel over `xs`: the scalar
+    /// `requantize` at baseline, the eight-lane twin at every AVX2 level.
+    struct Twin<'a> {
+        xs: &'a [f32],
+        out: &'a mut [i8],
+    }
+
+    impl Kernel for Twin<'_> {
+        type Out = ();
+
+        #[inline(always)]
+        fn run(self) {
+            for (q, &x) in self.out.iter_mut().zip(self.xs) {
+                *q = requantize(x);
+            }
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        fn run_avx2(self, t: Avx2) {
+            requantize_slice(t, self.out, &Floats(self.xs));
+        }
+    }
+
+    /// Quotients given as they are.
+    #[cfg(target_arch = "x86_64")]
+    struct Floats<'a>(&'a [f32]);
+
+    #[cfg(target_arch = "x86_64")]
+    impl Quotients for Floats<'_> {
+        #[inline(always)]
+        fn x8(&self, t: Avx2, i: usize) -> __m256 {
+            avx2::load_f32x8(t, &self.0[i..])
+        }
+
+        #[inline(always)]
+        fn word(&self, i: usize) -> i8 {
+            requantize(self.0[i])
+        }
+    }
+
+    /// `xs` through the twin at every level the CPU has against the scalar
+    /// `requantize`, word by word. `xs` is a whole number of 32-word
+    /// steps, so every word goes through the vector body, never the tail.
+    fn assert_twin_matches(xs: &[f32]) {
+        assert_eq!(xs.len() % 32, 0, "pad to whole 32-word steps");
+        let want: Vec<i8> = xs.iter().map(|&x| requantize(x)).collect();
+        let mut out = vec![0i8; xs.len()];
+        for level in Level::available() {
+            isa::run_at(level, Twin { xs, out: &mut out });
+            if let Some(i) = (0..xs.len()).find(|&i| out[i] != want[i]) {
+                let x = xs[i];
+                let (got, want, bits) = (out[i], want[i], x.to_bits());
+                panic!("{}: x = {x:e} ({bits:#010x}) gave {got}, want {want}", level.name());
+            }
+        }
+    }
+
+    /// Pads `xs` with zeros to whole 32-word steps.
+    fn padded(mut xs: Vec<f32>) -> Vec<f32> {
+        xs.resize(xs.len().next_multiple_of(32), 0.0);
+        xs
+    }
+
+    /// The eight-lane twin where a rounding rewrite goes wrong: every
+    /// `k + 0.5` and `k` across the saturation bounds with the eight
+    /// floats either side of each, zeros, NaNs and infinities of both
+    /// signs, subnormals, huge values, and a seeded million bit patterns
+    /// (every exponent, both signs).
+    #[test]
+    fn x8_twin_matches_requantize_on_ties_specials_and_a_seeded_sample() {
+        let mut xs = Vec::new();
+        for k in -130i32..=130 {
+            for centre in [k as f32 + 0.5, k as f32] {
+                let bits = centre.to_bits();
+                let near = (0..=8).flat_map(|d| [bits.wrapping_sub(d), bits.wrapping_add(d)]);
+                xs.extend(near.map(f32::from_bits));
+            }
+        }
+        let specials = [
+            0.0f32,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0x7fff_ffff),
+            f32::from_bits(1), // smallest subnormal
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            1e30,
+            0.49999997,
+            8388608.5,
+            12582912.0,
+            2147483648.0,
+        ];
+        xs.extend(specials.iter().flat_map(|&x| [x, -x]));
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        xs.extend((0..1 << 20).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f32::from_bits(state as u32)
+        }));
+        assert_twin_matches(&padded(xs));
+    }
+
+    /// Every `f32` in `[-130, 130]` — 2.25 · 10⁹ of them, past both
+    /// saturation bounds — through the eight-lane twin against
+    /// `requantize` (which the sweep above holds to the libcall formula).
+    /// A few seconds in release, so CI runs it as its own step:
+    /// `cargo test --release -p cc-tensor -- --ignored x8_twin`.
+    #[test]
+    #[ignore = "2.25e9 floats; run in release"]
+    fn x8_twin_matches_on_every_float_within_130() {
+        let top = 130.0f32.to_bits();
+        let chunk = 1 << 20;
+        let mut xs = Vec::with_capacity(chunk);
+        for sign in [0, 1u32 << 31] {
+            for start in (0..=top).step_by(chunk) {
+                xs.clear();
+                let end = top.min(start + chunk as u32 - 1);
+                xs.extend((start..=end).map(|b| f32::from_bits(b | sign)));
+                assert_twin_matches(&padded(std::mem::take(&mut xs)));
+            }
+        }
     }
 
     #[test]
