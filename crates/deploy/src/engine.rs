@@ -25,12 +25,17 @@
 //! build's baseline (SSE2 on x86-64, four words to the instruction) and
 //! for AVX2 (eight), picked from the CPU like the lane kernel they sit
 //! behind, with [`cc_systolic::tiled::lane_isa`] naming the level (at
-//! `avx2+vnni` these blocks run their AVX2 bodies). Only `avx2` (and, for
-//! the lane kernel, `avxvnni`) is enabled, never `fma`: a fused
-//! multiply-add rounds once where the pinned expressions below round
-//! twice, and with the feature off the compiler has no instruction to fuse
-//! them into — so an activation is the same bits at every level, which the
-//! tests here assert block by block at every level the CPU has.
+//! `avx2+vnni` these blocks run their AVX2 bodies, and at `avx512+vnni`
+//! all but the epilogue and the residual add do too). At the AVX2 levels
+//! only `avx2` (and, for the lane kernel, `avxvnni`) is enabled, never
+//! `fma`: a fused multiply-add rounds once where the pinned expressions
+//! below round twice, and with the feature off the compiler has no
+//! instruction to fuse them into. The AVX-512 level's `avx512f` implies
+//! `fma`, so only the two blocks with 512-bit bodies are compiled there,
+//! and what keeps their expressions unfused is Rust's rule that it never
+//! contracts `a * b + c` (CI's `objdump` step finds no `vfmadd`) — so an
+//! activation is the same bits at every level, which the tests here
+//! assert block by block at every level the CPU has.
 //!
 //! The two blocks that turn floats back into codes — the epilogue and the
 //! residual add — do not leave their AVX2 body to the optimiser. Their
@@ -41,6 +46,12 @@
 //! add, 32 words narrowed per `vpackssdw` / `vpacksswb` / `vpermd` store,
 //! then 8-word steps, then the scalar body for the fewer than 8 left (so
 //! LeNet's 49-word rows run 32 + 8 + 8 vector words and one scalar one).
+//! At `avx512+vnni` their `run_avx512_vnni` writes the same expression in
+//! [`cc_tensor::isa::avx512`]'s wrappers, finished by
+//! [`cc_tensor::quant::requantize_slice_x16`]: sixteen words per
+//! `vcvtps2dq` with the tie fix-up as two mask compares, narrowed by one
+//! `vpmovsdb`, then the AVX2 body's 8-word steps and scalar words (49
+//! words: 16 + 16 + 16 and one scalar).
 //! The ReLU is `vmaxps(floor, real)` in that operand order, which keeps a
 //! NaN and a −0.0 where the scalar branch keeps them.
 //!
@@ -72,10 +83,10 @@ use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
 use cc_systolic::tiled::{PreparedPacked, RowBand, TiledScheduler};
 #[cfg(target_arch = "x86_64")]
-use cc_tensor::isa::{avx2, Avx2};
+use cc_tensor::isa::{avx2, avx512, Avx2, Avx512Vnni};
 use cc_tensor::isa::{self, Kernel};
 #[cfg(target_arch = "x86_64")]
-use cc_tensor::quant::{requantize_slice, Quotients};
+use cc_tensor::quant::{requantize_slice, requantize_slice_x16, Quotients};
 use cc_tensor::quant::{requantize, AccumWidth, QuantMatrix, QuantParams};
 use std::ops::Range;
 
@@ -273,20 +284,36 @@ fn shifted_span(d: i8, n: usize) -> Range<usize> {
 fn run_shift(shifts: &[(i8, i8)], input: &QMap, pool: &mut BufPool) -> QMap {
     assert_eq!(shifts.len(), input.channels(), "shift channel mismatch");
     let (c, h, w) = (input.channels(), input.height(), input.width());
-    let src = input.as_slice();
-    let mut out = pool.take_zeroed(c * h * w);
-    for (ci, &(dy, dx)) in shifts.iter().enumerate() {
-        // One copy per in-range row: the span of columns whose source
-        // column exists, from the source row `dy` above.
-        let xs = shifted_span(dx, w);
-        if xs.is_empty() {
+    let plane = h * w;
+    let mut out = pool.take_sized(c * plane);
+    // An empty map has no planes to walk (and `chunks_exact` no zero size).
+    let step = plane.max(1);
+    let planes = input.as_slice().chunks_exact(step).zip(out.chunks_exact_mut(step));
+    for (&(dy, dx), (src, dst)) in shifts.iter().zip(planes) {
+        let (ys, xs) = (shifted_span(dy, h), shifted_span(dx, w));
+        if ys.is_empty() || xs.is_empty() {
+            dst.fill(0);
             continue;
         }
-        let src_x = (xs.start as i64 - i64::from(dx)) as usize;
-        for y in shifted_span(dy, h) {
-            let sy = (y as i64 - i64::from(dy)) as usize;
-            let from = (ci * h + sy) * w + src_x;
-            out[(ci * h + y) * w..][xs.clone()].copy_from_slice(&src[from..from + xs.len()]);
+        // Every pixel moves by the same flat offset, so one copy of the
+        // plane's overlapping span moves them all. What it also carries —
+        // rows past `dy`, and at each row's ends the `dx` columns it
+        // wrapped in from the next or previous row — is zeroed after, and
+        // so is whatever it left untouched (all of it in those rows and
+        // columns, as `|dy| < h` and `|dx| < w`).
+        let offset = i64::from(dy) * w as i64 + i64::from(dx);
+        let from = offset.max(0) as usize;
+        let to = (plane as i64 + offset.min(0)) as usize;
+        let src_from = (from as i64 - offset) as usize;
+        dst[from..to].copy_from_slice(&src[src_from..src_from + (to - from)]);
+        dst[..ys.start * w].fill(0);
+        dst[ys.end * w..].fill(0);
+        // Column by column, one strided store per row: a shift wraps in a
+        // column or two, and a fill per row would be two `memset` calls.
+        for x in (0..xs.start).chain(xs.end..w) {
+            for q in dst[ys.start * w + x..ys.end * w].iter_mut().step_by(w) {
+                *q = 0;
+            }
         }
     }
     QMap::from_raw(out, c, h, w, input.scale())
@@ -414,6 +441,25 @@ impl<D: AsMut<[i8]>> Kernel for EpilogueRows<'_, D> {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     fn run_avx2(self, t: Avx2) {
+        self.requantize(t)
+    }
+
+    const AVX512: bool = true;
+
+    /// The same rows through [`requantize_slice_x16`]: the same
+    /// instructions on sixteen words.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx512_vnni(self, t: Avx512Vnni) {
+        self.requantize(t)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<D: AsMut<[i8]>> EpilogueRows<'_, D> {
+    /// The rows, each image's run of each finished by `r`'s requantizer.
+    #[inline(always)]
+    fn requantize(self, r: impl Requantizer) {
         let Epilogue { acc_scale, channel_scale, channel_bias, relu, out_scale, l } = *self.epilogue;
         let bl = self.dsts.len() * l;
         for (k, ni) in self.rows.enumerate() {
@@ -422,9 +468,33 @@ impl<D: AsMut<[i8]>> Kernel for EpilogueRows<'_, D> {
             for (bi, dst) in self.dsts.iter_mut().enumerate() {
                 let words = &row[bi * l..(bi + 1) * l];
                 let run = EpilogueRun { words, acc_scale, scale, bias, relu, out_scale };
-                requantize_slice(t, &mut dst.as_mut()[k * l..(k + 1) * l], &run);
+                r.slice(&mut dst.as_mut()[k * l..(k + 1) * l], &run);
             }
         }
+    }
+}
+
+/// The token a hand-written requantizer body runs under, and the slice
+/// loop it picks: [`requantize_slice`] at AVX2 (and AVX-VNNI),
+/// [`requantize_slice_x16`] at AVX-512.
+#[cfg(target_arch = "x86_64")]
+trait Requantizer: Copy {
+    fn slice(self, out: &mut [i8], run: &impl Quotients);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Requantizer for Avx2 {
+    #[inline(always)]
+    fn slice(self, out: &mut [i8], run: &impl Quotients) {
+        requantize_slice(self, out, run)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Requantizer for Avx512Vnni {
+    #[inline(always)]
+    fn slice(self, out: &mut [i8], run: &impl Quotients) {
+        requantize_slice_x16(self, out, run)
     }
 }
 
@@ -451,6 +521,17 @@ impl Quotients for EpilogueRun<'_> {
         let real = avx2::add_f32(t, scaled, avx2::splat_f32(t, self.bias));
         let real = avx2::max_f32(t, avx2::splat_f32(t, floor), real);
         avx2::div_f32(t, real, avx2::splat_f32(t, self.out_scale))
+    }
+
+    #[inline(always)]
+    fn x16(&self, t: Avx512Vnni, i: usize) -> avx512::__m512 {
+        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
+        let o = avx512::i32_to_f32(t, avx512::load_i32x16(t, &self.words[i..]));
+        let acc = avx512::mul_f32(t, o, avx512::splat_f32(t, self.acc_scale));
+        let scaled = avx512::mul_f32(t, avx512::splat_f32(t, self.scale), acc);
+        let real = avx512::add_f32(t, scaled, avx512::splat_f32(t, self.bias));
+        let real = avx512::max_f32(t, avx512::splat_f32(t, floor), real);
+        avx512::div_f32(t, real, avx512::splat_f32(t, self.out_scale))
     }
 
     #[inline(always)]
@@ -481,7 +562,7 @@ fn epilogue_word(
 fn run_avgpool(input: &QMap, pool: &mut BufPool) -> QMap {
     let (c, h, w) = (input.channels(), input.height(), input.width());
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = pool.take_zeroed(c * oh * ow);
+    let mut out = pool.take_sized(c * oh * ow);
     isa::run(AvgPool { src: input.as_slice(), c, h, w, out: &mut out });
     QMap::from_raw(out, c, oh, ow, input.scale())
 }
@@ -549,7 +630,7 @@ impl Kernel for GlobalPool<'_> {
 }
 
 fn run_relu(input: &QMap, pool: &mut BufPool) -> QMap {
-    let mut out = pool.take_zeroed(input.as_slice().len());
+    let mut out = pool.take_sized(input.as_slice().len());
     isa::run(Relu { src: input.as_slice(), out: &mut out });
     QMap::from_raw(out, input.channels(), input.height(), input.width(), input.scale())
 }
@@ -613,7 +694,7 @@ fn run_residual_batch(
             assert_eq!(h.channels(), shortcut_ref.channels(), "residual channel mismatch");
             assert_eq!(h.plane(), shortcut_ref.plane(), "residual plane mismatch");
 
-            let mut out = scratch.bufs.take_zeroed(h.as_slice().len());
+            let mut out = scratch.bufs.take_sized(h.as_slice().len());
             residual_add(
                 h.as_slice(),
                 h.scale(),
@@ -672,10 +753,28 @@ impl Kernel for ResidualAdd<'_> {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     fn run_avx2(self, t: Avx2) {
+        self.requantize(t)
+    }
+
+    const AVX512: bool = true;
+
+    /// The same words through [`requantize_slice_x16`], sixteen at a time.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx512_vnni(self, t: Avx512Vnni) {
+        self.requantize(t)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl ResidualAdd<'_> {
+    /// The words, finished by `r`'s requantizer.
+    #[inline(always)]
+    fn requantize(self, r: impl Requantizer) {
         let ResidualAdd { body, body_scale, shortcut, shortcut_scale, out_scale, out } = self;
         let n = out.len().min(body.len()).min(shortcut.len());
         let run = ResidualRun { body, body_scale, shortcut, shortcut_scale, out_scale };
-        requantize_slice(t, &mut out[..n], &run);
+        r.slice(&mut out[..n], &run);
     }
 }
 
@@ -698,6 +797,15 @@ impl Quotients for ResidualRun<'_> {
         let b = avx2::mul_f32(t, b, avx2::splat_f32(t, self.body_scale));
         let s = avx2::mul_f32(t, s, avx2::splat_f32(t, self.shortcut_scale));
         avx2::div_f32(t, avx2::add_f32(t, b, s), avx2::splat_f32(t, self.out_scale))
+    }
+
+    #[inline(always)]
+    fn x16(&self, t: Avx512Vnni, i: usize) -> avx512::__m512 {
+        let b = avx512::i32_to_f32(t, avx512::widen_i8x16(t, &self.body[i..]));
+        let s = avx512::i32_to_f32(t, avx512::widen_i8x16(t, &self.shortcut[i..]));
+        let b = avx512::mul_f32(t, b, avx512::splat_f32(t, self.body_scale));
+        let s = avx512::mul_f32(t, s, avx512::splat_f32(t, self.shortcut_scale));
+        avx512::div_f32(t, avx512::add_f32(t, b, s), avx512::splat_f32(t, self.out_scale))
     }
 
     #[inline(always)]
@@ -1044,6 +1152,9 @@ mod tests {
                 .map(|(dy, dx)| (dy as i8, dx as i8))
                 .collect();
             let input = rng.map(shifts.len(), h, w);
+            // Stale bytes in the buffer it draws: the block must write
+            // every one.
+            pool.recycle(vec![0x5a; shifts.len() * h * w]);
             let out = run_shift(&shifts, &input, &mut pool);
             assert_eq!(out.as_slice(), &oracle::shift(&shifts, &input)[..], "plane {h}x{w}");
             assert_eq!(out.scale(), input.scale());
@@ -1341,15 +1452,15 @@ mod tests {
         }
     }
 
-    /// Every split of a run into the AVX2 bodies' 32-word steps, 8-word
-    /// steps and scalar tail: [`EpilogueRows`] (ReLU on and off, channel
-    /// scales of both signs, two images) and [`ResidualAdd`] on runs of
-    /// `l` = 1..=70 words, at every level this CPU has, bit for bit against
-    /// baseline.
+    /// Every split of a run into the AVX2 bodies' 32-word steps, the
+    /// AVX-512 bodies' 16-word steps, 8-word steps and scalar tail:
+    /// [`EpilogueRows`] (ReLU on and off, channel scales of both signs, two
+    /// images) and [`ResidualAdd`] on runs of `l` = 1..=140 words, at every
+    /// level this CPU has, bit for bit against baseline.
     #[test]
     fn levels_agree_at_every_block_split() {
         let mut rng = Rng(13);
-        for l in 1..=70 {
+        for l in 1..=140 {
             let (rows, b) = (3, 2);
             let words: Vec<i32> =
                 (0..rows * b * l).map(|_| rng.next() as i32 >> (rng.next() % 28)).collect();

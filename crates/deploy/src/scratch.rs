@@ -46,9 +46,27 @@ impl BufPool {
         buf
     }
 
+    /// Returns a buffer of exactly `len` bytes holding whatever its last
+    /// user left in it — for a block that writes every byte and would
+    /// discard a zero-fill. Only bytes past a reused buffer's old length
+    /// are zeroed (a fresh buffer's are all).
+    pub(crate) fn take_sized(&mut self, len: usize) -> Vec<i8> {
+        let mut buf = self.take_fit(len);
+        buf.resize(len, 0);
+        buf
+    }
+
     /// Returns an *empty* buffer with at least `len` bytes of capacity —
     /// for callers that fill by `extend` and would discard a zero-fill.
     pub(crate) fn take_with_capacity(&mut self, len: usize) -> Vec<i8> {
+        let mut buf = self.take_fit(len);
+        buf.clear();
+        buf
+    }
+
+    /// The smallest free buffer with at least `len` bytes of capacity, as
+    /// it was recycled, or a new empty one.
+    fn take_fit(&mut self, len: usize) -> Vec<i8> {
         let mut best: Option<(usize, usize)> = None; // (index, capacity)
         for (i, buf) in self.free.iter().enumerate() {
             let cap = buf.capacity();
@@ -65,9 +83,7 @@ impl BufPool {
         match best {
             Some((i, _)) => {
                 self.reuses += 1;
-                let mut buf = self.free.swap_remove(i);
-                buf.clear();
-                buf
+                self.free.swap_remove(i)
             }
             None => {
                 self.allocations += 1;
@@ -87,7 +103,7 @@ impl BufPool {
     /// with undersized buffers (pipelined stages recycle upstream stages'
     /// smaller activations) must not permanently shed the sizes it
     /// actually needs.
-    pub(crate) fn recycle(&mut self, mut buf: Vec<i8>) {
+    pub(crate) fn recycle(&mut self, buf: Vec<i8>) {
         if self.free.len() >= MAX_FREE_BUFFERS {
             let smallest = self
                 .free
@@ -102,7 +118,6 @@ impl BufPool {
                 _ => return, // incoming buffer is the smallest: drop it
             }
         }
-        buf.clear();
         self.free.push(buf);
     }
 }
@@ -314,6 +329,20 @@ mod tests {
         assert_eq!(scratch.shell_reuses(), 0);
         scratch.shells.take(1);
         assert_eq!(scratch.shell_reuses(), 1);
+    }
+
+    #[test]
+    fn take_sized_skips_the_fill_and_zeroes_only_the_growth() {
+        let mut pool = BufPool::default();
+        let mut buf = Vec::with_capacity(8);
+        buf.extend([1i8, 2, 3]);
+        pool.recycle(buf);
+        let buf = pool.take_sized(6);
+        assert_eq!(buf, [1, 2, 3, 0, 0, 0]);
+        pool.recycle(buf);
+        assert_eq!(pool.take_sized(2), [1, 2]);
+        assert_eq!((pool.reuses, pool.allocations), (2, 0));
+        assert_eq!(pool.take_sized(3), [0; 3]);
     }
 
     #[test]

@@ -75,8 +75,18 @@
 //!   AVX-512 down-clock), which adds the pair's sum into the accumulator
 //!   with the same wrap — 3 instructions per 16 positions where AVX2 has 5.
 //!   The saturating `vpdpwssds` is never used.
-//! - **avx2** and **avx2+vnni**, 16-bit lanes: the safe block loop
-//!   compiled for AVX2, 16 positions per `vpmullw`.
+//! - **avx512+vnni**, 32-bit lanes: the same body, with each 64-wide
+//!   block two 32-position groups of `zmm` registers
+//!   (`madd_blocks_zmm`): per op one `vpbroadcastd` and one `vpslld`, per
+//!   group one `vpmovsxbw` and two `vpdpwssd`, and once per block one
+//!   `vpermt2d` per 16 words to put the positions back in order — 9
+//!   instructions per op for 64 MACs where AVX-VNNI has 15. The 16-wide
+//!   groups and the scalar tail keep their AVX-VNNI body, so a row
+//!   shorter than 64 (one LeNet image's 49 positions) runs no 512-bit
+//!   instruction.
+//! - **avx2**, **avx2+vnni** and **avx512+vnni**, 16-bit lanes: the safe
+//!   block loop compiled for AVX2, 16 positions per `vpmullw` (the
+//!   AVX-512 level runs the AVX-VNNI compilation).
 //!
 //! Which one runs is decided per band run by
 //! [`cc_tensor::isa::Level::detect`] (a cached atomic load or two) and
@@ -85,10 +95,13 @@
 //! all.
 //! Integer wrapping adds are associative and commutative, so no level, no
 //! block width and no order of a lane's products changes a bit. An
-//! AVX-512 level was measured twice and left out: 4–10 % more on
-//! `offline_resnet`, but single-image LeNet latency 7–12 % *worse* than
-//! at the AVX2 level, where short 512-bit bursts between scalar epilogues
-//! pay the licence down-clock (CHANGES.md has the runs).
+//! unconditional AVX-512 arm — the safe loop auto-vectorised to `vpmulld`
+//! on `zmm` registers — was measured twice and left out: 4–10 % more on
+//! `offline_resnet`, but single-image LeNet latency 7–12 % *worse* than at
+//! the AVX2 level. The `avx512+vnni` body is a different thing: `vpdpwssd`
+//! on the wide blocks alone, 2.1–2.8× the `ymm` form's MACs per ns in a
+//! model of the block, with no down-clock seen after it (CHANGES.md has
+//! the runs).
 //!
 //! The PR 4 one-op-at-a-time loop survives as
 //! [`TiledScheduler::run_prepared_scalar_with`], the reference the lane
@@ -143,7 +156,7 @@ use crate::cell::CellKind;
 use crate::mac::BitSerialMac;
 use crate::partition::{partition_min_max, partition_min_max_by};
 #[cfg(target_arch = "x86_64")]
-use cc_tensor::isa::{avx2, Avx2, Avx2Vnni};
+use cc_tensor::isa::{avx2, avx512, Avx2, Avx2Vnni, Avx512Vnni};
 use cc_tensor::isa::{self, Kernel, Level};
 use cc_tensor::quant::{AccumWidth, QuantMatrix};
 use std::ops::Range;
@@ -433,12 +446,39 @@ impl TiledScheduler {
         d: &QuantMatrix,
         scratch: &mut RunScratch,
     ) -> SimStats {
+        self.run_full_band(p, d, scratch, None)
+    }
+
+    /// [`TiledScheduler::run_prepared_with`] with the lane kernel at
+    /// `level` instead of the detected one, on the calling thread: the
+    /// entry that lets a test run every compilation the CPU has
+    /// ([`Level::available`]). Bit-identical outputs and stats at every
+    /// level.
+    pub fn run_prepared_at(
+        &self,
+        p: &PreparedPacked,
+        d: &QuantMatrix,
+        scratch: &mut RunScratch,
+        level: Level,
+    ) -> SimStats {
+        self.run_full_band(p, d, scratch, Some(level))
+    }
+
+    /// The whole matrix as one band into the scratch's plane, with the
+    /// lane kernel at `level` (`None`: the scalar sweep).
+    fn run_full_band(
+        &self,
+        p: &PreparedPacked,
+        d: &QuantMatrix,
+        scratch: &mut RunScratch,
+        level: Option<Level>,
+    ) -> SimStats {
         let band = p.full_band();
         let l = d.cols();
         let mut out = std::mem::take(&mut scratch.out);
         out.resize(p.rows * l, 0);
         let stats =
-            self.run_band_kernel(p, &band, self.cfg.geometry(), d, &mut out, scratch, None);
+            self.run_band_kernel(p, &band, self.cfg.geometry(), d, &mut out, scratch, level);
         scratch.out = out;
         stats
     }
@@ -1055,6 +1095,17 @@ trait Lane: Copy + Default {
     fn run_avx2_vnni(kernel: LaneKernel<'_, Self>, vnni: Avx2Vnni) {
         Self::run_avx2(kernel, vnni.avx2())
     }
+
+    /// Whether the lane has an AVX-512 compilation
+    /// ([`Lane::run_avx512_vnni`]; [`Kernel::AVX512`]).
+    const AVX512: bool = false;
+
+    /// The lane kernel's AVX-512 compilation: by default the AVX-VNNI one.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx512_vnni(kernel: LaneKernel<'_, Self>, avx512: Avx512Vnni) {
+        Self::run_avx2_vnni(kernel, avx512.avx2_vnni())
+    }
 }
 
 impl Lane for i32 {
@@ -1077,6 +1128,16 @@ impl Lane for i32 {
     #[inline(always)]
     fn run_avx2_vnni(kernel: LaneKernel<'_, i32>, vnni: Avx2Vnni) {
         MaddSweep::run(kernel, vnni)
+    }
+
+    const AVX512: bool = true;
+
+    /// At AVX-512, the same form with each 64-wide block two 32-position
+    /// `zmm` groups.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx512_vnni(kernel: LaneKernel<'_, i32>, avx512: Avx512Vnni) {
+        MaddSweep::run(kernel, avx512)
     }
 }
 
@@ -1218,8 +1279,11 @@ impl<L: Lane> BandVisitor for LaneSweep<'_, L> {
 /// after (see `fresh`), so the plane is never zeroed first. Bit-identical
 /// to [`LaneSweep`] for every `i8`, −128 included: each multiply-add has
 /// one zero term, `|w·x| ≤ 2¹⁴`, and `i32` adds wrap mod 2³² in any
-/// order. Pairing two ops per `vpmaddwd` (their data rows interleaved as
-/// `i16`) was measured and is slower.
+/// order. Under the [`Avx512Vnni`] token the 64-wide blocks are two
+/// 32-position `zmm` groups in the same form (`madd_blocks_zmm`, put back
+/// in order by `vpermt2d`), and the 16-wide groups and the tail run as
+/// under [`Avx2Vnni`]. Pairing two ops per `vpmaddwd` (their data rows
+/// interleaved as `i16`) was measured and is slower.
 #[cfg(target_arch = "x86_64")]
 struct MaddSweep<'a, T> {
     data: &'a [i8],
@@ -1237,12 +1301,21 @@ struct MaddSweep<'a, T> {
     fresh: bool,
 }
 
-/// The token a [`MaddSweep`] runs under, and the one step that differs
-/// between them: `acc + madd_i16(x, w)`.
+/// The token a [`MaddSweep`] runs under, and the steps that differ
+/// between them: `acc + madd_i16(x, w)`, and the [`LANE_BLOCK`]-wide
+/// blocks.
 #[cfg(target_arch = "x86_64")]
 trait MaddAcc: Copy {
     fn avx2(self) -> Avx2;
     fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i;
+
+    /// Sweeps `row` in [`LANE_BLOCK`]-wide blocks and returns the first
+    /// position no whole block covered: by default four 16-position groups
+    /// each.
+    #[inline(always)]
+    fn wide_blocks(self, row: &mut [i32], data: &[i8], ops: &[TileOp], fresh: bool) -> usize {
+        madd_blocks::<{ LANE_BLOCK / LANE_BLOCK_SHORT }>(self, row, data, ops, 0, fresh)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1270,6 +1343,26 @@ impl MaddAcc for Avx2Vnni {
     #[inline(always)]
     fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i {
         avx2::dpwssd(self, acc, x, w)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl MaddAcc for Avx512Vnni {
+    #[inline(always)]
+    fn avx2(self) -> Avx2 {
+        Avx512Vnni::avx2(self)
+    }
+
+    /// `vpdpwssd`, on `ymm` registers: the 16-wide groups keep their
+    /// AVX-VNNI body.
+    #[inline(always)]
+    fn madd_acc(self, acc: avx2::__m256i, x: avx2::__m256i, w: avx2::__m256i) -> avx2::__m256i {
+        avx2::dpwssd(self.avx2_vnni(), acc, x, w)
+    }
+
+    #[inline(always)]
+    fn wide_blocks(self, row: &mut [i32], data: &[i8], ops: &[TileOp], fresh: bool) -> usize {
+        madd_blocks_zmm(self, row, data, ops, fresh)
     }
 }
 
@@ -1334,6 +1427,85 @@ fn madd_blocks<const G: usize>(
     base
 }
 
+/// [`madd_blocks`] over [`LANE_BLOCK`]-wide blocks at AVX-512: each block
+/// is two 32-position groups of `zmm` registers. Per op, one
+/// `vpbroadcastd` and one `vpslld` make the `[w, 0]` and `[0, w]` words;
+/// per group, one `vpmovsxbw` widens 32 data bytes and two `vpdpwssd` add
+/// `w·x` at the group's 16 even and 16 odd positions into its
+/// accumulators. Alternate ops go into two sets of accumulators, added
+/// once per block: four `vpdpwssd` chains alone wait on the instruction's
+/// latency, eight keep it issuing (wrapping adds may be regrouped). Once
+/// per block, one `vpermt2d` per 16 words interleaves even and odd back
+/// into position order.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn madd_blocks_zmm(
+    t: Avx512Vnni,
+    row: &mut [i32],
+    data: &[i8],
+    ops: &[TileOp],
+    fresh: bool,
+) -> usize {
+    // Index `k` picks `even`'s lane `k`, `16 + k` `odd`'s lane `k`.
+    let low = avx512::load_i32x16(t, &[0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23]);
+    let high =
+        avx512::load_i32x16(t, &[8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31]);
+    let l = row.len();
+    let mut base = 0;
+    while base + LANE_BLOCK <= l {
+        let block = |op: &TileOp| &data[op.channel as usize * l + base..][..LANE_BLOCK];
+        let mut sets = [[[avx512::zero(t); 2]; ZMM_GROUPS]; 2];
+        let pairs = ops.chunks_exact(2);
+        let last = pairs.remainder();
+        for pair in pairs {
+            madd_op_zmm(t, &mut sets[0], &pair[0], block(&pair[0]));
+            madd_op_zmm(t, &mut sets[1], &pair[1], block(&pair[1]));
+        }
+        for op in last {
+            madd_op_zmm(t, &mut sets[0], op, block(op));
+        }
+        for g in 0..ZMM_GROUPS {
+            let even = avx512::add_i32(t, sets[0][g][0], sets[1][g][0]);
+            let odd = avx512::add_i32(t, sets[0][g][1], sets[1][g][1]);
+            let halves =
+                [avx512::permute2_i32(t, even, low, odd), avx512::permute2_i32(t, even, high, odd)];
+            for (out, half) in row[base + 32 * g..][..32].chunks_exact_mut(16).zip(halves) {
+                let sum = if fresh {
+                    half
+                } else {
+                    avx512::add_i32(t, avx512::load_i32x16(t, out), half)
+                };
+                avx512::store_i32x16(t, out, sum);
+            }
+        }
+        base += LANE_BLOCK;
+    }
+    base
+}
+
+/// The 32-position `zmm` groups of a [`LANE_BLOCK`]-wide block.
+#[cfg(target_arch = "x86_64")]
+const ZMM_GROUPS: usize = LANE_BLOCK / 32;
+
+/// One op of a [`madd_blocks_zmm`] block: `b` is the op's 64 data bytes,
+/// `acc[g]` group `g`'s even and odd accumulators.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn madd_op_zmm(
+    t: Avx512Vnni,
+    acc: &mut [[avx512::__m512i; 2]; ZMM_GROUPS],
+    op: &TileOp,
+    b: &[i8],
+) {
+    let w_even = avx512::broadcast_i32(t, &op.word);
+    let w_odd = avx512::shl_i32::<16>(t, w_even);
+    for (g, [even, odd]) in acc.iter_mut().enumerate() {
+        let x = avx512::widen_i8x32(t, &b[32 * g..]);
+        *even = avx512::dpwssd(t, *even, x, w_even);
+        *odd = avx512::dpwssd(t, *odd, x, w_odd);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 impl<T: MaddAcc> BandVisitor for MaddSweep<'_, T> {
     #[inline(always)]
@@ -1355,8 +1527,7 @@ impl<T: MaddAcc> BandVisitor for MaddSweep<'_, T> {
     fn row(&mut self, start: usize, ops: &[TileOp]) {
         let (t, fresh) = (self.token, self.fresh);
         let row = &mut self.plane[start..start + self.l];
-        let base =
-            madd_blocks::<{ LANE_BLOCK / LANE_BLOCK_SHORT }>(t, row, self.data, ops, 0, fresh);
+        let base = t.wide_blocks(row, self.data, ops, fresh);
         // What the wide blocks leave is under 64 positions: its whole
         // 16-groups go in one pass, so each op is broadcast once, not once
         // per group.
@@ -1444,7 +1615,8 @@ fn sweep_lanes<L: Lane>(
 /// The batch-major kernel as the one body [`cc_tensor::isa`] compiles per
 /// vector level: `walk_band` over a [`LaneSweep`], inlined whole into the
 /// dispatch's baseline and AVX2 callers — same safe Rust, same lane order,
-/// 128- or 256-bit instructions.
+/// 128- or 256-bit instructions — or, for 32-bit lanes, [`MaddSweep`] at
+/// the AVX2, AVX-VNNI and AVX-512 levels.
 struct LaneKernel<'a, L: Lane> {
     tiles: &'a [PreparedTile],
     row0: usize,
@@ -1471,14 +1643,24 @@ impl<L: Lane> Kernel for LaneKernel<'_, L> {
     fn run_avx2_vnni(self, vnni: Avx2Vnni) {
         L::run_avx2_vnni(self, vnni)
     }
+
+    const AVX512: bool = L::AVX512;
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn run_avx512_vnni(self, avx512: Avx512Vnni) {
+        L::run_avx512_vnni(self, avx512)
+    }
 }
 
 /// The vector level every dispatched block — the lane kernel here, the
 /// deployed engine's quantizer, residual add and pools — runs at on this
-/// CPU: `"avx2+vnni"` (the lane kernel's multiply-adds in AVX-VNNI, every
-/// other block at AVX2), `"avx2"` or `"baseline"` (whatever the build
-/// targets — SSE2 on x86-64). A host ns/MAC figure means nothing across
-/// boxes without it.
+/// CPU: `"avx512+vnni"` (the lane kernel's 64-wide blocks and the
+/// epilogue's and residual add's requantizer on `zmm` registers, every
+/// other block as at `"avx2+vnni"`), `"avx2+vnni"` (the lane kernel's
+/// multiply-adds in AVX-VNNI, every other block at AVX2), `"avx2"` or
+/// `"baseline"` (whatever the build targets — SSE2 on x86-64). A host
+/// ns/MAC figure means nothing across boxes without it.
 pub fn lane_isa() -> &'static str {
     Level::detect().name()
 }
@@ -1957,7 +2139,8 @@ mod tests {
         for acc in [AccumWidth::Bits16, AccumWidth::Bits32] {
             let sched = TiledScheduler::new(ArrayConfig::new(24, 24, acc));
             let prepared = sched.prepare_packed(&qp);
-            for l in [1usize, 3, 15, 16, 17, 33, 49, 63, 64, 65, 80, 129, 200, 392] {
+            let widths = [1usize, 3, 15, 16, 17, 33, 49, 63, 64, 65, 80, 96, 113, 128, 129, 200];
+            for l in widths.into_iter().chain([241, 392]) {
                 let d = QuantMatrix::quantize(&sparse_matrix(66, l, 1.0, 56 + l as u64));
                 let oracle: Vec<i32> =
                     quant_matmul(&pruned, &d, acc).into_iter().map(|o| o as i32).collect();
@@ -2022,7 +2205,9 @@ mod tests {
     /// channel (−128 and 127 among them): an even/odd swap or a misplaced
     /// half in the AVX2 kernel's reordering changes every word. The widths
     /// cover one 16-block, one LeNet image (49: three blocks and a tail),
-    /// one wide block, a wide block and a tail, and a LeNet batch of 8.
+    /// one wide block, a wide block and a tail, a wide block followed by
+    /// 16-groups with and without a tail (96, 113, 241), two wide blocks,
+    /// and a LeNet batch of 8.
     /// The array's 16 columns split the 42 channels into three column
     /// tiles.
     #[test]
@@ -2050,7 +2235,7 @@ mod tests {
         );
         let sched = TiledScheduler::new(ArrayConfig::new(4, 16, AccumWidth::Bits32));
         let prepared = sched.prepare_packed(&qp);
-        for l in [16usize, 49, 64, 65, 392] {
+        for l in [16usize, 49, 64, 65, 96, 113, 128, 241, 392] {
             let data = (0..cols).flat_map(|_| (0..l).map(|p| if p.is_multiple_of(2) { -128 } else { 127 }));
             let d = QuantMatrix::from_raw(cols, l, data.collect(), params);
             let oracle: Vec<i32> =

@@ -17,7 +17,7 @@
 //!   with 16/32-bit integer accumulation semantics that the bit-serial
 //!   systolic arrays implement exactly,
 //! * [`isa`] — the workspace's one vector-level dispatch (baseline / AVX2 /
-//!   AVX2 + AVX-VNNI), which the systolic lane kernel and the deployed
+//!   AVX2 + AVX-VNNI / AVX-512 VNNI), which the systolic lane kernel and the deployed
 //!   engine's peripheral blocks all run through, and its two audited
 //!   `unsafe` exceptions: the dispatch calls and the token-gated
 //!   intrinsics the lane kernel's and the requantizer's vector bodies are

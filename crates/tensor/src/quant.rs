@@ -23,13 +23,19 @@
 //! them — whatever [`Quotients`] a block computes — 32, then 8 words per
 //! step, narrowing to bytes with `vpackssdw` / `vpacksswb`: the ReLU +
 //! quantizer block's and the residual add's AVX2 bodies in `cc-deploy`.
-//! It is the same function on every `f32` — sampled here by default,
-//! every float in `[-130, 130]` under `--ignored`.
+//! Their AVX-512 bodies use the sixteen-lane twin, [`requantize_x16`]
+//! (the tie fix-up as `requantize`'s own two masks), through
+//! [`requantize_slice_x16`]: 16 words per step, narrowed by `vpmovsdb`.
+//! Both twins are the same function as `requantize` on every `f32` —
+//! sampled here by default, every float in `[-130, 130]` under
+//! `--ignored`.
 
 #[cfg(target_arch = "x86_64")]
 use crate::isa::avx2::{self, __m256, __m256i};
 #[cfg(target_arch = "x86_64")]
-use crate::isa::Avx2;
+use crate::isa::avx512::{self, __m512, __m512i};
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{Avx2, Avx512Vnni};
 use crate::matrix::Matrix;
 
 /// Accumulator width used by the systolic array's bit-serial MACs.
@@ -185,16 +191,43 @@ pub fn requantize_x8(t: Avx2, x: __m256) -> __m256i {
     avx2::sub_i32(t, even, avx2::sign_i32(t, toward_zero, avx2::f32_bits(t, c)))
 }
 
-/// A run of words for [`requantize_slice`] to finish: a block's per-word
-/// float expression, up to and including the division by the output step.
-/// Mark both methods `#[inline(always)]`: the body is compiled inside the
-/// caller's AVX2 kernel only by being inlined (a closure is not, and runs
-/// its intrinsics as calls).
+/// [`requantize`] on sixteen lanes at once, bit for bit on every `f32`,
+/// as sixteen `i32` in `[-127, 127]`: [`requantize_x8`]'s steps in
+/// AVX-512, with the tie fix-up written as `requantize`'s own two masks.
+///
+/// NaN becomes 0 (a zero-masked move under the ordered compare) and the
+/// clamp to ±127 comes first. `vcvtps2dq` rounds to nearest, ties to even,
+/// and the residual `diff = c - r` is exact. A tie rounded toward zero is
+/// `diff == 0.5` where `c > 0` or `diff == -0.5` where `c < 0`; the first
+/// mask adds one to its lanes, the second subtracts one: round half away.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)] // as `requantize`
+pub fn requantize_x16(t: Avx512Vnni, x: __m512) -> __m512i {
+    let x = avx512::keep_f32(t, avx512::ordered_f32(t, x, x), x);
+    let c = avx512::max_f32(t, x, avx512::splat_f32(t, -127.0));
+    let c = avx512::min_f32(t, c, avx512::splat_f32(t, 127.0));
+    let even = avx512::f32_to_i32_nearest(t, c);
+    let diff = avx512::sub_f32(t, c, avx512::i32_to_f32(t, even));
+    let zero = avx512::splat_f32(t, 0.0);
+    let up = avx512::eq_f32(t, diff, avx512::splat_f32(t, 0.5)) & avx512::gt_f32(t, c, zero);
+    let down = avx512::eq_f32(t, diff, avx512::splat_f32(t, -0.5)) & avx512::lt_f32(t, c, zero);
+    let one = avx512::splat_i32(t, 1);
+    avx512::sub_i32_where(t, down, avx512::add_i32_where(t, up, even, one), one)
+}
+
+/// A run of words for [`requantize_slice`] (and [`requantize_slice_x16`])
+/// to finish: a block's per-word float expression, up to and including
+/// the division by the output step. Mark every method `#[inline(always)]`:
+/// the body is compiled inside the caller's vector kernel only by being
+/// inlined (a closure is not, and runs its intrinsics as calls).
 #[cfg(target_arch = "x86_64")]
 pub trait Quotients {
     /// The quotients of words `i..i + 8`, each what the scalar `word`
     /// hands `requantize`.
     fn x8(&self, t: Avx2, i: usize) -> __m256;
+    /// The quotients of words `i..i + 16`, the same expression as `x8`
+    /// in AVX-512.
+    fn x16(&self, t: Avx512Vnni, i: usize) -> __m512;
     /// Word `i`, finished by the scalar [`requantize`].
     fn word(&self, i: usize) -> i8;
 }
@@ -229,6 +262,33 @@ pub fn requantize_slice(t: Avx2, out: &mut [i8], run: &impl Quotients) {
         avx2::store_i8x32(t, &mut out[i..], avx2::permute_i32(t, bytes, order));
         i += 32;
     }
+    requantize_rest(t, out, run, i);
+}
+
+/// [`requantize_slice`] at AVX-512: 16 words per step
+/// ([`requantize_x16`], one `vpmovsdb`, one store), then the AVX2 body's
+/// 8-word steps and scalar words for the fewer than 16 left (so LeNet's
+/// 49-word rows run 48 words in three steps and one scalar word).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)] // a kernel body: compiled at its caller's level
+pub fn requantize_slice_x16(t: Avx512Vnni, out: &mut [i8], run: &impl Quotients) {
+    let n = out.len();
+    let mut i = 0;
+    while i + 16 <= n {
+        let q = requantize_x16(t, run.x16(t, i));
+        avx512::store_i8x16(t, &mut out[i..], avx512::narrow_i32_i8(t, q));
+        i += 16;
+    }
+    requantize_rest(t.avx2(), out, run, i);
+}
+
+/// Words `i..` of a [`requantize_slice`]: 8 per step, then `word` for the
+/// fewer than 8 left.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)] // a kernel body: compiled at its caller's level
+fn requantize_rest(t: Avx2, out: &mut [i8], run: &impl Quotients, mut i: usize) {
+    let order = avx2::load_i32x8(t, &[0, 4, 1, 5, 2, 6, 3, 7]);
+    let n = out.len();
     while i + 8 <= n {
         let q = requantize_x8(t, run.x8(t, i));
         let words = avx2::pack_i32_i16(t, q, q);
@@ -459,14 +519,17 @@ mod tests {
     }
 
     /// [`requantize_slice`] as a kernel over `xs`: the scalar
-    /// `requantize` at baseline, the eight-lane twin at every AVX2 level.
-    struct Twin<'a> {
+    /// `requantize` at baseline, the eight-lane twin at every AVX2 level —
+    /// and, with `X16`, the sixteen-lane twin ([`requantize_slice_x16`])
+    /// at the AVX-512 one.
+    struct Twin<'a, const X16: bool> {
         xs: &'a [f32],
         out: &'a mut [i8],
     }
 
-    impl Kernel for Twin<'_> {
+    impl<const X16: bool> Kernel for Twin<'_, X16> {
         type Out = ();
+        const AVX512: bool = X16;
 
         #[inline(always)]
         fn run(self) {
@@ -479,6 +542,12 @@ mod tests {
         #[inline(always)]
         fn run_avx2(self, t: Avx2) {
             requantize_slice(t, self.out, &Floats(self.xs));
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        fn run_avx512_vnni(self, t: Avx512Vnni) {
+            requantize_slice_x16(t, self.out, &Floats(self.xs));
         }
     }
 
@@ -494,20 +563,25 @@ mod tests {
         }
 
         #[inline(always)]
+        fn x16(&self, t: Avx512Vnni, i: usize) -> __m512 {
+            avx512::load_f32x16(t, &self.0[i..])
+        }
+
+        #[inline(always)]
         fn word(&self, i: usize) -> i8 {
             requantize(self.0[i])
         }
     }
 
-    /// `xs` through the twin at every level the CPU has against the scalar
+    /// `xs` through the twin at each of `levels` against the scalar
     /// `requantize`, word by word. `xs` is a whole number of 32-word
     /// steps, so every word goes through the vector body, never the tail.
-    fn assert_twin_matches(xs: &[f32]) {
+    fn assert_twin_matches<const X16: bool>(xs: &[f32], levels: &[Level]) {
         assert_eq!(xs.len() % 32, 0, "pad to whole 32-word steps");
         let want: Vec<i8> = xs.iter().map(|&x| requantize(x)).collect();
         let mut out = vec![0i8; xs.len()];
-        for level in Level::available() {
-            isa::run_at(level, Twin { xs, out: &mut out });
+        for &level in levels {
+            isa::run_at(level, Twin::<X16> { xs, out: &mut out });
             if let Some(i) = (0..xs.len()).find(|&i| out[i] != want[i]) {
                 let x = xs[i];
                 let (got, want, bits) = (out[i], want[i], x.to_bits());
@@ -522,13 +596,11 @@ mod tests {
         xs
     }
 
-    /// The eight-lane twin where a rounding rewrite goes wrong: every
-    /// `k + 0.5` and `k` across the saturation bounds with the eight
-    /// floats either side of each, zeros, NaNs and infinities of both
-    /// signs, subnormals, huge values, and a seeded million bit patterns
-    /// (every exponent, both signs).
-    #[test]
-    fn x8_twin_matches_requantize_on_ties_specials_and_a_seeded_sample() {
+    /// Where a rounding rewrite goes wrong: every `k + 0.5` and `k` across
+    /// the saturation bounds with the eight floats either side of each,
+    /// zeros, NaNs and infinities of both signs, subnormals, huge values,
+    /// and a seeded million bit patterns (every exponent, both signs).
+    fn ties_specials_and_a_seeded_sample() -> Vec<f32> {
         let mut xs = Vec::new();
         for k in -130i32..=130 {
             for centre in [k as f32 + 0.5, k as f32] {
@@ -561,17 +633,26 @@ mod tests {
             state ^= state << 17;
             f32::from_bits(state as u32)
         }));
-        assert_twin_matches(&padded(xs));
+        padded(xs)
+    }
+
+    /// The eight-lane twin on the sample, at every level the CPU has.
+    #[test]
+    fn x8_twin_matches_requantize_on_ties_specials_and_a_seeded_sample() {
+        assert_twin_matches::<false>(&ties_specials_and_a_seeded_sample(), &Level::available());
+    }
+
+    /// The sixteen-lane twin on the same sample, at the detected level
+    /// (the only one where it differs from the eight-lane one; on a CPU
+    /// without AVX-512 VNNI this checks that one again).
+    #[test]
+    fn x16_twin_matches_requantize_on_ties_specials_and_a_seeded_sample() {
+        assert_twin_matches::<true>(&ties_specials_and_a_seeded_sample(), &[Level::detect()]);
     }
 
     /// Every `f32` in `[-130, 130]` — 2.25 · 10⁹ of them, past both
-    /// saturation bounds — through the eight-lane twin against
-    /// `requantize` (which the sweep above holds to the libcall formula).
-    /// A few seconds in release, so CI runs it as its own step:
-    /// `cargo test --release -p cc-tensor -- --ignored x8_twin`.
-    #[test]
-    #[ignore = "2.25e9 floats; run in release"]
-    fn x8_twin_matches_on_every_float_within_130() {
+    /// saturation bounds — through the twin at each of `levels`.
+    fn assert_twin_matches_within_130<const X16: bool>(levels: &[Level]) {
         let top = 130.0f32.to_bits();
         let chunk = 1 << 20;
         let mut xs = Vec::with_capacity(chunk);
@@ -580,9 +661,27 @@ mod tests {
                 xs.clear();
                 let end = top.min(start + chunk as u32 - 1);
                 xs.extend((start..=end).map(|b| f32::from_bits(b | sign)));
-                assert_twin_matches(&padded(std::mem::take(&mut xs)));
+                assert_twin_matches::<X16>(&padded(std::mem::take(&mut xs)), levels);
             }
         }
+    }
+
+    /// The eight-lane twin on every `f32` in `[-130, 130]` against
+    /// `requantize` (which the sweep above holds to the libcall formula).
+    /// A few seconds in release, so CI runs it as its own step:
+    /// `cargo test --release -p cc-tensor -- --ignored _twin_matches_on_every_float`.
+    #[test]
+    #[ignore = "2.25e9 floats; run in release"]
+    fn x8_twin_matches_on_every_float_within_130() {
+        assert_twin_matches_within_130::<false>(&Level::available());
+    }
+
+    /// The sixteen-lane twin on the same floats, at the detected level; in
+    /// the same CI step.
+    #[test]
+    #[ignore = "2.25e9 floats; run in release"]
+    fn x16_twin_matches_on_every_float_within_130() {
+        assert_twin_matches_within_130::<true>(&[Level::detect()]);
     }
 
     #[test]

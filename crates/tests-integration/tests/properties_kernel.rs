@@ -4,7 +4,9 @@
 //! agree bit-exactly —
 //!
 //! 1. the prepared op-list kernel (`run_prepared_with`, zero-allocation
-//!    serving hot path, scratch reused across calls),
+//!    serving hot path, scratch reused across calls — and
+//!    `run_prepared_at`, the same kernel at every vector level the CPU
+//!    has, not only the detected one),
 //! 2. the seed indexed path (per-call tile slicing through
 //!    `multiply_packed`, via `run_packed_reference`), and
 //! 3. a naive i64 reference GEMM over the pruned-unpacked equivalent
@@ -16,6 +18,7 @@ use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked};
 use cc_systolic::{CellKind, RunScratch, TiledScheduler};
 use cc_tensor::init::sparse_matrix;
+use cc_tensor::isa::Level;
 use cc_tensor::quant::{quant_matmul, AccumWidth, QuantMatrix, QuantParams};
 use proptest::prelude::*;
 
@@ -81,6 +84,12 @@ proptest! {
         }
         // The allocating wrapper is the same kernel.
         prop_assert_eq!(&sched.run_prepared(&prepared, &d), &reference);
+        // So is every compilation of it this CPU can run.
+        for level in Level::available() {
+            let stats = sched.run_prepared_at(&prepared, &d, &mut scratch, level);
+            prop_assert_eq!(&widened(&scratch), &reference.outputs, "{} outputs", level.name());
+            prop_assert_eq!(stats, reference.stats, "{} stats", level.name());
+        }
 
         // Naive reference GEMM on the pruned-unpacked equivalent matrix
         // (pure i64 arithmetic, no simulator code in common).
@@ -88,7 +97,8 @@ proptest! {
         prop_assert_eq!(&reference.outputs, &quant_matmul(&q_pruned, &d, acc));
     }
 
-    /// The batch-major lane sweep against the scalar op-sweep it replaced
+    /// The batch-major lane sweep, through the serving entry and at every
+    /// vector level the CPU has, against the scalar op-sweep it replaced
     /// AND the naive i64 GEMM, across image-batch-shaped stream lengths
     /// (batch 1 underfills one lane chunk, 3 straddles, 8 spans several):
     /// all three must agree bit-exactly on outputs, and the two op-list
@@ -125,8 +135,12 @@ proptest! {
 
         let mut lane = RunScratch::new();
         let mut scalar = RunScratch::new();
-        let lane_stats = sched.run_prepared_with(&prepared, &d, &mut lane);
         let scalar_stats = sched.run_prepared_scalar_with(&prepared, &d, &mut scalar);
+        let q_pruned = QuantMatrix::quantize_with(&packed.unpack(), params);
+        let oracle = quant_matmul(&q_pruned, &d, acc);
+        // The serving entry (row bands and their lane bookkeeping) at the
+        // detected level, then the kernel itself at every level.
+        let lane_stats = sched.run_prepared_with(&prepared, &d, &mut lane);
         prop_assert_eq!(
             lane.outputs(),
             scalar.outputs(),
@@ -134,8 +148,18 @@ proptest! {
             batch
         );
         prop_assert_eq!(lane_stats, scalar_stats, "lane stats diverged at batch {}", batch);
-
-        let q_pruned = QuantMatrix::quantize_with(&packed.unpack(), params);
-        prop_assert_eq!(widened(&lane), quant_matmul(&q_pruned, &d, acc));
+        prop_assert_eq!(widened(&lane), oracle.clone());
+        for level in Level::available() {
+            let lane_stats = sched.run_prepared_at(&prepared, &d, &mut lane, level);
+            prop_assert_eq!(
+                lane.outputs(),
+                scalar.outputs(),
+                "{} lane sweep diverged from scalar at batch {}",
+                level.name(),
+                batch
+            );
+            prop_assert_eq!(lane_stats, scalar_stats, "{} stats at batch {}", level.name(), batch);
+            prop_assert_eq!(widened(&lane), oracle.clone());
+        }
     }
 }
